@@ -33,7 +33,8 @@ from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
                       TruncationPolicy, combo_taylor, kernel_pairing)
-from .spaces import FactoredPoly, ReproducibleMultiset, SpaceSpec
+from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
+                     polyval_derivative)
 
 CLUSTER_TOL = 1e-6
 PIVOT_FLOOR = 1e-12
@@ -329,17 +330,10 @@ def project_target_fd(space: SpaceSpec, p: FactoredPoly, M: int,
     count = M - deg + 1
     if count < 2:
         raise ValueError("M too small for the polynomial span")
-    rows = np.zeros((count, M + 1), dtype=complex)
-    pc = p.coefficients()
-    for j in range(count):
-        rows[j, j: j + len(pc)] = pc
+    rows = _shift_rows(p, count, M + 1)
     S = _span_gram(space, rows)
-    ders = np.empty(count, dtype=complex)
-    for j in range(count):
-        c = rows[j]
-        for _ in range(target_order):
-            c = np.polynomial.polynomial.polyder(c)
-        ders[j] = np.polynomial.polynomial.polyval(target_point, c) if len(c) else 0j
+    ders = np.array([polyval_derivative(row, target_point, target_order)
+                     for row in rows], dtype=complex)
     x = _solve_projection(S, np.conjugate(ders))
     return TaylorSeries(x @ rows, 0.0)
 
@@ -461,15 +455,6 @@ def classical_blaschke(zeros, taylor_degree: int = 256):
     return rational, TaylorSeries(coeffs, tail), evaluator
 
 
-def _poly_eval(coeffs: np.ndarray, z: complex, order: int = 0) -> complex:
-    c = coeffs
-    for _ in range(order):
-        c = np.polynomial.polynomial.polyder(c)
-    if len(c) == 0:
-        return 0j
-    return complex(np.polynomial.polynomial.polyval(z, c))
-
-
 def bergman_rational(zeros, taylor_degree: int = 256):
     """Residue-vanishing construction of the Bergman-space inner function.
 
@@ -502,10 +487,8 @@ def bergman_rational(zeros, taylor_degree: int = 256):
         h = den_coeffs
         for _ in range(2):
             h = _deflate(h, zj)
-        r_val = _poly_eval(r_coeffs, zj)
-        r_der = _poly_eval(r_coeffs, zj, 1)
-        h_val = _poly_eval(h, zj)
-        h_der = _poly_eval(h, zj, 1)
+        r_val, r_der, h_val, h_der = (complex(polyval_derivative(c, zj, k))
+                                      for c in (r_coeffs, h) for k in (0, 1))
         # Residue of (q r)/den at z_j is zero iff
         # q'(z_j) r h + q(z_j) (r' h - r h') = 0.
         a_j = r_val * h_val
@@ -565,10 +548,8 @@ def rational_residue_at_double_pole(rational: RationalRep, pole: complex) -> com
     num = rational.numerator.coefficients()
     den = rational.denominator.coefficients()
     h = _deflate(_deflate(den, pole), pole)
-    n_val = _poly_eval(num, pole)
-    n_der = _poly_eval(num, pole, 1)
-    h_val = _poly_eval(h, pole)
-    h_der = _poly_eval(h, pole, 1)
+    n_val, n_der, h_val, h_der = (complex(polyval_derivative(c, pole, k))
+                                  for c in (num, h) for k in (0, 1))
     return (n_der * h_val - n_val * h_der) / (h_val * h_val)
 
 

@@ -29,7 +29,7 @@ from scipy.special import zeta as _riemann_zeta
 
 from .errors import DivergentSeries, ToleranceUnreachable, UnboundedTail
 from .jsonio import complex_pair, pair_complex
-from .spaces import BOUNDARY_TOL, DirichletType, SpaceSpec, WeightedHardy
+from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
 _X_ONE_TOL = 1e-14
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
@@ -118,12 +118,7 @@ class TaylorSeries:
         return np.polynomial.polynomial.polyval(z, self.coefficients)
 
     def derivative_at(self, z, order: int = 0):
-        c = self.coefficients
-        for _ in range(order):
-            c = np.polynomial.polynomial.polyder(c)
-        if len(c) == 0:
-            return 0j
-        return np.polynomial.polynomial.polyval(z, c)
+        return polyval_derivative(self.coefficients, z, order)
 
     def scaled(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self.coefficients * factor,
@@ -227,30 +222,28 @@ def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
         )
 
 
-def _weight_ratio_sup(space: SpaceSpec, j0: int) -> float:
-    """Upper bound for w_j / w_(j+1) over j >= j0."""
-    if isinstance(space, DirichletType):
-        if space.alpha >= 0:
-            return 1.0
-        return ((j0 + 2.0) / (j0 + 1.0)) ** (-space.alpha)
-    # Generic rule: probe a window and pad; rests on the documented
-    # precondition that the ratio drifts to 1.
-    hi = j0 + 128
-    try:
-        w = space.weights(hi + 1)
-    except IndexError:
-        w = space.weights(j0 + 2)
-    ratios = w[j0:-1] / w[j0 + 1:]
-    return float(np.max(ratios)) * 1.0001
+def _blocks(start: int, max_terms: int, width: int, cap: int):
+    """Index blocks ``start..max_terms``; widths double from ``width`` up to ``cap``.
+
+    Every series loop iterates these blocks with its own accumulation and
+    tail test, so the summation order, hence every result, is fixed.
+    """
+    n = start
+    while n <= max_terms:
+        hi = min(n + width, max_terms + 1)
+        yield np.arange(n, hi)
+        n = hi
+        width = min(width * 2, cap)
 
 
 def _alpha_of(space: SpaceSpec) -> float:
-    if not isinstance(space, DirichletType):
+    alpha = space.decay_exponent
+    if alpha is None:
         raise ToleranceUnreachable(
             "boundary-point series have certified bounds only in Dirichlet-type "
             "spaces; use bound_kind='none' for a heuristic sum"
         )
-    return space.alpha
+    return alpha
 
 
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
@@ -265,14 +258,11 @@ def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
 def _sum_heuristic(space, a, b, policy):
     """Uncertified summation for bound_kind='none': stop on 8 tiny terms."""
     tol = policy.target_tolerance
-    n = max(a.order, b.order)
     total = 0j
     quiet = 0
     window = []
-    while n <= policy.max_terms:
-        ns = np.arange(n, min(n + 512, policy.max_terms + 1))
-        t = _pair_terms(space, a, b, ns)
-        for v in t:
+    for ns in _blocks(max(a.order, b.order), policy.max_terms, 512, 512):
+        for v in _pair_terms(space, a, b, ns):
             total += v
             window.append(abs(v))
             if len(window) > 8:
@@ -280,31 +270,24 @@ def _sum_heuristic(space, a, b, policy):
             quiet = quiet + 1 if abs(v) <= tol * 1e-3 else 0
             if quiet >= 8:
                 return total, float(sum(window))
-        n = ns[-1] + 1
     raise ToleranceUnreachable("max_terms reached before the series settled")
 
 
 def _pair_geometric(space, a, b, policy):
     rho = abs(a.point) * abs(b.point)
     tol = policy.target_tolerance
-    n = max(a.order, b.order)
     total = 0j
-    block = 256
-    while n <= policy.max_terms:
-        hi = min(n + block, policy.max_terms + 1)
-        ns = np.arange(n, hi)
+    for ns in _blocks(max(a.order, b.order), policy.max_terms, 256, 1 << 16):
         t = _pair_terms(space, a, b, ns)
         total += t.sum()
-        j0 = hi - 1
+        j0 = int(ns[-1])
         ratio = rho * ((j0 + 1.0) / (j0 + 1.0 - a.order)) \
                     * ((j0 + 1.0) / (j0 + 1.0 - b.order)) \
-                    * _weight_ratio_sup(space, j0)
+                    * space.weight_ratio_sup(j0)
         if ratio < 1.0:
             bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
             if bound <= tol:
                 return total, float(bound)
-        n = hi
-        block = min(block * 2, 1 << 16)
     raise ToleranceUnreachable(
         f"geometric pairing did not close below {tol} within {policy.max_terms} terms"
     )
@@ -348,15 +331,10 @@ def _pair_boundary(space, a, b, policy):
         return prefactor * value, err
     tol = policy.target_tolerance
     inv_gap = 1.0 / abs(1.0 - x)
-    n = max(a.order, b.order)
     total = 0j
-    block = 1024
-    while n <= policy.max_terms:
-        hi = min(n + block, policy.max_terms + 1)
-        ns = np.arange(n, hi)
-        t = _pair_terms(space, a, b, ns)
-        total += t.sum()
-        j0 = hi - 1
+    for ns in _blocks(max(a.order, b.order), policy.max_terms, 1024, 1 << 18):
+        total += _pair_terms(space, a, b, ns).sum()
+        j0 = int(ns[-1])
         # Absolute p-series tail: |t_n| <= (n+1)^(ma+mb-alpha), integral bound.
         p_tail = (j0 + 1.0) ** (1.0 - s) / (s - 1.0)
         bound = p_tail
@@ -372,8 +350,6 @@ def _pair_boundary(space, a, b, policy):
             bound = min(bound, 4.0 * nxt * inv_gap)
         if bound <= tol:
             return total, float(bound)
-        n = hi
-        block = min(block * 2, 1 << 18)
     raise ToleranceUnreachable(
         f"boundary pairing did not close below {tol} within {policy.max_terms} terms"
     )
@@ -447,20 +423,14 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
     if beta < 1.0 - BOUNDARY_TOL:
         rho2 = beta * beta
         total = 0.0
-        n = N + 1
-        block = 256
-        while n <= policy.max_terms:
-            hi = min(n + block, policy.max_terms + 1)
-            ns = np.arange(n, hi)
+        for ns in _blocks(N + 1, policy.max_terms, 256, 1 << 16):
             q = _falling(ns, m) ** 2 * rho2 ** (ns - m) / space.weights(ns[-1])[ns[0]:]
             total += q.sum()
-            j0 = hi - 1
+            j0 = int(ns[-1])
             ratio = rho2 * ((j0 + 1.0) / (j0 + 1.0 - m)) ** 2 \
-                * _weight_ratio_sup(space, j0)
+                * space.weight_ratio_sup(j0)
             if ratio < 1.0:
                 return math.sqrt(total + q[-1] * ratio / (1.0 - ratio)) * _FLOAT_SLACK
-            n = hi
-            block = min(block * 2, 1 << 16)
         return math.inf
     if beta <= 1.0 + BOUNDARY_TOL:
         alpha = _alpha_of(space)
@@ -510,20 +480,6 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
     return value, err
 
 
-def shift_norm_bound(space: SpaceSpec, k: int) -> float:
-    """Upper bound for the norm of multiplication by z^k."""
-    if isinstance(space, DirichletType):
-        return max(1.0, (k + 1.0) ** (space.alpha / 2.0))
-    if isinstance(space, WeightedHardy):
-        # Probe sup sqrt(w_{n+k}/w_n); heuristic for generic rules.
-        try:
-            w = space.weights(4096 + k)
-        except IndexError:
-            w = space.weights(space._rule_len() - 1)
-        return float(np.sqrt(np.max(w[k:] / w[: len(w) - k]))) * 1.0001
-    raise UnboundedTail(f"no shift-norm bound for {type(space).__name__}")
-
-
 def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[complex, float]:
     """``<z^k B, B>`` from the truncated coefficients, with a tail error bound.
 
@@ -546,7 +502,7 @@ def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[comp
             value = 0j
         if tau == 0.0:
             return value, 0.0
-        mk = shift_norm_bound(space, k)
+        mk = space.shift_norm_bound(k)
         znorm = math.sqrt(float(np.sum(w[k: k + N + 1] * np.abs(b) ** 2)))
         bnorm = math.sqrt(float(np.sum(w[: N + 1] * np.abs(b) ** 2)))
         err = znorm * tau + mk * tau * (bnorm + tau)

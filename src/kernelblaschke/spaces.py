@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleMultiset, MissingReproducibility
+from .errors import (InadmissibleMultiset, MissingReproducibility,
+                     ToleranceUnreachable)
 from .jsonio import complex_pair, pair_complex
 
 ORIGIN_TOL = 1e-12
@@ -129,15 +130,9 @@ class SpaceSpec:
     def weight(self, k: int) -> float:
         raise TypeError(f"{type(self).__name__} has no diagonal weight sequence")
 
-    def weights(self, upto: int) -> np.ndarray:
-        """Weights w_0..w_upto as a vector (diagonal variants only)."""
-        return np.array([self.weight(k) for k in range(upto + 1)], dtype=float)
-
     def gram(self, upto: int) -> np.ndarray:
         """Dense monomial Gram ``G[m, n] = <z^m, z^n>`` for m, n <= upto."""
         size = upto + 1
-        if self.diagonal:
-            return np.diag(self.weights(upto)).astype(complex)
         out = np.empty((size, size), dtype=complex)
         for m in range(size):
             for n in range(m, size):
@@ -153,22 +148,30 @@ class SpaceSpec:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
-class DirichletType(SpaceSpec):
-    """Diagonal space with weights ``w_k = (k+1)^alpha``."""
+class DiagonalSpace(SpaceSpec):
+    """Space with ``<z^m, z^n> = w_n`` for m = n and 0 otherwise.
 
-    alpha: float
+    Subclasses give the rule as ``weight(k)``, its vector form
+    ``_weights_of(ks)`` over an ascending index array, and
+    ``_boundary_order()``, the reproducible order of every unimodular point.
+    The facts about the weights that tail certificates need live here.
+    """
 
     diagonal = True
-
-    def weight(self, k: int) -> float:
-        return float(k + 1) ** self.alpha
+    # alpha when w_n = (n+1)^alpha exactly; only then are boundary-point
+    # series certified.
+    decay_exponent: float | None = None
+    _served = math.inf  # how many weights the rule can serve
 
     def weights(self, upto: int) -> np.ndarray:
-        return (np.arange(upto + 1, dtype=float) + 1.0) ** self.alpha
+        """Weights w_0..w_upto as a vector."""
+        return self._weights_of(np.arange(upto + 1))
 
     def monomial_inner(self, m: int, n: int) -> complex:
         return complex(self.weight(m)) if m == n else 0j
+
+    def gram(self, upto: int) -> np.ndarray:
+        return np.diag(self.weights(upto)).astype(complex)
 
     def reproducible_order(self, beta: complex) -> ReproducibleOrder:
         r = abs(complex(beta))
@@ -176,8 +179,49 @@ class DirichletType(SpaceSpec):
             return ReproducibleOrder.infinite()
         if r > 1.0 + BOUNDARY_TOL:
             return ReproducibleOrder.not_reproducible()
-        # |beta| = 1: order-m functionals are bounded exactly when alpha > 2m+1,
-        # so the top order is the largest integer strictly below (alpha-1)/2.
+        return self._boundary_order()
+
+    def weight_ratio_sup(self, j0: int) -> float:
+        """Upper bound for w_j / w_(j+1) over j >= j0.
+
+        Probes a window and pads; rests on the precondition that the ratio
+        drifts to 1.
+        """
+        try:
+            w = self._weights_of(np.arange(j0, j0 + 130))
+        except ToleranceUnreachable:  # a table that ends inside the window
+            w = self._weights_of(np.arange(j0, j0 + 3))
+        return float(np.max(w[:-1] / w[1:])) * 1.0001
+
+    def shift_norm_bound(self, k: int) -> float:
+        """Upper bound for the norm of multiplication by z^k.
+
+        Probes sup sqrt(w_(n+k) / w_n) over the first 4097 + k weights (or the
+        whole table); heuristic for generic rules.
+        """
+        w = self.weights(min(4096 + k, self._served - 1))
+        return float(np.sqrt(np.max(w[k:] / w[: len(w) - k]))) * 1.0001
+
+
+@dataclass(frozen=True)
+class DirichletType(DiagonalSpace):
+    """Diagonal space with weights ``w_k = (k+1)^alpha``."""
+
+    alpha: float
+
+    @property
+    def decay_exponent(self) -> float:
+        return self.alpha
+
+    def weight(self, k: int) -> float:
+        return float(k + 1) ** self.alpha
+
+    def _weights_of(self, ks: np.ndarray) -> np.ndarray:
+        return (ks + 1.0) ** self.alpha
+
+    def _boundary_order(self) -> ReproducibleOrder:
+        # Order-m functionals are bounded exactly when alpha > 2m+1, so the
+        # top order is the largest integer strictly below (alpha-1)/2.
         half = (self.alpha - 1.0) / 2.0
         if half <= 0.0:
             return ReproducibleOrder.not_reproducible()
@@ -187,6 +231,14 @@ class DirichletType(SpaceSpec):
         if r_top < 0:
             return ReproducibleOrder.not_reproducible()
         return ReproducibleOrder.finite(int(r_top))
+
+    def weight_ratio_sup(self, j0: int) -> float:
+        if self.alpha >= 0:
+            return 1.0
+        return ((j0 + 2.0) / (j0 + 1.0)) ** (-self.alpha)
+
+    def shift_norm_bound(self, k: int) -> float:
+        return max(1.0, (k + 1.0) ** (self.alpha / 2.0))
 
     def to_json(self) -> dict:
         return {"type": "dirichlet", "alpha": self.alpha}
@@ -208,11 +260,12 @@ def dirichlet_space() -> DirichletType:
 
 
 @dataclass(frozen=True)
-class WeightedHardy(SpaceSpec):
+class WeightedHardy(DiagonalSpace):
     """Diagonal space with a user-supplied weight rule ``k -> w_k > 0``.
 
-    ``weight_rule`` may be a callable or a sequence (then truncation degrees are
-    limited by its length).  The rule is assumed to satisfy
+    ``weight_rule`` may be a callable or a sequence (a table).  A table must be
+    long enough for every sum it serves: a series that needs an index past its
+    end raises ``ToleranceUnreachable``.  The rule is assumed to satisfy
     ``lim w_k / w_{k+1} = 1``; this is a documented precondition, spot-checked on
     the first 10^3 indices (a drift beyond 10^-3 at the end of that window only
     warns, it does not raise).  ``boundary_order`` optionally declares the
@@ -224,10 +277,13 @@ class WeightedHardy(SpaceSpec):
     weight_rule: object
     boundary_order: int | None = None
 
-    diagonal = True
-
     def __post_init__(self):
-        probe = min(1000, self._rule_len() - 2) if self._rule_len() is not None else 1000
+        if not callable(self.weight_rule):
+            table = np.array(self.weight_rule, dtype=float)
+            table.setflags(write=False)
+            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_served", len(table))
+        probe = min(1000, self._served - 2)
         for k in (0, 1, 2, probe // 2, probe):
             if k < 0:
                 continue
@@ -247,34 +303,27 @@ class WeightedHardy(SpaceSpec):
                     stacklevel=2,
                 )
 
-    def _rule_len(self) -> int | None:
-        if callable(self.weight_rule):
-            return None
-        return len(self.weight_rule)
-
     def weight(self, k: int) -> float:
         if callable(self.weight_rule):
             return float(self.weight_rule(k))
-        table = self.weight_rule
-        if k >= len(table):
+        if k >= self._served:
             raise IndexError(
-                f"weight table of length {len(table)} cannot serve index {k}; "
+                f"weight table of length {self._served} cannot serve index {k}; "
                 "supply a longer table or a callable rule"
             )
-        return float(table[k])
+        return float(self._table[k])
 
-    def weights(self, upto: int) -> np.ndarray:
-        return np.array([self.weight(k) for k in range(upto + 1)], dtype=float)
+    def _weights_of(self, ks: np.ndarray) -> np.ndarray:
+        if callable(self.weight_rule):
+            return np.array([self.weight(k) for k in ks.tolist()], dtype=float)
+        if ks[-1] >= self._served:
+            raise ToleranceUnreachable(
+                f"weight table of length {self._served} cannot serve indices "
+                f"up to {ks[-1]}; supply a longer table or a callable rule"
+            )
+        return self._table[ks]
 
-    def monomial_inner(self, m: int, n: int) -> complex:
-        return complex(self.weight(m)) if m == n else 0j
-
-    def reproducible_order(self, beta: complex) -> ReproducibleOrder:
-        r = abs(complex(beta))
-        if r < 1.0 - BOUNDARY_TOL:
-            return ReproducibleOrder.infinite()
-        if r > 1.0 + BOUNDARY_TOL:
-            return ReproducibleOrder.not_reproducible()
+    def _boundary_order(self) -> ReproducibleOrder:
         if self.boundary_order is None:
             return ReproducibleOrder.not_reproducible()
         return ReproducibleOrder.finite(self.boundary_order)
@@ -446,6 +495,17 @@ def space_from_json(obj: dict) -> SpaceSpec:
 # Factored polynomials
 # ---------------------------------------------------------------------------
 
+def polyval_derivative(coeffs: np.ndarray, z, order: int = 0):
+    """``order``-th derivative at z of the polynomial with ascending ``coeffs``
+    (what ``polyval`` returns, or ``0j`` for empty coefficients)."""
+    c = coeffs
+    for _ in range(order):
+        c = np.polynomial.polynomial.polyder(c)
+    if len(c) == 0:
+        return 0j
+    return np.polynomial.polynomial.polyval(z, c)
+
+
 @dataclass(frozen=True)
 class FactoredPoly:
     """Polynomial in factored form: ``leading * prod (z - point)^mult``.
@@ -501,10 +561,7 @@ class FactoredPoly:
         return out
 
     def derivative_at(self, z: complex, order: int = 1) -> complex:
-        c = self.coefficients()
-        for _ in range(order):
-            c = np.polynomial.polynomial.polyder(c)
-        return complex(np.polynomial.polynomial.polyval(z, c)) if len(c) else 0j
+        return complex(polyval_derivative(self.coefficients(), z, order))
 
     def to_json(self) -> dict:
         return {

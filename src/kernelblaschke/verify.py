@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (ConstructionResult, project_target_fd,
+from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
                         shapiro_shields, _span_gram, _shift_rows)
 from .errors import TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
@@ -21,8 +21,6 @@ from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy
                       combo_derivative_at, kernel_pairing, shift_inner_product)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      reproducible_multiset)
-
-CLUSTER_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------

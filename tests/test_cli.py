@@ -98,6 +98,16 @@ def test_config_error_diagnostics(tmp_path):
     assert rc == 2
 
 
+def test_short_weight_table_exits_two(tmp_path, capsys):
+    values = [(k + 1.0) ** 2 for k in range(64)]
+    cfg = write_config(tmp_path / "cfg.json", dict(
+        BASE_VERIFY, space={"type": "weights", "rule": "table", "values": values}))
+    rc = cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "r"),
+                   "--quiet"])
+    assert rc == 2
+    assert "ToleranceUnreachable" in capsys.readouterr().err
+
+
 def test_construct_zeros_subspace_oracle_tasks(tmp_path):
     out = str(tmp_path / "r")
     cfg = write_config(tmp_path / "c1.json", {

@@ -12,6 +12,9 @@ H2 = kb.hardy_space()
 A2 = kb.bergman_space()
 D1 = kb.dirichlet_space()
 D4 = kb.DirichletType(4.0)
+# Callable-rule twins of H2 and A2: same weights, generic diagonal path.
+H2_W = kb.WeightedHardy(lambda k: 1.0)
+A2_W = kb.WeightedHardy(lambda k: 1.0 / (k + 1))
 
 
 def K(point, order=0):
@@ -40,10 +43,11 @@ def test_pairing_matches_szego_and_bergman_kernels():
     for _ in range(6):
         a = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
         b = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        v, e = kb.kernel_pairing(H2, K(a), K(b))
-        assert abs(v - 1 / (1 - np.conjugate(a) * b)) <= e + 1e-13
-        v, e = kb.kernel_pairing(A2, K(a), K(b))
-        assert abs(v - 1 / (1 - np.conjugate(a) * b) ** 2) <= e + 1e-13
+        for hardy, bergman in ((H2, A2), (H2_W, A2_W)):
+            v, e = kb.kernel_pairing(hardy, K(a), K(b))
+            assert abs(v - 1 / (1 - np.conjugate(a) * b)) <= e + 1e-13
+            v, e = kb.kernel_pairing(bergman, K(a), K(b))
+            assert abs(v - 1 / (1 - np.conjugate(a) * b) ** 2) <= e + 1e-13
 
 
 def test_pairing_origin_cases_exact():
@@ -132,7 +136,8 @@ def test_kernel_taylor_examples():
 
 
 def test_kernel_taylor_tail_bound_honest():
-    for sp, term in ((H2, K(0.9, 1)), (A2, K(0.8, 2)), (D4, K(1.0, 0))):
+    for sp, term in ((H2, K(0.9, 1)), (A2, K(0.8, 2)), (D4, K(1.0, 0)),
+                     (H2_W, K(0.9, 1)), (A2_W, K(0.8, 2))):
         t = kb.kernel_taylor(sp, term, 64)
         big = kb.kernel_taylor(sp, term, 5000)
         w = sp.weights(5000)
@@ -246,6 +251,20 @@ def test_shift_inner_product_local_dirichlet_polynomials():
     assert v == pytest.approx(-1.0)
 
 
+def test_short_weight_table_raises_typed_error():
+    # Every sum below needs weights past the 64-entry table.
+    sp = kb.WeightedHardy(tuple((k + 1.0) ** 2 for k in range(64)))
+    calls = (
+        lambda: kb.kernel_pairing(sp, K(0.5), K(0.5)),
+        lambda: kb.kernel_taylor(sp, K(0.5), 20),
+        lambda: kb.shift_inner_product(sp, kb.TaylorSeries(np.ones(64), 0.0), 1),
+        lambda: kb.shapiro_shields(sp, kb.ReproducibleMultiset(0, ((0.5 + 0j, 1),))),
+    )
+    for call in calls:
+        with pytest.raises(kb.ToleranceUnreachable, match="length 64"):
+            call()
+
+
 def test_shift_errors():
     unbounded = kb.TaylorSeries([1, 1], math.inf)
     with pytest.raises(kb.UnboundedTail):
@@ -261,11 +280,12 @@ def test_shift_err_accounts_for_tail():
     # Truncate an inner function early: the certified err must cover the
     # difference from the well-resolved value.
     Z = kb.ReproducibleMultiset(0, ((0.8 + 0j, 1),))
-    ss = kb.shapiro_shields(A2, Z, taylor_degree=2000)
-    short = kb.combo_taylor(A2, ss.combo, 40)
-    v_short, err = kb.shift_inner_product(A2, short, 3)
-    v_long, _ = kb.shift_inner_product(A2, ss.taylor, 3)
-    assert abs(v_short - v_long) <= err
+    for sp in (A2, A2_W):
+        ss = kb.shapiro_shields(sp, Z, taylor_degree=2000)
+        short = kb.combo_taylor(sp, ss.combo, 40)
+        v_short, err = kb.shift_inner_product(sp, short, 3)
+        v_long, _ = kb.shift_inner_product(sp, ss.taylor, 3)
+        assert abs(v_short - v_long) <= err
 
 
 # ---------------------------------------------------------------------------
