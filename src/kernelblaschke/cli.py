@@ -98,7 +98,7 @@ def _positive(cfg: dict, key: str, default):
     value = cfg.get(key, default)
     try:
         value = type(default)(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field '{key}' must be numeric, got {value!r}")
     if value <= 0:
         raise ConfigError(f"config field '{key}' must be positive, got {value}")
@@ -112,7 +112,8 @@ def _positive(cfg: dict, key: str, default):
 def _build(space, Z, cfg, policy):
     route = str(cfg.get("route", "determinant"))
     if route == "oracle":
-        return _construct.oracle_result(space, Z, M=int(cfg.get("oracle_degree", 400)))
+        return _construct.oracle_result(space, Z,
+                                         M=_positive(cfg, "oracle_degree", 400))
     return _construct.shapiro_shields(
         space, Z, route=route, policy=policy,
         taylor_degree=int(cfg.get("taylor_degree", 256)))
@@ -134,7 +135,7 @@ def _task_verify(cfg, out_dir, seed, quiet):
     Z = _parse_multiset(cfg)
     result = _build(space, Z, cfg, _parse_policy(cfg))
     report = _verify.inner_report(space, result.taylor,
-                                  K=int(cfg.get("K", 20)),
+                                  K=_positive(cfg, "K", 20),
                                   tol=_positive(cfg, "tolerance", 1e-8))
     return report.verdict, {"construction_route": result.route,
                             "inner_report": report.to_json()}
@@ -159,7 +160,7 @@ def _task_subspace(cfg, out_dir, seed, quiet):
     p = _parse_poly(cfg, "p")
     q = _parse_poly(cfg, "q")
     equal, evidence = _verify.subspace_equal(
-        space, p, q, M=int(cfg.get("M", 400)),
+        space, p, q, M=_positive(cfg, "M", 400),
         tol=_positive(cfg, "tolerance", 1e-8))
     ok = True
     if "expect" in cfg:
@@ -175,9 +176,9 @@ def _task_extremal(cfg, out_dir, seed, quiet):
     result = _build(space, Z, cfg, policy)
     report = _verify.extremal_check(
         space, p, result,
-        samples=int(cfg.get("samples", 10_000)),
+        samples=_positive(cfg, "samples", 10_000),
         seed=seed,
-        M=int(cfg.get("M", 400)))
+        M=_positive(cfg, "M", 400))
     return report.verdict, {"construction_route": result.route,
                             "extremal_report": report.to_json()}
 
@@ -187,7 +188,7 @@ def _task_oracle(cfg, out_dir, seed, quiet):
     p = _parse_poly(cfg, "p")
     d = int(cfg.get("d", reproducible_multiset(space, p).origin_multiplicity))
     taylor = _construct.project_kernel_fd(space, p, d,
-                                          M=int(cfg.get("M", 400)))
+                                          M=_positive(cfg, "M", 400))
     return True, {"d": d, "taylor": taylor.to_json()}
 
 

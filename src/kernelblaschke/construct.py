@@ -9,7 +9,8 @@ Four independent routes build (up to the canonical gauge) the same function:
 * ``project_kernel_fd`` -- brute-force orthogonal projection of ``k_0^(d)``
   onto ``span{p, z p, ..., z^(M - deg p) p}`` using the monomial Gram; this is
   the oracle the kernel routes are checked against, and the only route
-  available in non-diagonal spaces.
+  available in non-diagonal spaces.  ``shift_span`` is the one builder of
+  this span and its Gram, for every projection and the extremal sampler.
 * ``classical_blaschke`` / ``bergman_rational`` -- closed forms (the rational
   product in the Hardy space; the residue-vanishing construction in the
   Bergman space).
@@ -32,7 +33,8 @@ from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      ZeroFunction)
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
-                      TruncationPolicy, combo_taylor, kernel_pairing)
+                      TruncationPolicy, combo_taylor, derivative_functional,
+                      kernel_pairing)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      polyval_derivative)
 
@@ -261,22 +263,21 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
 # Finite-dimensional projection oracle
 # ---------------------------------------------------------------------------
 
-def _shift_rows(p: FactoredPoly, count: int, width: int) -> np.ndarray:
-    """Rows j = coefficients of z^j p, padded to ``width`` columns."""
+def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``z^j p`` (0 <= j <= M - deg p, degrees 0..M) and their Gram S.
+
+    ``S[i, j] = <z^i p, z^j p>``, from the weights in a diagonal space.
+    """
     pc = p.coefficients()
-    rows = np.zeros((count, width), dtype=complex)
+    count = M - p.degree + 1
+    if count < 1:
+        raise ValueError(f"M = {M} leaves the span of p (degree {p.degree}) empty")
+    rows = np.zeros((count, M + 1), dtype=complex)
     for j in range(count):
         rows[j, j: j + len(pc)] = pc
-    return rows
-
-
-def _span_gram(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    width = rows.shape[1]
     if space.diagonal:
-        w = space.weights(width - 1)
-        return (rows * w) @ rows.conj().T
-    G = space.gram(width - 1)
-    return rows @ G @ rows.conj().T
+        return rows, (rows * space.weights(M)) @ rows.conj().T
+    return rows, rows @ space.gram(M) @ rows.conj().T
 
 
 def _solve_projection(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -295,6 +296,15 @@ def _solve_projection(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.conjugate(y)
 
 
+def _project(space: SpaceSpec, p: FactoredPoly, M: int, point: complex,
+             order: int) -> np.ndarray:
+    """Coefficients of the projection of ``k_point^(order)`` onto the p-span."""
+    rows, S = shift_span(space, p, M)
+    # <k_t^(m), z^i p> = conj((z^i p)^(m)(t)).
+    rhs = np.conjugate(rows @ derivative_functional(point, order, M))
+    return _solve_projection(S, rhs) @ rows
+
+
 def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
                       gauge_index: int | None = None) -> TaylorSeries:
     """Projection of ``k_0^(d)`` onto ``span{z^j p : 0 <= j <= M - deg p}``.
@@ -304,38 +314,20 @@ def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
     routes.  The result is an exact polynomial (tail 0), canonically
     normalized at its first significant coefficient.
     """
-    deg = p.degree
-    if M < deg + 10:
-        raise ValueError(f"M = {M} too small; need at least deg p + 10 = {deg + 10}")
-    count = M - deg + 1
-    rows = _shift_rows(p, count, M + 1)
-    S = _span_gram(space, rows)
-    # <k_0^(d), z^i p> = conj((z^i p)^(d)(0)) = conj(d! * rows[i, d]).
-    rhs = math.factorial(d) * np.conjugate(rows[:, d])
-    x = _solve_projection(S, rhs)
-    coeffs = x @ rows
-    taylor, _, _, _ = _canonicalize(TaylorSeries(coeffs, 0.0), None, gauge_index)
-    return taylor
+    if M < p.degree + 10:
+        raise ValueError(f"M = {M} too small; need at least deg p + 10 = {p.degree + 10}")
+    coeffs = _project(space, p, M, 0j, d)
+    return _canonicalize(TaylorSeries(coeffs, 0.0), None, gauge_index)[0]
 
 
 def project_target_fd(space: SpaceSpec, p: FactoredPoly, M: int,
                       target_point: complex, target_order: int) -> TaylorSeries:
     """Raw (un-normalized) projection of ``k_target^(order)`` onto the p-span.
 
-    Probe helper for subspace-equality evidence; the target must be a point
-    where polynomial evaluation of that order makes sense (any finite point --
-    the right-hand side only uses derivatives of polynomials).
+    Probe helper for subspace-equality evidence; the target may be any finite
+    point, since the right-hand side only takes derivatives of polynomials.
     """
-    deg = p.degree
-    count = M - deg + 1
-    if count < 2:
-        raise ValueError("M too small for the polynomial span")
-    rows = _shift_rows(p, count, M + 1)
-    S = _span_gram(space, rows)
-    ders = np.array([polyval_derivative(row, target_point, target_order)
-                     for row in rows], dtype=complex)
-    x = _solve_projection(S, np.conjugate(ders))
-    return TaylorSeries(x @ rows, 0.0)
+    return TaylorSeries(_project(space, p, M, target_point, target_order), 0.0)
 
 
 def inner_projection_of(space: SpaceSpec, f: FactoredPoly, M: int) -> TaylorSeries:
@@ -345,17 +337,13 @@ def inner_projection_of(space: SpaceSpec, f: FactoredPoly, M: int) -> TaylorSeri
     finite-dimensional Gram method.  At every truncation level this is a scalar
     multiple of ``project_kernel_fd(space, f, ord_0(f), M)``.
     """
-    deg = f.degree
-    if M < deg + 10:
-        raise ValueError(f"M = {M} too small; need at least deg f + 10 = {deg + 10}")
-    count = M - deg + 1
-    rows = _shift_rows(f, count, M + 1)
-    S = _span_gram(space, rows)
+    if M < f.degree + 10:
+        raise ValueError(f"M = {M} too small; need at least deg f + 10 = {f.degree + 10}")
+    rows, S = shift_span(space, f, M)
     # Project f (row 0) onto the span of rows 1..; rhs_i = <f, z^i f> = S[0, i].
     x = _solve_projection(S[1:, 1:], S[0, 1:])
     coeffs = rows[0] - x @ rows[1:]
-    taylor, _, _, _ = _canonicalize(TaylorSeries(coeffs, 0.0), None, None)
-    return taylor
+    return _canonicalize(TaylorSeries(coeffs, 0.0), None, None)[0]
 
 
 def oracle_result(space: SpaceSpec, Z: ReproducibleMultiset, M: int = 400) -> ConstructionResult:

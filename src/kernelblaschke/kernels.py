@@ -248,7 +248,7 @@ def _alpha_of(space: SpaceSpec) -> float:
 
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                 ns: np.ndarray) -> np.ndarray:
-    t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights(ns[-1])[ns[0]:]
+    t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
     t = t.astype(complex)
     t *= np.conjugate(a.point) ** (ns - a.order)
     t *= b.point ** (ns - b.order)
@@ -396,17 +396,23 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
 
 
-def _taylor_coefficients(space: SpaceSpec, term: KernelTerm, N: int) -> np.ndarray:
-    m = term.order
+def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
+    """Vector v with ``v @ c = f^(order)(point)`` for ``f = sum_{n<=N} c_n z^n``.
+
+    ``v_n = n!/(n-order)! * point^(n-order)`` for n >= order and 0 below.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
     out = np.zeros(N + 1, dtype=complex)
-    if m > N:
-        return out
-    ns = np.arange(m, N + 1)
-    vals = _falling(ns, m).astype(complex)
-    vals *= np.conjugate(term.point) ** (ns - m)
-    vals /= space.weights(N)[m:]
-    out[m:] = vals
+    ns = np.arange(order, N + 1)
+    out[order:] = _falling(ns, order) * point ** (ns - order)
     return out
+
+
+def _taylor_coefficients(space: SpaceSpec, term: KernelTerm, N: int) -> np.ndarray:
+    # Coefficient n of k_t^(m) is conj(v_n) / w_n, v = derivative_functional(t, m, N).
+    return derivative_functional(np.conjugate(term.point), term.order, N) \
+        / space.weights(N)
 
 
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
@@ -424,7 +430,7 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
         rho2 = beta * beta
         total = 0.0
         for ns in _blocks(N + 1, policy.max_terms, 256, 1 << 16):
-            q = _falling(ns, m) ** 2 * rho2 ** (ns - m) / space.weights(ns[-1])[ns[0]:]
+            q = _falling(ns, m) ** 2 * rho2 ** (ns - m) / space.weights_at(ns)
             total += q.sum()
             j0 = int(ns[-1])
             ratio = rho2 * ((j0 + 1.0) / (j0 + 1.0 - m)) ** 2 \

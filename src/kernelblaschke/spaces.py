@@ -152,7 +152,7 @@ class DiagonalSpace(SpaceSpec):
     """Space with ``<z^m, z^n> = w_n`` for m = n and 0 otherwise.
 
     Subclasses give the rule as ``weight(k)``, its vector form
-    ``_weights_of(ks)`` over an ascending index array, and
+    ``weights_at(ks)`` over an ascending index array, and
     ``_boundary_order()``, the reproducible order of every unimodular point.
     The facts about the weights that tail certificates need live here.
     """
@@ -165,7 +165,7 @@ class DiagonalSpace(SpaceSpec):
 
     def weights(self, upto: int) -> np.ndarray:
         """Weights w_0..w_upto as a vector."""
-        return self._weights_of(np.arange(upto + 1))
+        return self.weights_at(np.arange(upto + 1))
 
     def monomial_inner(self, m: int, n: int) -> complex:
         return complex(self.weight(m)) if m == n else 0j
@@ -188,9 +188,9 @@ class DiagonalSpace(SpaceSpec):
         drifts to 1.
         """
         try:
-            w = self._weights_of(np.arange(j0, j0 + 130))
+            w = self.weights_at(np.arange(j0, j0 + 130))
         except ToleranceUnreachable:  # a table that ends inside the window
-            w = self._weights_of(np.arange(j0, j0 + 3))
+            w = self.weights_at(np.arange(j0, j0 + 3))
         return float(np.max(w[:-1] / w[1:])) * 1.0001
 
     def shift_norm_bound(self, k: int) -> float:
@@ -216,7 +216,7 @@ class DirichletType(DiagonalSpace):
     def weight(self, k: int) -> float:
         return float(k + 1) ** self.alpha
 
-    def _weights_of(self, ks: np.ndarray) -> np.ndarray:
+    def weights_at(self, ks: np.ndarray) -> np.ndarray:
         return (ks + 1.0) ** self.alpha
 
     def _boundary_order(self) -> ReproducibleOrder:
@@ -313,7 +313,7 @@ class WeightedHardy(DiagonalSpace):
             )
         return float(self._table[k])
 
-    def _weights_of(self, ks: np.ndarray) -> np.ndarray:
+    def weights_at(self, ks: np.ndarray) -> np.ndarray:
         if callable(self.weight_rule):
             return np.array([self.weight(k) for k in ks.tolist()], dtype=float)
         if ks[-1] >= self._served:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
-                        shapiro_shields, _span_gram, _shift_rows)
+                        shapiro_shields, shift_span)
 from .errors import TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy,
-                      combo_derivative_at, kernel_pairing, shift_inner_product)
+                      combo_derivative_at, derivative_functional, kernel_pairing,
+                      shift_inner_product)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      reproducible_multiset)
 
@@ -50,6 +51,8 @@ class InnerReport:
 def inner_report(space: SpaceSpec, B: TaylorSeries, K: int,
                  tol: float = 1e-8) -> InnerReport:
     """Check ``<z^k B, B> = 0`` for k = 1..K relative to ``norm_sq = <B, B>``."""
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     value0, err0 = shift_inner_product(space, B, 0)
     norm_sq = float(value0.real)
     if norm_sq <= 0 or norm_sq <= err0:
@@ -389,11 +392,12 @@ def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult
     ``Re g^(d)(0)`` against the normalized construction, where d is the origin
     multiplicity of R(p).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     d = reproducible_multiset(space, p).origin_multiplicity
-    count = M - p.degree + 1
-    rows = _shift_rows(p, count, M + 1)
-    S = _span_gram(space, rows)
-    functional = math.factorial(d) * rows[:, d]
+    rows, S = shift_span(space, p, M)
+    count = len(rows)
+    functional = rows @ derivative_functional(0j, d, M)
 
     rng = np.random.default_rng(seed)
     best = -math.inf

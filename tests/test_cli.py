@@ -96,6 +96,21 @@ def test_config_error_diagnostics(tmp_path):
     rc = cli.main(["verify", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 2
+    # Integer fields are validated before they reach the library.
+    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly,
+                "samples": 50, "M": 60}
+    for task, cfg in (("extremal", dict(extremal, M=-3)),
+                      ("extremal", dict(extremal, samples=0)),
+                      ("oracle", dict(extremal, M="abc")),
+                      ("oracle", dict(extremal, M=math.inf)),
+                      ("verify", dict(BASE_VERIFY, K=0)),
+                      ("verify", dict(BASE_VERIFY, route="oracle",
+                                      oracle_degree=-1))):
+        path = write_config(tmp_path / "int.json", cfg)
+        rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
+                       "--quiet"])
+        assert rc == 2, (task, cfg)
 
 
 def test_short_weight_table_exits_two(tmp_path, capsys):

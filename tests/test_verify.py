@@ -238,6 +238,47 @@ def test_extremal_deterministic_for_fixed_seed():
     assert c.best_sample != a.best_sample
 
 
+def test_no_vacuous_passing_verdicts():
+    # Each of these checked nothing and still reported a passing verdict.
+    B = kb.shapiro_shields(H2, Z_of((0.5, 1)), taylor_degree=60)
+    with pytest.raises(ValueError):
+        kb.inner_report(H2, B.taylor, K=0)
+    p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1), (-0.2j, 1)))
+    with pytest.raises(ValueError):
+        kb.extremal_check(H2, p, B, samples=0, M=80)
+    with pytest.raises(ValueError):  # M = deg p - 1: the span is empty
+        kb.extremal_check(H2, p, B, samples=10, M=p.degree - 1)
+
+
+def test_dense_span_gram_matches_diagonal():
+    # The dense-Gram branch (CustomGram) against the weight branch (Bergman).
+    M = 120
+    p = kb.FactoredPoly(1.0, ((0j, 1), (0.4 - 0.2j, 1), (1.6 + 0j, 1)))
+    q = kb.FactoredPoly(1.0, ((0j, 1), (0.4 - 0.2j, 1)))
+    dense = kb.CustomGram(A2.gram(M), ((0.4 - 0.2j, "infinite"),
+                                       (1.6 + 0j, "none")))
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    spaces = (dense, A2)
+    oracle = [kb.project_kernel_fd(s, p, 1, M) for s in spaces]
+    assert close(oracle[0].coefficients, oracle[1].coefficients)
+    inner = [kb.inner_projection_of(s, p, M) for s in spaces]
+    assert close(inner[0].coefficients, inner[1].coefficients)
+    sub = [kb.subspace_equal(s, p, q, M=M) for s in spaces]
+    assert sub[0][0] is sub[1][0] is True
+    for pd, pa in zip(sub[0][1]["probes"], sub[1][1]["probes"]):
+        # Deviations are already relative to the projection norms.
+        assert abs(pd["deviation"] - pa["deviation"]) <= 1e-12
+    result = kb.ConstructionResult(oracle[1], 1.0 + 0j, "oracle")
+    ext = [kb.extremal_check(s, p, result, samples=400, seed=2, M=M)
+           for s in spaces]
+    assert ext[0].verdict and ext[1].verdict
+    assert close(ext[0].best_sample, ext[1].best_sample)
+
+
 # ---------------------------------------------------------------------------
 # round trips between reports
 # ---------------------------------------------------------------------------
