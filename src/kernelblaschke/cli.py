@@ -94,14 +94,15 @@ def _parse_policy(cfg: dict) -> TruncationPolicy:
         raise ConfigError(f"bad 'policy' object: {exc}")
 
 
-def _positive(cfg: dict, key: str, default):
+def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
     value = cfg.get(key, default)
     try:
         value = type(default)(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field '{key}' must be numeric, got {value!r}")
-    if value <= 0:
-        raise ConfigError(f"config field '{key}' must be positive, got {value}")
+    if value < 0 or (value == 0 and not zero_ok):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ConfigError(f"config field '{key}' must be {sign}, got {value}")
     return value
 
 
@@ -186,7 +187,8 @@ def _task_extremal(cfg, out_dir, seed, quiet):
 def _task_oracle(cfg, out_dir, seed, quiet):
     space = _parse_space(cfg)
     p = _parse_poly(cfg, "p")
-    d = int(cfg.get("d", reproducible_multiset(space, p).origin_multiplicity))
+    d = _positive(cfg, "d", reproducible_multiset(space, p).origin_multiplicity,
+                  zero_ok=True)
     taylor = _construct.project_kernel_fd(space, p, d,
                                           M=_positive(cfg, "M", 400))
     return True, {"d": d, "taylor": taylor.to_json()}
@@ -352,7 +354,10 @@ def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
         ok, body = _PRESETS[name](out_dir, effective_seed, quiet)
         label = f"preset-{name}"
     elif task in _TASKS:
-        ok, body = _TASKS[task](cfg, out_dir, effective_seed, quiet)
+        try:
+            ok, body = _TASKS[task](cfg, out_dir, effective_seed, quiet)
+        except ValueError as exc:  # the library's argument checks, e.g. M too small
+            raise ConfigError(f"{task}: {exc}") from exc
         label = f"{task}-{cfg.get('name', 'report')}"
     else:
         raise ConfigError(f"unknown task {task!r}")

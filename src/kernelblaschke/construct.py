@@ -296,13 +296,16 @@ def _solve_projection(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.conjugate(y)
 
 
-def _project(space: SpaceSpec, p: FactoredPoly, M: int, point: complex,
-             order: int) -> np.ndarray:
-    """Coefficients of the projection of ``k_point^(order)`` onto the p-span."""
+def _project(space: SpaceSpec, p: FactoredPoly, M: int,
+             targets: list[tuple[complex, int]]) -> list[np.ndarray]:
+    """Coefficients of the projections of ``k_t^(m)``, ``(t, m)`` in targets.
+
+    One span, one Gram factor and one solve with a column per target.
+    """
     rows, S = shift_span(space, p, M)
     # <k_t^(m), z^i p> = conj((z^i p)^(m)(t)).
-    rhs = np.conjugate(rows @ derivative_functional(point, order, M))
-    return _solve_projection(S, rhs) @ rows
+    rhs = np.stack([rows @ derivative_functional(t, m, M) for t, m in targets], axis=1)
+    return [x @ rows for x in _solve_projection(S, np.conjugate(rhs)).T]
 
 
 def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
@@ -316,18 +319,20 @@ def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
     """
     if M < p.degree + 10:
         raise ValueError(f"M = {M} too small; need at least deg p + 10 = {p.degree + 10}")
-    coeffs = _project(space, p, M, 0j, d)
+    coeffs = _project(space, p, M, [(0j, d)])[0]
     return _canonicalize(TaylorSeries(coeffs, 0.0), None, gauge_index)[0]
 
 
 def project_target_fd(space: SpaceSpec, p: FactoredPoly, M: int,
-                      target_point: complex, target_order: int) -> TaylorSeries:
-    """Raw (un-normalized) projection of ``k_target^(order)`` onto the p-span.
+                      targets: list[tuple[complex, int]]) -> list[TaylorSeries]:
+    """Raw (un-normalized) projections of ``k_t^(m)`` onto the p-span.
 
-    Probe helper for subspace-equality evidence; the target may be any finite
-    point, since the right-hand side only takes derivatives of polynomials.
+    Probe helper for subspace-equality evidence: one series per ``(t, m)`` in
+    ``targets``, all solved against one Gram factor.  A target may be any
+    finite point, since the right-hand side only takes derivatives of
+    polynomials.
     """
-    return TaylorSeries(_project(space, p, M, target_point, target_order), 0.0)
+    return [TaylorSeries(c, 0.0) for c in _project(space, p, M, targets)]
 
 
 def inner_projection_of(space: SpaceSpec, f: FactoredPoly, M: int) -> TaylorSeries:

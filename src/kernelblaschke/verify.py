@@ -147,6 +147,48 @@ def _point_eval_bound(space: SpaceSpec, radius: float, tail: float,
     return tail * math.sqrt(abs(norm_sq) + err)
 
 
+_COUNT_MAX_SAMPLES = 1 << 16
+
+
+def _circle_values(coeffs: np.ndarray, radius: float,
+                   m: int) -> tuple[np.ndarray, float]:
+    """``B_N(radius e^(2 pi i k/m))`` for k < m by one FFT, and its rounding bound.
+
+    The bound covers scaling ``c_n`` by ``radius^n`` and every butterfly of
+    the transform: each of the ``log2 m`` stages adds a relative error of a
+    few ulps to partial sums bounded by ``sum |c_n| radius^n``.
+    """
+    scaled = coeffs * radius ** np.arange(len(coeffs))
+    values = np.fft.ifft(scaled, m, norm="forward")
+    rounding = 10.0 * math.log2(m) * np.finfo(float).eps * float(np.sum(np.abs(scaled)))
+    return values, rounding
+
+
+def _certified_zero_count(coeffs: np.ndarray, radius: float,
+                          tail_pt: float) -> int | None:
+    """Zeros of B in ``|z| < radius`` by the argument principle, or None.
+
+    The count is the winding number of ``B_N`` over ``m`` samples of the
+    circle.  It is certified when ``min |B_N|`` there exceeds ``tail_pt``
+    (``|B - B_N|`` on the circle, so Rouche's theorem carries the count from
+    ``B_N`` to B) plus the arc length times ``sup |B_N'|`` (so no step of the
+    argument reaches pi) plus twice the rounding bound of the samples.  ``m``
+    starts at ``2(N+1)`` rounded up to a power of two and doubles up to a cap.
+    """
+    ns = np.arange(len(coeffs))
+    slope = float(np.sum(ns * np.abs(coeffs) * radius ** np.maximum(ns - 1, 0)))
+    m = 1 << (2 * len(coeffs) - 1).bit_length()
+    while True:
+        values, rounding = _circle_values(coeffs, radius, m)
+        floor = tail_pt + 2.0 * math.pi * radius / m * slope + 2.0 * rounding
+        if float(np.min(np.abs(values))) > floor:
+            steps = np.angle(np.roll(values, -1) / values)
+            return round(float(np.sum(steps)) / (2.0 * math.pi))
+        if m >= _COUNT_MAX_SAMPLES:
+            return None
+        m *= 2
+
+
 def _estimate_multiplicity(space, result, point, policy, norm, tol, cap=6):
     for order in range(cap + 1):
         value, err = _derivative(space, result, point, order, policy)
@@ -164,9 +206,15 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
 
     Prescribed checks: ``|B^(l)(beta_j)| <= tol * ||B||`` for ``l < m_j`` and the
     origin order is exactly ``m0`` (first nonvanishing derivative there).  The
-    extraneous scan takes companion-matrix roots of the truncated Taylor
-    polynomial, keeps those whose (certified, when possible) function residual
-    passes ``|B(root)| <= tol * max(||B||, |B'(root)|)``, clusters them, and
+    extraneous scan first counts the zeros of B in ``|z| < radius`` by the
+    argument principle on FFT samples of the circle, certified against the
+    Taylor tail, the spacing of the samples and their rounding.  When the
+    count is certified, the prescribed checks pass and the count equals ``m0``
+    plus the multiplicities of the prescribed points inside the circle, there
+    is no extraneous interior zero and nothing is located.  Otherwise the scan
+    takes companion-matrix roots of the truncated Taylor polynomial, keeps
+    those whose (certified, when possible) function residual passes
+    ``|B(root)| <= tol * max(||B||, |B'(root)|)``, clusters them, and
     estimates multiplicities from successive derivative residuals.  Prescribed
     boundary points are checked individually for excess vanishing order.
     """
@@ -205,38 +253,41 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
                 f"tol * norm = {tol * norm:.3e}; increase the Taylor degree"
             )
         coeffs = result.taylor.coefficients
-        top = float(np.max(np.abs(coeffs)))
-        sig = np.nonzero(np.abs(coeffs) > 1e-15 * top)[0]
-        trimmed = coeffs[: sig[-1] + 1] if len(sig) else coeffs[:1]
-        roots = np.roots(trimmed[::-1]) if len(trimmed) > 1 else np.array([])
-        candidates = [complex(r) for r in roots if abs(r) <= radius + 1e-9]
-        accepted = []
-        for root in candidates:
-            if result.combo is not None:
-                root = _newton_polish(space, result, root, policy)
-                if abs(root) > radius + 1e-9:
-                    continue
-            val, err = _derivative(space, result, root, 0, policy)
-            dval, _ = _derivative(space, result, root, 1, policy)
-            scale = max(norm, abs(dval))
-            if abs(val) <= tol * scale + err + tail_pt:
-                accepted.append(root)
-        for center, count in _cluster(accepted):
-            near = None
-            for point, mult in Z.entries:
-                if abs(center - point) <= CLUSTER_TOL:
-                    near = (point, mult)
-                    break
-            if near is None and abs(center) <= CLUSTER_TOL:
-                near = (0j, m0)
-            est = _estimate_multiplicity(space, result, center, policy, norm, tol)
-            est = max(est, count)
-            if near is None:
-                val, _ = _derivative(space, result, center, 0, policy)
-                extraneous.append(ExtraneousZero(center, abs(val), est))
-            elif est > near[1]:
-                val, _ = _derivative(space, result, near[0], near[1], policy)
-                extraneous.append(ExtraneousZero(near[0], abs(val), est))
+        expected = m0 + sum(mult for point, mult in Z.entries if abs(point) < radius)
+        if not (prescribed_ok
+                and _certified_zero_count(coeffs, radius, tail_pt) == expected):
+            top = float(np.max(np.abs(coeffs)))
+            sig = np.nonzero(np.abs(coeffs) > 1e-15 * top)[0]
+            trimmed = coeffs[: sig[-1] + 1] if len(sig) else coeffs[:1]
+            roots = np.roots(trimmed[::-1]) if len(trimmed) > 1 else np.array([])
+            candidates = [complex(r) for r in roots if abs(r) <= radius + 1e-9]
+            accepted = []
+            for root in candidates:
+                if result.combo is not None:
+                    root = _newton_polish(space, result, root, policy)
+                    if abs(root) > radius + 1e-9:
+                        continue
+                val, err = _derivative(space, result, root, 0, policy)
+                dval, _ = _derivative(space, result, root, 1, policy)
+                scale = max(norm, abs(dval))
+                if abs(val) <= tol * scale + err + tail_pt:
+                    accepted.append(root)
+            for center, count in _cluster(accepted):
+                near = None
+                for point, mult in Z.entries:
+                    if abs(center - point) <= CLUSTER_TOL:
+                        near = (point, mult)
+                        break
+                if near is None and abs(center) <= CLUSTER_TOL:
+                    near = (0j, m0)
+                est = _estimate_multiplicity(space, result, center, policy, norm, tol)
+                est = max(est, count)
+                if near is None:
+                    val, _ = _derivative(space, result, center, 0, policy)
+                    extraneous.append(ExtraneousZero(center, abs(val), est))
+                elif est > near[1]:
+                    val, _ = _derivative(space, result, near[0], near[1], policy)
+                    extraneous.append(ExtraneousZero(near[0], abs(val), est))
         # Boundary points sit outside the scan disk: flag excess order there.
         for check in prescribed:
             if abs(abs(check.point) - 1.0) <= 1e-9 and check.multiplicity > 0:
@@ -332,9 +383,9 @@ def subspace_equal(space: SpaceSpec, p: FactoredPoly, q: FactoredPoly,
     probes = []
     d = Rp.origin_multiplicity
     targets = [(0j, d)] + [(g, 0) for g in PROBE_POINTS]
-    for point, order in targets:
-        proj_p = project_target_fd(space, p, M, point, order)
-        proj_q = project_target_fd(space, q, M, point, order)
+    projections = zip(project_target_fd(space, p, M, targets),
+                      project_target_fd(space, q, M, targets))
+    for (point, order), (proj_p, proj_q) in zip(targets, projections):
         n = max(len(proj_p.coefficients), len(proj_q.coefficients))
         cp = proj_p.padded(n - 1).coefficients
         cq = proj_q.padded(n - 1).coefficients

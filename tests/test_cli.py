@@ -96,8 +96,12 @@ def test_config_error_diagnostics(tmp_path):
     rc = cli.main(["verify", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 2
-    # Integer fields are validated before they reach the library.
+    # Integer fields are validated before they reach the library, and a value
+    # the library rejects for this polynomial (M or oracle_degree too small
+    # for deg p, a negative derivative order d) is a config error too.
     poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    cubic = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1},
+                                          {"point": [0, 0.3], "mult": 2}]}
     extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly,
                 "samples": 50, "M": 60}
     for task, cfg in (("extremal", dict(extremal, M=-3)),
@@ -106,7 +110,14 @@ def test_config_error_diagnostics(tmp_path):
                       ("oracle", dict(extremal, M=math.inf)),
                       ("verify", dict(BASE_VERIFY, K=0)),
                       ("verify", dict(BASE_VERIFY, route="oracle",
-                                      oracle_degree=-1))):
+                                      oracle_degree=-1)),
+                      ("oracle", dict(extremal, M=5)),
+                      ("oracle", dict(extremal, d=-1)),
+                      ("oracle", dict(extremal, d="abc")),
+                      ("extremal", dict(extremal, p=cubic, M=2)),
+                      ("extremal", dict(extremal, route="oracle", oracle_degree=5)),
+                      ("construct", dict(BASE_VERIFY, route="oracle",
+                                         oracle_degree=5))):
         path = write_config(tmp_path / "int.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
                        "--quiet"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
+from kernelblaschke import verify
 
 H2 = kb.hardy_space()
 A2 = kb.bergman_space()
@@ -128,6 +129,80 @@ def test_zero_report_boundary_multiset():
     boundary = rep.prescribed[1]
     assert boundary.residuals[0][1] <= 1e-10
     assert boundary.first_nonvanishing > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# certified zero count (argument principle on |z| = radius)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zeros, radius, inside", [
+    ([(0j, 2), (0.5, 2), (-0.3 + 0.4j, 1), (0.97, 1)], 0.9, 5),
+    ([(0.6j, 3), (-0.2, 1), (0.93, 1)], 0.95, 5),
+    ([(0.93, 1), (0.4 - 0.4j, 1)], 0.9, 1),
+    ([(0j, 1), (0.7, 1)], 0.5, 1),
+])
+def test_certified_count_matches_blaschke_zeros(zeros, radius, inside):
+    # At degree 600 the part of the product past the truncation is below
+    # 1e-30 on these circles, so a zero tail bound is honest.
+    _, taylor, _ = kb.classical_blaschke(zeros, 600)
+    assert verify._certified_zero_count(taylor.coefficients, radius, 0.0) == inside
+    # The numerator polynomial alone is exact and has the same zeros.
+    poly = kb.FactoredPoly(1.0, tuple((complex(p), m) for p, m in zeros))
+    assert verify._certified_zero_count(poly.coefficients(), radius, 0.0) == inside
+
+
+def test_certified_count_refuses_zero_near_circle(monkeypatch):
+    radius = 0.9
+    near = radius - 5e-11
+    _, taylor, _ = kb.classical_blaschke([0.5, near], 600)
+    assert verify._certified_zero_count(taylor.coefficients, radius, 0.0) is None
+    result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+    Z = Z_of((0.5, 1), (near, 1))
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: calls.append(len(c)) or roots(c))
+    rep = kb.zero_report(H2, result, Z, radius=radius, tol=1e-8)
+    assert calls and rep.verdict
+    # The refusal leads to the companion-matrix path and nothing else.
+    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
+    assert kb.zero_report(H2, result, Z, radius=radius, tol=1e-8) == rep
+
+
+def test_zero_report_counts_without_roots(monkeypatch):
+    Z = Z_of((0.85, 1), (0.9 * np.exp(2j), 1))
+    ss = kb.shapiro_shields(A2, Z, taylor_degree=600)
+
+    def refuse(coeffs):
+        raise AssertionError("the certified count should have closed the scan")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    rep = kb.zero_report(A2, ss, Z, radius=0.99, tol=1e-7)
+    assert rep.verdict and rep.extraneous == ()
+
+
+def test_zero_report_prescribed_triple_zero_is_not_split():
+    # Companion-matrix roots split a triple zero by about eps^(1/3), beyond
+    # the clustering tolerance, and used to come back as extraneous zeros.
+    _, taylor, _ = kb.classical_blaschke([(0.5, 3)], 600)
+    result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+    rep = kb.zero_report(H2, result, Z_of((0.5, 3)), radius=0.99, tol=1e-8)
+    assert rep.verdict and rep.extraneous == ()
+
+
+def test_circle_rounding_bound_holds_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    Z = Z_of((0.8, 1), (0.95 * np.exp(2.5j), 1))
+    coeffs = kb.shapiro_shields(A2, Z, taylor_degree=600).taylor.coefficients
+    radius, m = 0.99, 2048
+    values, rounding = verify._circle_values(coeffs, radius, m)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpc(c.real, c.imag) for c in coeffs[::-1]]
+        worst = 0.0
+        for k in range(0, m, m // 64):
+            z = mpmath.mpf(radius) * mpmath.expjpi(mpmath.mpf(2 * k) / m)
+            ref = mpmath.polyval(exact, z)
+            worst = max(worst, float(abs(ref - mpmath.mpc(values[k]))))
+    assert worst <= rounding
 
 
 # ---------------------------------------------------------------------------
