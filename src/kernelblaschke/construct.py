@@ -169,10 +169,11 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
             scale, gauge_index)
 
 
-def _cholesky_or_singular(G: np.ndarray) -> np.ndarray:
+def _cholesky_or_singular(G: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``scipy.linalg.cho_factor(G)``, or SingularGram when G is not definite."""
     try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
+        return scipy.linalg.cho_factor(G)
+    except scipy.linalg.LinAlgError as exc:
         raise SingularGram("kernel Gram is numerically rank deficient") from exc
 
 
@@ -203,21 +204,13 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
         )
     u, vs = multiset_kernel_terms(Z)
     n = len(vs)
-    if n == 0:
-        taylor = combo_taylor(space, KernelCombo(space, ((u, 1.0),)),
-                              taylor_degree, policy)
-        combo = KernelCombo(space, ((u, 1.0),))
-        taylor, combo, scale, _ = _canonicalize(taylor, combo,
-                                                Z.origin_multiplicity)
-        return ConstructionResult(taylor, scale, route, combo, 0.0)
-
     G, gram_err = pairing_gram(space, vs, policy)
     b = np.zeros(n, dtype=complex)
     for i, v in enumerate(vs):
         val, e = kernel_pairing(space, u, v, policy)
         b[i] = val
         gram_err += e
-    _cholesky_or_singular(G)
+    cho = _cholesky_or_singular(G)
 
     used = route
     combo_terms = None
@@ -248,7 +241,6 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
             # systems; everything else takes the stabler Hermitian solve.
             used = "solve"
         # phi = u - sum c_i v_i with <phi, v_m> = 0:  conj(G) c = b.
-        cho = scipy.linalg.cho_factor(G)
         c = np.conjugate(scipy.linalg.cho_solve(cho, np.conjugate(b)))
         combo_terms = [(u, 1.0 + 0j)] + [(vs[i], -c[i]) for i in range(n)]
 
@@ -402,10 +394,10 @@ def _cauchy_tail_estimate(evaluate, pole_radius: float, N: int) -> float:
 def classical_blaschke(zeros, taylor_degree: int = 256):
     """Finite product of disk automorphism factors for interior zeros.
 
-    Returns ``(rational, taylor, evaluator)``: the factored rational form,
-    a canonical Taylor expansion, and an exact pointwise evaluator (the
-    canonical scale is baked into both).  Unimodular on the circle by
-    construction; the gauge is therefore phase-only -- the coefficient of
+    Returns ``(rational, taylor, evaluator)``: the factored rational form, a
+    canonical Taylor expansion, and the exact pointwise evaluator, which is
+    ``rational`` itself (the canonical scale is baked into both).  Unimodular
+    on the circle by construction; the gauge is therefore phase-only -- the coefficient of
     ``z^m0`` is rotated to the positive real axis, not rescaled to 1, since a
     magnitude change would break ``|B| = 1`` on the circle.
     """
@@ -429,9 +421,6 @@ def classical_blaschke(zeros, taylor_degree: int = 256):
         FactoredPoly(den_leading, tuple(den_roots)),
     )
 
-    def evaluator(z):
-        return rational(z)
-
     num_coeffs = FactoredPoly(scale, tuple(roots)).coefficients()
     coeffs = np.zeros(taylor_degree + 1, dtype=complex)
     coeffs[: len(num_coeffs)] = num_coeffs[: taylor_degree + 1]
@@ -442,10 +431,10 @@ def classical_blaschke(zeros, taylor_degree: int = 256):
         coeffs = np.convolve(coeffs, series)[: taylor_degree + 1]
     if den_roots:
         pole = min(abs(p) for p, _ in den_roots)
-        tail = _cauchy_tail_estimate(evaluator, pole, taylor_degree)
+        tail = _cauchy_tail_estimate(rational, pole, taylor_degree)
     else:
         tail = 0.0
-    return rational, TaylorSeries(coeffs, tail), evaluator
+    return rational, TaylorSeries(coeffs, tail), rational
 
 
 def bergman_rational(zeros, taylor_degree: int = 256):
@@ -476,16 +465,9 @@ def bergman_rational(zeros, taylor_degree: int = 256):
     rows = np.zeros((s, s + 1), dtype=complex)
     for j, lam in enumerate(points):
         zj = 1.0 / np.conjugate(lam)
-        # h_j = den / (z - z_j)^2 via two synthetic divisions (exact: double root).
-        h = den_coeffs
-        for _ in range(2):
-            h = _deflate(h, zj)
-        r_val, r_der, h_val, h_der = (complex(polyval_derivative(c, zj, k))
-                                      for c in (r_coeffs, h) for k in (0, 1))
-        # Residue of (q r)/den at z_j is zero iff
+        # With den = (z - z_j)^2 h, the residue of (q r)/den at z_j is zero iff
         # q'(z_j) r h + q(z_j) (r' h - r h') = 0.
-        a_j = r_val * h_val
-        b_j = r_der * h_val - r_val * h_der
+        a_j, b_j, _ = _double_pole_parts(r_coeffs, den_coeffs, zj)
         powers = zj ** np.arange(s + 1)
         drow = np.zeros(s + 1, dtype=complex)
         drow[1:] = np.arange(1, s + 1) * zj ** np.arange(s)
@@ -533,17 +515,26 @@ def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
     return out
 
 
+def _double_pole_parts(num: np.ndarray, den: np.ndarray,
+                       pole: complex) -> tuple[complex, complex, complex]:
+    """``(n h, n' h - n h', h)`` at ``pole``, where ``den = (z - pole)^2 h``.
+
+    ``n`` has ascending coefficients ``num``; two synthetic divisions give h.
+    """
+    h = _deflate(_deflate(den, pole), pole)
+    n_val, n_der, h_val, h_der = (complex(polyval_derivative(c, pole, k))
+                                  for c in (num, h) for k in (0, 1))
+    return n_val * h_val, n_der * h_val - n_val * h_der, h_val
+
+
 def rational_residue_at_double_pole(rational: RationalRep, pole: complex) -> complex:
     """Residue of the rational function at a double root of its denominator.
 
     With den = (z - pole)^2 h, the residue is d/dz [num / h] at the pole.
     """
-    num = rational.numerator.coefficients()
-    den = rational.denominator.coefficients()
-    h = _deflate(_deflate(den, pole), pole)
-    n_val, n_der, h_val, h_der = (complex(polyval_derivative(c, pole, k))
-                                  for c in (num, h) for k in (0, 1))
-    return (n_der * h_val - n_val * h_der) / (h_val * h_val)
+    _, slope, h_val = _double_pole_parts(rational.numerator.coefficients(),
+                                         rational.denominator.coefficients(), pole)
+    return slope / (h_val * h_val)
 
 
 def multiset_from_combo(combo: KernelCombo) -> ReproducibleMultiset:

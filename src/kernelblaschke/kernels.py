@@ -365,30 +365,16 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     _require_diagonal(space, "kernel_pairing")
     _require_admissible(space, a)
     _require_admissible(space, b)
-    pa, pb = a.point, b.point
-    # A kernel at the origin collapses the series to a single exact term.
-    if pa == 0 and pb == 0:
-        if a.order != b.order:
+    # A kernel at the origin leaves one term of the series: n = its order.
+    origin = [t.order for t in (a, b) if t.point == 0]
+    if origin:
+        n = min(origin)
+        if n < max(a.order, b.order):
             return 0j, 0.0
-        m = a.order
-        return complex(math.factorial(m) ** 2 / space.weight(m)), 0.0
-    if pa == 0:
-        if a.order < b.order:
-            return 0j, 0.0
-        n = a.order
-        v = math.factorial(n) * _falling(np.array([n]), b.order)[0] \
-            * pb ** (n - b.order) / space.weight(n)
-        return complex(v), 0.0
-    if pb == 0:
-        if b.order < a.order:
-            return 0j, 0.0
-        n = b.order
-        v = _falling(np.array([n]), a.order)[0] * math.factorial(n) \
-            * np.conjugate(pa) ** (n - a.order) / space.weight(n)
-        return complex(v), 0.0
+        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
     if not policy.certified:
         return _sum_heuristic(space, a, b, policy)
-    rho = abs(pa) * abs(pb)
+    rho = abs(a.point) * abs(b.point)
     if rho < 1.0 - BOUNDARY_TOL:
         return _pair_geometric(space, a, b, policy)
     if rho <= 1.0 + BOUNDARY_TOL:
@@ -425,7 +411,7 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
     if beta == 0:
         if N >= m:
             return 0.0
-        return math.factorial(m) / math.sqrt(space.weight(m))
+        return math.factorial(m) / math.sqrt(space.weights_at(np.array([m]))[0])
     if beta < 1.0 - BOUNDARY_TOL:
         rho2 = beta * beta
         total = 0.0

@@ -125,6 +125,16 @@ class SpaceSpec:
         raise NotImplementedError
 
     def reproducible_order(self, beta: complex) -> ReproducibleOrder:
+        """Infinite inside the disk, none outside, ``_boundary_order`` on the circle."""
+        beta = complex(beta)
+        r = abs(beta)
+        if r < 1.0 - BOUNDARY_TOL:
+            return ReproducibleOrder.infinite()
+        if r > 1.0 + BOUNDARY_TOL:
+            return ReproducibleOrder.not_reproducible()
+        return self._boundary_order(beta)
+
+    def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         raise NotImplementedError
 
     def weight(self, k: int) -> float:
@@ -153,7 +163,7 @@ class DiagonalSpace(SpaceSpec):
 
     Subclasses give the rule as ``weight(k)``, its vector form
     ``weights_at(ks)`` over an ascending index array, and
-    ``_boundary_order()``, the reproducible order of every unimodular point.
+    ``_boundary_order(beta)``, the reproducible order of every unimodular point.
     The facts about the weights that tail certificates need live here.
     """
 
@@ -172,14 +182,6 @@ class DiagonalSpace(SpaceSpec):
 
     def gram(self, upto: int) -> np.ndarray:
         return np.diag(self.weights(upto)).astype(complex)
-
-    def reproducible_order(self, beta: complex) -> ReproducibleOrder:
-        r = abs(complex(beta))
-        if r < 1.0 - BOUNDARY_TOL:
-            return ReproducibleOrder.infinite()
-        if r > 1.0 + BOUNDARY_TOL:
-            return ReproducibleOrder.not_reproducible()
-        return self._boundary_order()
 
     def weight_ratio_sup(self, j0: int) -> float:
         """Upper bound for w_j / w_(j+1) over j >= j0.
@@ -219,7 +221,7 @@ class DirichletType(DiagonalSpace):
     def weights_at(self, ks: np.ndarray) -> np.ndarray:
         return (ks + 1.0) ** self.alpha
 
-    def _boundary_order(self) -> ReproducibleOrder:
+    def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         # Order-m functionals are bounded exactly when alpha > 2m+1, so the
         # top order is the largest integer strictly below (alpha-1)/2.
         half = (self.alpha - 1.0) / 2.0
@@ -323,7 +325,7 @@ class WeightedHardy(DiagonalSpace):
             )
         return self._table[ks]
 
-    def _boundary_order(self) -> ReproducibleOrder:
+    def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if self.boundary_order is None:
             return ReproducibleOrder.not_reproducible()
         return ReproducibleOrder.finite(self.boundary_order)
@@ -374,14 +376,8 @@ class LocalDirichlet(SpaceSpec):
         powers = np.power(self.zeta, np.subtract.outer(idx, idx))
         return np.eye(upto + 1, dtype=complex) + mins * powers
 
-    def reproducible_order(self, beta: complex) -> ReproducibleOrder:
-        b = complex(beta)
-        r = abs(b)
-        if r < 1.0 - BOUNDARY_TOL:
-            return ReproducibleOrder.infinite()
-        if r > 1.0 + BOUNDARY_TOL:
-            return ReproducibleOrder.not_reproducible()
-        if abs(b - self.zeta) <= POINT_MATCH_TOL:
+    def _boundary_order(self, beta: complex) -> ReproducibleOrder:
+        if abs(beta - self.zeta) <= POINT_MATCH_TOL:
             return ReproducibleOrder.finite(0)
         return ReproducibleOrder.not_reproducible()
 
@@ -629,8 +625,6 @@ class ReproducibleMultiset:
         roots = list(self.entries)
         if self.origin_multiplicity:
             roots.append((0j, self.origin_multiplicity))
-        if not roots:
-            return FactoredPoly(1.0, ())
         return FactoredPoly(1.0, tuple(roots))
 
     def validate_for(self, space: SpaceSpec) -> None:

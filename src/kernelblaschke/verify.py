@@ -120,31 +120,29 @@ class ZeroReport:
         }
 
 
+def _tail_bound_at(space: SpaceSpec, tail: float, point: complex, order: int,
+                   policy: TruncationPolicy) -> float:
+    """Bound on ``|T^(order)(point)|`` for a Taylor tail T of norm <= ``tail``.
+
+    The kernel norm depends on ``|point|`` only, so the bound at ``point = r``
+    holds on the whole circle ``|z| = r``.
+    """
+    if tail == 0.0:
+        return 0.0
+    if not space.diagonal:
+        return math.inf
+    k = KernelTerm(point, order)
+    norm_sq, err = kernel_pairing(space, k, k, policy)
+    return tail * math.sqrt(abs(norm_sq) + err)
+
+
 def _derivative(space, result: ConstructionResult, point: complex, order: int,
                 policy: TruncationPolicy) -> tuple[complex, float]:
     """B^(order)(point), certified via pairings when a combo is available."""
     if result.combo is not None:
         return combo_derivative_at(space, result.combo, point, order, policy)
-    value = complex(result.taylor.derivative_at(point, order))
-    if result.taylor.tail_bound == 0.0:
-        return value, 0.0
-    if space.diagonal:
-        norm_sq, err = kernel_pairing(space, KernelTerm(point, order),
-                                      KernelTerm(point, order), policy)
-        return value, result.taylor.tail_bound * math.sqrt(abs(norm_sq) + err)
-    return value, math.inf
-
-
-def _point_eval_bound(space: SpaceSpec, radius: float, tail: float,
-                      policy: TruncationPolicy) -> float:
-    """Pointwise bound for the Taylor tail on the circle |z| = radius."""
-    if tail == 0.0:
-        return 0.0
-    if not space.diagonal:
-        return math.inf
-    norm_sq, err = kernel_pairing(space, KernelTerm(radius, 0),
-                                  KernelTerm(radius, 0), policy)
-    return tail * math.sqrt(abs(norm_sq) + err)
+    return (complex(result.taylor.derivative_at(point, order)),
+            _tail_bound_at(space, result.taylor.tail_bound, point, order, policy))
 
 
 _COUNT_MAX_SAMPLES = 1 << 16
@@ -246,7 +244,7 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
 
     extraneous: list[ExtraneousZero] = []
     if scan:
-        tail_pt = _point_eval_bound(space, radius, result.taylor.tail_bound, policy)
+        tail_pt = _tail_bound_at(space, result.taylor.tail_bound, radius, 0, policy)
         if tail_pt > tol * norm:
             raise TruncationDominatesResidual(
                 f"tail bound {tail_pt:.3e} on |z| = {radius} exceeds "
@@ -263,10 +261,6 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
             candidates = [complex(r) for r in roots if abs(r) <= radius + 1e-9]
             accepted = []
             for root in candidates:
-                if result.combo is not None:
-                    root = _newton_polish(space, result, root, policy)
-                    if abs(root) > radius + 1e-9:
-                        continue
                 val, err = _derivative(space, result, root, 0, policy)
                 dval, _ = _derivative(space, result, root, 1, policy)
                 scale = max(norm, abs(dval))
@@ -296,23 +290,9 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
                         check.point, check.first_nonvanishing,
                         check.multiplicity + 1))
 
-    verdict = prescribed_ok and not extraneous
+    verdict = bool(prescribed_ok) and not extraneous
     return ZeroReport(tuple(prescribed), tuple(extraneous), verdict,
                       norm, radius, tol)
-
-
-def _newton_polish(space, result, root, policy, steps=4):
-    z = root
-    for _ in range(steps):
-        v, _ = _derivative(space, result, z, 0, policy)
-        d, _ = _derivative(space, result, z, 1, policy)
-        if d == 0:
-            break
-        step = v / d
-        z = z - step
-        if abs(step) < 1e-14:
-            break
-    return z
 
 
 def _cluster(points: list[complex]) -> list[tuple[complex, int]]:

@@ -180,6 +180,17 @@ def test_zero_report_counts_without_roots(monkeypatch):
     assert rep.verdict and rep.extraneous == ()
 
 
+def test_roots_fallback_stays_inside_the_disk(monkeypatch):
+    # The roots fallback evaluates each companion root where it falls, inside
+    # the scan disk; neither space has point evaluation on the circle.
+    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
+    Z = Z_of((0.4 + 0.1j, 1), (-0.6 + 0.5j, 1), origin=2)
+    for sp in (A2, D1):
+        ss = kb.shapiro_shields(sp, Z, route="solve")
+        rep = kb.zero_report(sp, ss, Z, radius=0.95)
+        assert rep.verdict is True and rep.extraneous == ()
+
+
 def test_zero_report_prescribed_triple_zero_is_not_split():
     # Companion-matrix roots split a triple zero by about eps^(1/3), beyond
     # the clustering tolerance, and used to come back as extraneous zeros.
@@ -462,8 +473,12 @@ def test_reports_serialize():
     zr = kb.zero_report(H2, ss, Z, radius=0.9)
     cm = kb.scalar_multiple_check(ss.taylor, ss.taylor)
     ex = kb.extremal_check(H2, Z.polynomial(), ss, samples=100, seed=1, M=60)
-    for obj in (inner.to_json(), zr.to_json(), cm.to_json(), ex.to_json()):
+    # A failing prescribed check still yields a plain bool verdict.
+    failing = kb.zero_report(H2, ss, Z_of((0.45, 1)))
+    for obj in (inner.to_json(), zr.to_json(), cm.to_json(), ex.to_json(),
+                failing.to_json()):
         import json
         json.dumps(obj)
     assert inner.to_json()["verdict"] is True
+    assert failing.verdict is False
     assert zr.to_json()["prescribed"][0]["mult"] == 0
