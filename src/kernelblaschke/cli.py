@@ -27,11 +27,8 @@ from .errors import ConfigError, KernelSpaceError, UnboundedTail
 from .jsonio import atomic_write_text, complex_pair, dumps_canonical
 from .kernels import TaylorSeries, TruncationPolicy
 from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
-                     ReproducibleMultiset, SpaceSpec, bergman_space,
-                     hardy_space, reproducible_multiset, space_from_json)
-
-PRESET_NAMES = ("paper-Rf-example", "h2-blaschke-match", "a2-residue-match",
-                "a2-extraneous-scan")
+                     ReproducibleMultiset, bergman_space, hardy_space,
+                     reproducible_multiset, space_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -58,26 +55,10 @@ def _field(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def _parse_space(cfg: dict) -> SpaceSpec:
-    obj = _field(cfg, "space", required=True)
-    try:
-        return space_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad 'space' object: {exc}")
-
-
-def _parse_multiset(cfg: dict, key: str = "multiset") -> ReproducibleMultiset:
+def _parse(cfg: dict, key: str, from_json):
     obj = _field(cfg, key, required=True)
     try:
-        return ReproducibleMultiset.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad '{key}' object: {exc}")
-
-
-def _parse_poly(cfg: dict, key: str) -> FactoredPoly:
-    obj = _field(cfg, key, required=True)
-    try:
-        return FactoredPoly.from_json(obj)
+        return from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad '{key}' object: {exc}")
 
@@ -125,15 +106,15 @@ def _build(space, Z, cfg, policy):
 # ---------------------------------------------------------------------------
 
 def _task_construct(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    Z = _parse_multiset(cfg)
+    space = _parse(cfg, "space", space_from_json)
+    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
     return True, {"construction": result.to_json()}
 
 
 def _task_verify(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    Z = _parse_multiset(cfg)
+    space = _parse(cfg, "space", space_from_json)
+    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
     report = _verify.inner_report(space, result.taylor,
                                   K=_positive(cfg, "K", 20),
@@ -143,8 +124,8 @@ def _task_verify(cfg, out_dir, seed, quiet):
 
 
 def _task_zeros(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    Z = _parse_multiset(cfg)
+    space = _parse(cfg, "space", space_from_json)
+    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     policy = _parse_policy(cfg)
     result = _build(space, Z, cfg, policy)
     report = _verify.zero_report(space, result, Z,
@@ -157,9 +138,9 @@ def _task_zeros(cfg, out_dir, seed, quiet):
 
 
 def _task_subspace(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    p = _parse_poly(cfg, "p")
-    q = _parse_poly(cfg, "q")
+    space = _parse(cfg, "space", space_from_json)
+    p = _parse(cfg, "p", FactoredPoly.from_json)
+    q = _parse(cfg, "q", FactoredPoly.from_json)
     equal, evidence = _verify.subspace_equal(
         space, p, q, M=_positive(cfg, "M", 400),
         tol=_positive(cfg, "tolerance", 1e-8))
@@ -170,8 +151,8 @@ def _task_subspace(cfg, out_dir, seed, quiet):
 
 
 def _task_extremal(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    p = _parse_poly(cfg, "p")
+    space = _parse(cfg, "space", space_from_json)
+    p = _parse(cfg, "p", FactoredPoly.from_json)
     policy = _parse_policy(cfg)
     Z = reproducible_multiset(space, p)
     result = _build(space, Z, cfg, policy)
@@ -185,8 +166,8 @@ def _task_extremal(cfg, out_dir, seed, quiet):
 
 
 def _task_oracle(cfg, out_dir, seed, quiet):
-    space = _parse_space(cfg)
-    p = _parse_poly(cfg, "p")
+    space = _parse(cfg, "space", space_from_json)
+    p = _parse(cfg, "p", FactoredPoly.from_json)
     d = _positive(cfg, "d", reproducible_multiset(space, p).origin_multiplicity,
                   zero_ok=True)
     taylor = _construct.project_kernel_fd(space, p, d,
@@ -295,6 +276,7 @@ _PRESETS = {
     "a2-residue-match": _preset_a2_residue,
     "a2-extraneous-scan": _preset_a2_scan,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,8 @@ class RationalRep:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        num = np.full(z.shape, complex(self.numerator.leading))
-        for point, mult in self.numerator.roots:
-            num = num * (z - point) ** mult
-        den = np.full(z.shape, complex(self.denominator.leading))
-        for point, mult in self.denominator.roots:
-            den = den * (z - point) ** mult
-        out = num / den
-        return complex(out) if out.ndim == 0 else out
+        out = np.broadcast_to(self.numerator(z) / self.denominator(z), z.shape)
+        return complex(out) if out.ndim == 0 else out.copy()
 
     def to_json(self) -> dict:
         return {"numerator": self.numerator.to_json(),
@@ -375,20 +369,22 @@ def _geometric_inverse_power(q: complex, m: int, N: int) -> np.ndarray:
     return binoms * q ** ns
 
 
-def _cauchy_tail_estimate(evaluate, pole_radius: float, N: int) -> float:
-    """Hardy-norm tail bound from a Cauchy estimate on a circle of radius r.
+def _cauchy_tail_bound(num: np.ndarray, poles, N: int) -> float:
+    """Hardy-norm bound on the Taylor tail past degree N of ``num / prod (1 - q z)^m``.
 
-    ``pole_radius`` is the modulus of the nearest singularity (> 1); the
-    coefficient bound |c_n| <= M(r) r^-n with r = sqrt(pole_radius) gives
-    tail^2 <= M^2 r^(-2(N+1)) / (1 - r^-2).  M(r) is a 512-point grid maximum
-    with a 2% pad, so this is a numerical estimate, not a proof.
+    ``poles`` holds the pairs ``(q, m)``.  For ``1 < r < 1 / max |q|`` the
+    function is at most ``M(r) = sum |num_k| r^k / prod (1 - |q| r)^m`` on
+    ``|z| = r``, so Cauchy's estimate ``|c_n| <= M(r) r^-n`` gives
+    ``tail^2 <= M(r)^2 r^(-2(N+1)) / (1 - r^-2)``; the bound is the least of
+    these over ``r = (1 / max |q|)^t`` for a few t in (0, 1).
     """
-    r = math.sqrt(pole_radius)
-    theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    mags = np.abs(evaluate(r * np.exp(1j * theta)))
-    m_r = float(np.max(mags)) * 1.02
-    rinv = 1.0 / r
-    return m_r * rinv ** (N + 1) / math.sqrt(1.0 - rinv * rinv)
+    if not poles:
+        return 0.0
+    r = (1.0 / max(abs(q) for q, _ in poles)) ** np.array([0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995])
+    m_r = np.abs(num) @ r ** np.arange(len(num))[:, None]
+    for q, m in poles:
+        m_r = m_r / (1.0 - abs(q) * r) ** m
+    return float(np.min(m_r * r ** -(N + 1.0) / np.sqrt(1.0 - r ** -2.0)))
 
 
 def classical_blaschke(zeros, taylor_degree: int = 256):
@@ -429,11 +425,8 @@ def classical_blaschke(zeros, taylor_degree: int = 256):
             continue
         series = _geometric_inverse_power(np.conjugate(point), mult, taylor_degree)
         coeffs = np.convolve(coeffs, series)[: taylor_degree + 1]
-    if den_roots:
-        pole = min(abs(p) for p, _ in den_roots)
-        tail = _cauchy_tail_estimate(rational, pole, taylor_degree)
-    else:
-        tail = 0.0
+    poles = [(np.conjugate(point), mult) for point, mult in roots if point != 0]
+    tail = _cauchy_tail_bound(num_coeffs, poles, taylor_degree)
     return rational, TaylorSeries(coeffs, tail), rational
 
 
@@ -499,8 +492,8 @@ def bergman_rational(zeros, taylor_degree: int = 256):
     for p in points:
         series = _geometric_inverse_power(np.conjugate(p), 2, taylor_degree)
         coeffs = np.convolve(coeffs, series)[: taylor_degree + 1]
-    pole = min(1.0 / abs(p) for p in points)
-    tail = _cauchy_tail_estimate(rational, pole, taylor_degree)
+    tail = _cauchy_tail_bound(num_coeffs, [(np.conjugate(p), 2) for p in points],
+                              taylor_degree)
     return rational, TaylorSeries(coeffs, tail)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
                         shapiro_shields, shift_span)
-from .errors import TruncationDominatesResidual, ZeroFunction
+from .errors import IllConditioned, TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy,
                       combo_derivative_at, derivative_functional, kernel_pairing,
@@ -88,6 +88,13 @@ class PrescribedZeroCheck:
 
 @dataclass(frozen=True)
 class ExtraneousZero:
+    """A zero of B off the prescribed multiset, or in excess of it.
+
+    ``estimated_multiplicity`` is the certified number of zeros of B in a
+    small disk about ``location``; ``residual`` is ``|B^(m)(location)|`` with
+    m the prescribed multiplicity there (0 off the multiset).
+    """
+
     location: complex
     residual: float
     estimated_multiplicity: int
@@ -187,13 +194,39 @@ def _certified_zero_count(coeffs: np.ndarray, radius: float,
         m *= 2
 
 
-def _estimate_multiplicity(space, result, point, policy, norm, tol, cap=6):
-    for order in range(cap + 1):
-        value, err = _derivative(space, result, point, order, policy)
-        scale = max(1.0, math.factorial(order))
-        if abs(value) > max(math.sqrt(tol) * norm * scale, 10.0 * err):
-            return order
-    return cap + 1
+_DISK_TERMS = 24   # Taylor terms of B_N at a disk's centre that Pellet's test reads
+_DISK_CAP = 1e-3   # largest disk around a located zero
+
+
+def _disk_count(coeffs: np.ndarray, center: complex, rho: float,
+                tail: float) -> int | None:
+    """Zeros of B in ``|z - center| < rho`` by Pellet's test, or None.
+
+    ``d_k = sum_n C(n, k) c_n center^(n-k)`` are the Taylor coefficients of
+    ``B_N`` at ``center`` for ``k <= K``.  The count is the index j of the
+    largest ``|d_j| rho^j`` when that term exceeds the sum of the others,
+    their rounding ``gamma * sum_n C(n, k) |c_n| |center|^(n-k)`` (powers by
+    repeated products, binomials by K products, sums of N+1 terms), the terms
+    past K (Cauchy's estimate on ``|z - center| = 1 - |center|``, where
+    ``|B_N| <= sum |c_n|``) and ``tail`` (``|B - B_N|`` on the disk), so
+    Rouche's theorem carries j from ``d_j (z - center)^j`` to B.  Needs
+    ``|center| + rho < 1``.
+    """
+    N = len(coeffs) - 1
+    ns, ks = np.arange(N + 1), np.arange(_DISK_TERMS + 1)[:, None]
+    powers = np.cumprod(np.r_[1.0 + 0j, np.full(N, complex(center))])
+    binoms = np.cumprod(np.where(ks > 0, (ns - ks + 1) / np.maximum(ks, 1), 1.0), axis=0)
+    shift = binoms * powers[np.maximum(ns - ks, 0)]
+    gamma = 4.0 * (N + _DISK_TERMS + 2) * np.finfo(float).eps
+    scale = rho ** ks[:, 0]
+    terms = np.abs(shift @ coeffs) * scale
+    rounding = gamma * float(np.sum(np.abs(shift) @ np.abs(coeffs) * scale))
+    q = rho / (1.0 - abs(center))
+    far = float(np.sum(np.abs(coeffs))) * q ** (_DISK_TERMS + 1) / (1.0 - q)
+    j = int(np.argmax(terms))
+    if 2.0 * terms[j] > float(np.sum(terms)) + rounding + far + tail:
+        return j
+    return None
 
 
 def zero_report(space: SpaceSpec, result: ConstructionResult,
@@ -210,10 +243,14 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     count is certified, the prescribed checks pass and the count equals ``m0``
     plus the multiplicities of the prescribed points inside the circle, there
     is no extraneous interior zero and nothing is located.  Otherwise the scan
-    takes companion-matrix roots of the truncated Taylor polynomial, keeps
-    those whose (certified, when possible) function residual passes
-    ``|B(root)| <= tol * max(||B||, |B'(root)|)``, clusters them, and
-    estimates multiplicities from successive derivative residuals.  Prescribed
+    counts the zeros of B in small disks by Pellet's test (``_disk_count``):
+    about the origin (when ``m0 > 0``), then each prescribed point inside the
+    circle or within ``_DISK_CAP`` past it, then each companion-matrix root
+    of the truncated Taylor polynomial in the closed disk that lies in no
+    earlier disk.  The disks are disjoint and reach at most ``_DISK_CAP`` past
+    the circle.  A disk whose count exceeds its prescribed multiplicity (0 for
+    a root) is an extraneous zero; a root whose disk counts 0 is dropped; a
+    disk that cannot be counted raises ``IllConditioned``.  Prescribed
     boundary points are checked individually for excess vanishing order.
     """
     norm_sq, _ = shift_inner_product(space, result.taylor, 0)
@@ -258,30 +295,30 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
             sig = np.nonzero(np.abs(coeffs) > 1e-15 * top)[0]
             trimmed = coeffs[: sig[-1] + 1] if len(sig) else coeffs[:1]
             roots = np.roots(trimmed[::-1]) if len(trimmed) > 1 else np.array([])
-            candidates = [complex(r) for r in roots if abs(r) <= radius + 1e-9]
-            accepted = []
-            for root in candidates:
-                val, err = _derivative(space, result, root, 0, policy)
-                dval, _ = _derivative(space, result, root, 1, policy)
-                scale = max(norm, abs(dval))
-                if abs(val) <= tol * scale + err + tail_pt:
-                    accepted.append(root)
-            for center, count in _cluster(accepted):
-                near = None
-                for point, mult in Z.entries:
-                    if abs(center - point) <= CLUSTER_TOL:
-                        near = (point, mult)
-                        break
-                if near is None and abs(center) <= CLUSTER_TOL:
-                    near = (0j, m0)
-                est = _estimate_multiplicity(space, result, center, policy, norm, tol)
-                est = max(est, count)
-                if near is None:
-                    val, _ = _derivative(space, result, center, 0, policy)
-                    extraneous.append(ExtraneousZero(center, abs(val), est))
-                elif est > near[1]:
-                    val, _ = _derivative(space, result, near[0], near[1], policy)
-                    extraneous.append(ExtraneousZero(near[0], abs(val), est))
+            # Disks reach at most _DISK_CAP past the circle, so a prescribed
+            # zero on it still holds the companion roots it splits into.
+            outer = min(radius + _DISK_CAP, (1.0 + radius) / 2)
+            tail_out = _tail_bound_at(space, result.taylor.tail_bound, outer, 0, policy)
+            centers = ([(0j, m0)] if m0 else []) + [e for e in Z.entries if abs(e[0]) < outer]
+            points = [c for c, _ in centers]
+            centers += [(complex(r), 0) for r in sorted(roots, key=lambda z: (z.real, z.imag))
+                        if abs(r) <= radius + 1e-9]
+            disks: list[tuple[complex, float]] = []
+            for center, mult in centers:
+                if any(abs(center - c) < r for c, r in disks):
+                    continue
+                rho = min([_DISK_CAP, (outer - abs(center)) / 2]
+                          + [abs(center - p) / 2 for p in points if p != center]
+                          + [abs(center - c) - r for c, r in disks])
+                count = _disk_count(coeffs, center, rho, tail_out)
+                if count is None:
+                    raise IllConditioned(
+                        f"cannot certify the zero count of B in the disk of radius "
+                        f"{rho:.3e} about {center}")
+                disks.append((center, rho))
+                if count > mult:
+                    val, _ = _derivative(space, result, center, mult, policy)
+                    extraneous.append(ExtraneousZero(center, abs(val), count))
         # Boundary points sit outside the scan disk: flag excess order there.
         for check in prescribed:
             if abs(abs(check.point) - 1.0) <= 1e-9 and check.multiplicity > 0:
@@ -293,19 +330,6 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     verdict = bool(prescribed_ok) and not extraneous
     return ZeroReport(tuple(prescribed), tuple(extraneous), verdict,
                       norm, radius, tol)
-
-
-def _cluster(points: list[complex]) -> list[tuple[complex, int]]:
-    """Merge points within the clustering tolerance; returns (center, count)."""
-    clusters: list[list[complex]] = []
-    for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        for group in clusters:
-            if abs(group[0] - p) <= CLUSTER_TOL:
-                group.append(p)
-                break
-        else:
-            clusters.append([p])
-    return [(sum(g) / len(g), len(g)) for g in clusters]
 
 
 # ---------------------------------------------------------------------------

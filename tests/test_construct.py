@@ -332,6 +332,23 @@ def test_classical_taylor_matches_evaluator():
     assert taylor.tail_bound < 1e-6
 
 
+@pytest.mark.parametrize("zeros, points", [
+    ([(0.92, 2), (-0.4j, 3)], [0.92, -0.4j]),
+    ([0.99 * np.exp(1j), 0.3], [0.99 * np.exp(1j), 0.3]),
+    ([(0j, 2), 0.9j, -0.5], [0.9j, -0.5]),
+])
+def test_closed_form_tail_bounds_hold(zeros, points):
+    # The discarded Hardy-norm tail, read off a 5N-term expansion, stays under
+    # the closed-form bound of both closed forms.
+    for N in (40, 150, 600):
+        _, taylor, _ = kb.classical_blaschke(zeros, N)
+        _, longer, _ = kb.classical_blaschke(zeros, 5 * N)
+        assert taylor.tail_bound >= np.linalg.norm(longer.coefficients[N + 1:])
+        _, taylor = kb.bergman_rational(points, N)
+        _, longer = kb.bergman_rational(points, 5 * N)
+        assert taylor.tail_bound >= np.linalg.norm(longer.coefficients[N + 1:])
+
+
 def test_classical_rejects_non_interior():
     with pytest.raises(ValueError):
         kb.classical_blaschke([1.0])

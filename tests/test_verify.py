@@ -200,6 +200,47 @@ def test_zero_report_prescribed_triple_zero_is_not_split():
     assert rep.verdict and rep.extraneous == ()
 
 
+def test_zero_report_planted_zero_beside_prescribed_triple_zero():
+    # The count (4 against 3 prescribed) sends the scan to companion roots,
+    # which split the triple zero; its disk counts it as the prescribed 3.
+    _, taylor, _ = kb.classical_blaschke([(0.5, 3), 0.2j], 600)
+    result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+    rep = kb.zero_report(H2, result, Z_of((0.5, 3)), radius=0.99, tol=1e-8)
+    assert not rep.verdict
+    assert len(rep.extraneous) == 1
+    extra = rep.extraneous[0]
+    assert abs(extra.location - 0.2j) < 1e-9
+    assert extra.estimated_multiplicity == 1
+
+
+def test_roots_fallback_keeps_split_double_zeros(monkeypatch):
+    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
+    Z = Z_of((0.3 - 0.2j, 2), origin=2)
+    for sp in (H2, D1):
+        ss = kb.shapiro_shields(sp, Z, route="determinant", taylor_degree=400)
+        rep = kb.zero_report(sp, ss, Z, radius=0.95)
+        assert rep.verdict is True and rep.extraneous == ()
+
+
+# ---------------------------------------------------------------------------
+# Pellet's disk count
+# ---------------------------------------------------------------------------
+
+def test_disk_count_on_exact_polynomial():
+    poly = kb.FactoredPoly(1.0, ((0.3, 3), (-0.5, 1), (0.6j, 2), (0.2 + 0.2j, 1),
+                                 (0.2 + 0.2001j, 1)))
+    c = poly.coefficients()
+    assert verify._disk_count(c, 0.3, 1e-3, 0.0) == 3
+    assert verify._disk_count(c, -0.5, 1e-3, 0.0) == 1
+    assert verify._disk_count(c, 0.6j, 1e-2, 0.0) == 2
+    # two distinct zeros 1e-4 apart in one disk
+    assert verify._disk_count(c, 0.2 + 0.20005j, 1e-3, 0.0) == 2
+    # no zero within 0.1 of the centre
+    assert verify._disk_count(c, 0.7 - 0.2j, 1e-2, 0.0) == 0
+    # a tail above every Taylor term leaves nothing to certify
+    assert verify._disk_count(c, 0.3, 1e-3, 1.0) is None
+
+
 def test_circle_rounding_bound_holds_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     Z = Z_of((0.8, 1), (0.95 * np.exp(2.5j), 1))
