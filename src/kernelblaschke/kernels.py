@@ -10,29 +10,36 @@ and the pairing of two kernels is the series
     <k_a^(p), k_b^(q)> = sum_n [n!/(n-p)!][n!/(n-q)!] conj(a)^(n-p) b^(n-q) / w_n.
 
 Every summation here returns ``(value, err)`` where ``err`` bounds the
-truncation error.  Interior points use a geometric tail bound (term-ratio
-majorant), boundary points of Dirichlet-type spaces use an integral p-series
-bound, an exact zeta reduction when ``conj(a) * b = 1``, and an alternating /
-Dirichlet-test bound otherwise.  ``bound_kind="none"`` disables certification
-and stops heuristically (the returned err is then an estimate, not a bound).
+truncation error.  Sums inside the disk use a geometric tail bound (term-ratio
+majorant).  In ``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``,
+on the circle too, is a finite sum of polylogarithms ``Li_s(conj(a) b)``,
+summed by their expansion about 1; its err covers rounding as well.  Boundary
+kernel tails use an integral p-series bound.  ``bound_kind="none"`` stops
+heuristically (the returned err is then an estimate, not a bound).
 
 All functions are pure; summation order is fixed, so results are deterministic.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
+from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
 from .errors import DivergentSeries, ToleranceUnreachable, UnboundedTail
 from .jsonio import complex_pair, pair_complex
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
-_X_ONE_TOL = 1e-14
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
+_EPS = float(np.finfo(float).eps)
+# Certified D_alpha pairings with |conj(a) b| at or above the switch sum the
+# polylogarithm expansion's first K + ceil|s| terms (see _pair_polylog).
+_POLYLOG_SWITCH = 0.9
+_POLYLOG_K = 80
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +67,10 @@ class KernelTerm:
 class TruncationPolicy:
     """How hard to push a series and which tail certificate to use.
 
-    ``bound_kind`` selects the certification family: ``"geometric"`` and
-    ``"p_series"`` both mean *certified* (the applicable bound is picked from
-    the structure of each pairing: geometric inside the disk, p-series/zeta on
-    the boundary); ``"none"`` disables certification and stops heuristically.
+    ``bound_kind``: ``"geometric"`` and ``"p_series"`` both mean *certified*
+    (each sum picks its bound: geometric tails inside the disk, the
+    polylogarithm expansion near and on the circle of ``D_alpha``, p-series
+    kernel tails on it); ``"none"`` stops heuristically.
     """
 
     target_tolerance: float = 1e-12
@@ -132,11 +139,8 @@ class TaylorSeries:
         return TaylorSeries(out, self.tail_bound)
 
     def to_json(self) -> dict:
-        return {
-            "coeffs": [complex_pair(c) for c in self.coefficients],
-            "N": self.truncation_degree,
-            "tail": self.tail_bound,
-        }
+        return {"coeffs": [complex_pair(c) for c in self.coefficients],
+                "N": self.truncation_degree, "tail": self.tail_bound}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TaylorSeries":
@@ -187,11 +191,8 @@ class KernelCombo:
 
     @classmethod
     def from_json(cls, space: SpaceSpec, obj: dict) -> "KernelCombo":
-        return cls(space, tuple(
-            (KernelTerm(pair_complex(e["point"]), int(e["order"])),
-             pair_complex(e["coef"]))
-            for e in obj["terms"]
-        ))
+        return cls(space, tuple((KernelTerm(pair_complex(e["point"]), int(e["order"])),
+                                 pair_complex(e["coef"])) for e in obj["terms"]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,7 @@ def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
     if not ro.admits(term.order):
         raise DivergentSeries(
             f"kernel k_{term.point}^({term.order}) does not lie in the space: "
-            f"point has reproducible order {ro.to_json()!r}"
-        )
+            f"point has reproducible order {ro.to_json()!r}")
 
 
 def _blocks(start: int, max_terms: int, width: int, cap: int):
@@ -237,22 +237,18 @@ def _blocks(start: int, max_terms: int, width: int, cap: int):
 
 
 def _alpha_of(space: SpaceSpec) -> float:
-    alpha = space.decay_exponent
-    if alpha is None:
+    if space.decay_exponent is None:
         raise ToleranceUnreachable(
             "boundary-point series have certified bounds only in Dirichlet-type "
-            "spaces; use bound_kind='none' for a heuristic sum"
-        )
-    return alpha
+            "spaces; use bound_kind='none' for a heuristic sum")
+    return space.decay_exponent
 
 
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                 ns: np.ndarray) -> np.ndarray:
     t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
-    t = t.astype(complex)
-    t *= np.conjugate(a.point) ** (ns - a.order)
-    t *= b.point ** (ns - b.order)
-    return t
+    return t.astype(complex) * np.conjugate(a.point) ** (ns - a.order) \
+        * b.point ** (ns - b.order)
 
 
 def _sum_heuristic(space, a, b, policy):
@@ -289,70 +285,81 @@ def _pair_geometric(space, a, b, policy):
             if bound <= tol:
                 return total, float(bound)
     raise ToleranceUnreachable(
-        f"geometric pairing did not close below {tol} within {policy.max_terms} terms"
-    )
+        f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
 
 
-def _zeta_poly_value(orders: tuple[int, ...], alpha: float) -> tuple[float, float]:
-    """sum_{n>=0} prod_m [n!/(n-m)!] / (n+1)^alpha via the Riemann zeta function.
-
-    The falling-factorial product is a polynomial in u = n+1, so the sum is an
-    exact finite combination sum_j c_j zeta(alpha - j).
-    """
-    poly = np.array([1.0])
-    for m in orders:
-        for i in range(m):
-            poly = np.convolve(poly, np.array([-(1.0 + i), 1.0]))
-    value = 0.0
-    scale = 0.0
-    for j, c in enumerate(poly):
-        if c == 0.0:
-            continue
-        s = alpha - j
-        if s <= 1.0:
-            raise DivergentSeries("zeta reduction hit a divergent exponent")
-        z = float(_riemann_zeta(s))
-        value += c * z
-        scale += abs(c) * z
-    return value, scale * 32 * np.finfo(float).eps
+@functools.lru_cache(maxsize=256)
+def _zeta_row(s: float):
+    """For ``k <= n = K + ceil|s|``: ``zeta(s-k)/k!`` (0 at the pole), rounding
+    weights from the sizes ``M_k/k!``, ``Gamma(1-s)``, and ``M_(n+1)/(n+1)!``.
+    ``M_k = 2 Gamma(u) zeta(u)/(2 pi)^u >= |zeta(s-k)|`` for ``u = k+1-s > 1``
+    (functional equation), else ``M_k = |zeta(s-k)|``."""
+    ks = np.arange(_POLYLOG_K + math.ceil(abs(s)) + 2.0)
+    u = ks + 1.0 - s
+    inv_fact = np.exp(-gammaln(ks + 1.0))
+    z = np.where(u == 0.0, 0.0, _riemann_zeta(s - ks)) * inv_fact
+    size = np.where(u > 1.0, 2 * _riemann_zeta(np.maximum(u, 2.0)) * inv_fact
+                    * np.exp(gammaln(u) - u * math.log(2 * math.pi)), np.abs(z))
+    row = np.stack([z[:-1], (128 + 4 * ks[:-1] + len(ks)) * _EPS * size[:-1]])
+    row.setflags(write=False)  # the cache hands this row to every caller
+    return row, gamma(1.0 - s), size[-1]
 
 
-def _pair_boundary(space, a, b, policy):
+def _polylog(s: float, mu: complex) -> tuple[complex, float]:
+    """``Li_s(e^mu)`` and a bound on its error, for ``Re mu <= 0``, ``|Im mu| <= pi``.
+
+    Wood's expansion ``Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k/k!``; at a
+    positive integer s the Gamma pole pairs with ``zeta(1)`` into
+    ``mu^(s-1)/(s-1)! (H_(s-1) - log(-mu))``.  The bound covers the terms past
+    ``_zeta_row``'s n, geometric in ``|mu|/2 pi`` by its majorant, and the
+    rounding of every term and of the sum.  ``mu = 0`` needs ``s > 1``."""
+    row, gamma_s, size_tail = _zeta_row(s)
+    powers = np.cumprod(np.concatenate(([1.0 + 0j], np.full(row.shape[1] - 1, mu))))
+    value, bound = complex(row[0] @ powers), float(row[1] @ np.abs(powers))
+    if mu != 0:
+        log_mu = cmath.log(-mu)
+        if s >= 1 and s == round(s):
+            k0 = int(s) - 1
+            harmonic = sum(1.0 / i for i in range(1, k0 + 1))
+            singular = powers[k0] / math.factorial(k0) * (harmonic - log_mu)
+            size = abs(powers[k0]) / math.factorial(k0) * (harmonic + abs(log_mu))
+        else:
+            singular = gamma_s * np.exp((s - 1.0) * log_mu)
+            size = abs(singular)
+        value += singular
+        bound += (64 + abs(s) + 2 * abs((s - 1.0) * log_mu)) * _EPS * size
+        ratio = abs(mu) / (2 * math.pi) * max(1.0, 1.0 - s / (row.shape[1] + 1.0))
+        bound += size_tail * abs(powers[-1] * mu) / max(1.0 - ratio, 0.0)
+    return complex(value), float(bound) * _FLOAT_SLACK
+
+
+def _pair_polylog(space, a, b, policy):
+    """``sum_j c_j Li_(alpha-j)(x) / (x conj(a)^p b^q)`` with ``x = conj(a) b = e^mu``.
+
+    In ``D_alpha`` the pairing is ``sum_n P(n+1) x^n/(n+1)^alpha``, ``P(u) = sum_j c_j u^j
+    = prod_(m = p, q) (u-1)...(u-m)``; ``mu`` is the difference of the points' logarithms
+    (``Re mu = 0`` if both are on the circle).  err covers each ``_polylog`` bound, the
+    rounding of the sum and, to first order by ``d/dmu Li_s = Li_(s-1)``, that of mu."""
     alpha = _alpha_of(space)
-    s = alpha - a.order - b.order
-    if s <= 1.0:
-        raise DivergentSeries(
-            f"boundary pairing needs alpha > {a.order + b.order + 1}, got {alpha}"
-        )
-    x = np.conjugate(a.point) * b.point
-    prefactor = a.point ** a.order * np.conjugate(b.point) ** b.order
-    if abs(x - 1.0) <= _X_ONE_TOL:
-        value, err = _zeta_poly_value((a.order, b.order), alpha)
-        return prefactor * value, err
-    tol = policy.target_tolerance
-    inv_gap = 1.0 / abs(1.0 - x)
-    total = 0j
-    for ns in _blocks(max(a.order, b.order), policy.max_terms, 1024, 1 << 18):
-        total += _pair_terms(space, a, b, ns).sum()
-        j0 = int(ns[-1])
-        # Absolute p-series tail: |t_n| <= (n+1)^(ma+mb-alpha), integral bound.
-        p_tail = (j0 + 1.0) ** (1.0 - s) / (s - 1.0)
-        bound = p_tail
-        # Dirichlet-test refinement.  d/dn log|t_n| < 0 persists once
-        # (n+1) * sum_i 1/(n-i) - alpha < 0, because (n+1) d/dn log|t_n| is
-        # decreasing; then |sum_{n>j0} t_n| <= 4 |t_{j0+1}| / |1-x|.
-        slope = sum(1.0 / (j0 - i) for i in range(a.order)) \
-            + sum(1.0 / (j0 - i) for i in range(b.order))
-        if (j0 + 1.0) * slope - alpha < 0.0:
-            nxt = float(_falling(np.array([j0 + 1]), a.order)[0]
-                        * _falling(np.array([j0 + 1]), b.order)[0]
-                        / (j0 + 2.0) ** alpha)
-            bound = min(bound, 4.0 * nxt * inv_gap)
-        if bound <= tol:
-            return total, float(bound)
-    raise ToleranceUnreachable(
-        f"boundary pairing did not close below {tol} within {policy.max_terms} terms"
-    )
+    poly = np.atleast_1d(np.poly(np.r_[1:a.order + 1, 1:b.order + 1]))[::-1]
+    la, lb = np.log(a.point), np.log(b.point)  # cmath.log loses Re mu near |z| = 1
+    im = math.remainder(lb.imag - la.imag, 2 * math.pi)
+    on_circle = max(abs(abs(a.point) - 1.0), abs(abs(b.point) - 1.0)) <= BOUNDARY_TOL
+    mu = complex(0.0 if on_circle else la.real + lb.real, im)
+    dmu = 4 * _EPS * (abs(mu.real) + (a.point != b.point)
+                      * (abs(la.imag) + abs(lb.imag) + 2 * math.pi))
+    if 8 * dmu * (max(abs(alpha - 2), abs(alpha - len(poly) - 1)) + 1) > abs(mu):
+        raise ToleranceUnreachable(f"points {a.point}, {b.point} too close to pair")
+    total, err = 0j, 0.0
+    for j, c in enumerate(poly):
+        v, e = _polylog(alpha - j, mu)
+        d, de = _polylog(alpha - j - 1, mu) if dmu else (0.0, 0.0)
+        total += c * v
+        err += abs(c) * (e + (2 * len(poly) + 6) * _EPS * abs(v) + 2 * dmu * (abs(d) + de))
+    if not math.isfinite(err):
+        raise ToleranceUnreachable(f"no finite polylogarithm bound at mu = {mu}")
+    scale = cmath.exp(-mu) / (a.point.conjugate() ** a.order * b.point ** b.order)
+    return complex(scale * total), abs(scale) * err * _FLOAT_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,7 @@ def _pair_boundary(space, a, b, policy):
 
 def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
-    """Inner product ``<k_a^(ma), k_b^(mb)>`` with a truncation-error bound."""
+    """``<k_a^(ma), k_b^(mb)>`` with an error bound (see the module docstring)."""
     _require_diagonal(space, "kernel_pairing")
     _require_admissible(space, a)
     _require_admissible(space, b)
@@ -375,11 +382,11 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     if not policy.certified:
         return _sum_heuristic(space, a, b, policy)
     rho = abs(a.point) * abs(b.point)
-    if rho < 1.0 - BOUNDARY_TOL:
+    if rho > 1.0 + BOUNDARY_TOL:
+        raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
+    if rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None):
         return _pair_geometric(space, a, b, policy)
-    if rho <= 1.0 + BOUNDARY_TOL:
-        return _pair_boundary(space, a, b, policy)
-    raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
+    return _pair_polylog(space, a, b, policy)
 
 
 def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
@@ -424,15 +431,10 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
             if ratio < 1.0:
                 return math.sqrt(total + q[-1] * ratio / (1.0 - ratio)) * _FLOAT_SLACK
         return math.inf
-    if beta <= 1.0 + BOUNDARY_TOL:
-        alpha = _alpha_of(space)
-        s = alpha - 2 * m
-        if s <= 1.0:
-            raise DivergentSeries(
-                f"boundary kernel of order {m} needs alpha > {2 * m + 1}")
-        # w_n |c_n|^2 <= (n+1)^(2m - alpha); integral tail bound.
-        return math.sqrt((N + 1.0) ** (1.0 - s) / (s - 1.0)) * _FLOAT_SLACK
-    raise DivergentSeries(f"kernel point lies outside the closed disk: |beta| = {beta}")
+    # On the circle (admissible, so s > 1): w_n |c_n|^2 <= (n+1)^(-s), an
+    # integral tail bound.
+    s = _alpha_of(space) - 2 * m
+    return math.sqrt((N + 1.0) ** (1.0 - s) / (s - 1.0)) * _FLOAT_SLACK
 
 
 def kernel_taylor(space: SpaceSpec, term: KernelTerm, N: int,
@@ -463,8 +465,7 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
     """``B^(ell)(beta)`` evaluated as a sum of kernel pairings."""
     target = KernelTerm(beta, ell)
     _require_admissible(space, target)
-    value = 0j
-    err = 0.0
+    value, err = 0j, 0.0
     for term, coef in B.terms:
         v, e = kernel_pairing(space, term, target, policy)
         value += coef * v
@@ -497,8 +498,7 @@ def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[comp
         mk = space.shift_norm_bound(k)
         znorm = math.sqrt(float(np.sum(w[k: k + N + 1] * np.abs(b) ** 2)))
         bnorm = math.sqrt(float(np.sum(w[: N + 1] * np.abs(b) ** 2)))
-        err = znorm * tau + mk * tau * (bnorm + tau)
-        return value, err
+        return value, znorm * tau + mk * tau * (bnorm + tau)
     if tau != 0.0:
         raise UnboundedTail(
             "non-diagonal spaces support shift products only for exact polynomials")

@@ -102,9 +102,14 @@ def test_pairing_divergence_errors():
         kb.kernel_pairing(H2, K(2.0), K(0.5))  # exterior point
     with pytest.raises(kb.DivergentSeries):
         kb.kernel_pairing(D4, K(1.0, 2), K(1.0, 2))  # order above ro = 1
-    with pytest.raises(kb.ToleranceUnreachable):
-        kb.kernel_pairing(D4, K(1.0), K(-1.0),
+    with pytest.raises(kb.ToleranceUnreachable):  # geometric sum out of terms
+        kb.kernel_pairing(H2, K(0.9), K(0.9),
                           kb.TruncationPolicy(target_tolerance=1e-10, max_terms=64))
+    # A weight rule has no certified sum on the circle, even where the
+    # declared boundary order admits the kernel.
+    ruled = kb.WeightedHardy(lambda k: (k + 1.0) ** 4, boundary_order=1)
+    with pytest.raises(kb.ToleranceUnreachable, match="Dirichlet-type"):
+        kb.kernel_pairing(ruled, K(1.0), K(-1.0))
 
 
 def test_pairing_requires_diagonal_space():

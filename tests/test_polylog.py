@@ -1,0 +1,114 @@
+"""Pairings near and on the circle against mpmath references at 40 digits.
+
+Every case asserts ``|value - ref| <= err``: the claimed err must be a true
+bound, rounding included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+import kernelblaschke as kb  # noqa: E402
+from kernelblaschke import kernels  # noqa: E402
+
+MODULI = (0.95, 0.98, 0.995, 0.9999, 0.99999)
+ORDERS = ((0, 0), (1, 0), (1, 1), (0, 2), (2, 2))
+
+
+def _points(r):
+    """Equal points, points 2 radians apart, and distinct points on one ray,
+    whose computed arguments may agree although their exact ones differ."""
+    ray = np.exp(-2.9j)
+    return ((r * np.exp(0.4j), r * np.exp(0.4j)), (r * np.exp(0.4j), r * np.exp(2.4j)),
+            (r * ray, (1 + r) / 2 * ray))
+
+
+def _falling_poly(orders):
+    """Coefficients c_j (ascending in u = n + 1) of prod_m n!/(n-m)!."""
+    poly = [mpmath.mpf(1)]
+    for m in orders:
+        for i in range(m):
+            poly = [s - (1 + i) * t for s, t in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def _closed_form(power, u, v, p, q):
+    """d^p/du^p d^q/dv^q (1 - u v)^(-power): the D_0 (power 1), D_-1 (2) kernel."""
+    total = mpmath.mpc(0)
+    for i in range(min(p, q) + 1):
+        total += (mpmath.binomial(p, i) * mpmath.ff(q, i) * u ** (q - i)
+                  * mpmath.rf(power, q) * mpmath.rf(power + q, p - i) * v ** (p - i)
+                  * (1 - u * v) ** (-power - q - p + i))
+    return total
+
+
+def _lerch_form(alpha, u, v, p, q, on_circle=False):
+    """sum_n P(n+1) x^n / (n+1)^alpha / (u^p v^q), x = u v, by Lerch's Phi."""
+    x = u * v
+    if on_circle:  # the points are unimodular up to the rounding of their input
+        x /= abs(x)
+    total = mpmath.mpc(0)
+    for j, c in enumerate(_falling_poly((p, q))):
+        if c:
+            s = mpmath.mpf(alpha) - j
+            total += c * (mpmath.zeta(s) if x == 1 else mpmath.lerchphi(x, s, 1))
+    return total * x / (u * v) / (u ** p * v ** q)
+
+
+def _check(space, a, b, p, q, ref):
+    value, err = kb.kernel_pairing(space, kb.KernelTerm(a, p), kb.KernelTerm(b, q))
+    dev = float(abs(mpmath.mpc(value) - ref))
+    assert dev <= err, (space.label(), a, b, p, q, value, complex(ref), dev, err)
+
+
+@pytest.mark.parametrize("r", MODULI)
+def test_near_circle_pairings_hold_their_err(r):
+    with mpmath.workdps(40):
+        for a, b in _points(r):
+            a, b = complex(a), complex(b)
+            u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
+            for p, q in ORDERS:
+                _check(kb.hardy_space(), a, b, p, q, _closed_form(1, u, v, p, q))
+                _check(kb.bergman_space(), a, b, p, q, _closed_form(2, u, v, p, q))
+                _check(kb.dirichlet_space(), a, b, p, q, _lerch_form(1, u, v, p, q))
+
+
+@pytest.mark.parametrize("alpha", (2.5, 3.0, 4.0, 4.5, 6.0))
+def test_circle_pairings_hold_their_err(alpha):
+    space = kb.DirichletType(alpha)
+    top = space.reproducible_order(1.0).order
+    points = ((1.0, 1.0), (np.exp(0.7j), np.exp(0.7j)),   # x = 1
+              (1.0, -1.0), (1j, -1j),                      # x = -1
+              (np.exp(0.3j), np.exp(2.1j)))                # a generic angle
+    with mpmath.workdps(40):
+        for a, b in points:
+            a, b = complex(a), complex(b)
+            u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
+            for p in range(top + 1):
+                for q in range(top + 1):
+                    _check(space, a, b, p, q,
+                           _lerch_form(alpha, u, v, p, q, on_circle=True))
+
+
+# mpmath 1.3's polylog is off for 0 < |s| < ~1e-35 at 40 digits: it gives
+# Li_(1e-60)(0.9375) = 15.00000037..., where the value tends to 15 as s -> 0.
+orders = st.one_of(st.floats(-6.0, 8.0).filter(lambda s: s == 0 or abs(s) > 1e-30),
+                   st.integers(-6, 8).map(float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders, st.floats(kernels._POLYLOG_SWITCH, 1.0),
+       st.floats(-math.pi, math.pi))
+def test_polylog_bound_holds(s, modulus, angle):
+    mu = complex(math.log(modulus), angle)
+    assume(mu != 0 or s > 1)
+    with mpmath.workdps(40):
+        ref = mpmath.polylog(s, mpmath.exp(mpmath.mpc(mu)))
+        assume(abs(ref) < 1e300)
+        value, bound = kernels._polylog(s, mu)
+        assert float(abs(mpmath.mpc(value) - ref)) <= bound
