@@ -10,7 +10,9 @@ Four independent routes build (up to the canonical gauge) the same function:
   onto ``span{p, z p, ..., z^(M - deg p) p}`` using the monomial Gram; this is
   the oracle the kernel routes are checked against, and the only route
   available in non-diagonal spaces.  ``shift_span`` is the one builder of
-  this span and its Gram, for every projection and the extremal sampler.
+  this span and its Gram, for every projection and the extremal sampler: in a
+  diagonal space the Gram is Hermitian with half-bandwidth ``deg p`` and is
+  kept and Cholesky-factored as a band, in O(M deg p^2); otherwise it is dense.
 * ``classical_blaschke`` / ``bergman_rational`` -- closed forms (the rational
   product in the Hardy space; the residue-vanishing construction in the
   Bergman space).
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      ZeroFunction)
@@ -44,6 +47,8 @@ GAUGE_REL_TOL = 1e-9
 # Below this normalized Gram determinant the cofactor expansion loses too many
 # digits to double precision; such systems take the solve route instead.
 DETERMINANT_TRUST_FLOOR = 1e-8
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+_INVERSE_ITERATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -249,37 +254,128 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
 # Finite-dimensional projection oracle
 # ---------------------------------------------------------------------------
 
-def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``z^j p`` (0 <= j <= M - deg p, degrees 0..M) and their Gram S.
+@dataclass(frozen=True)
+class ShiftSpan:
+    """The rows ``v_j = z^j p`` (0 <= j <= M - deg p, degrees 0..M) and their Gram.
 
-    ``S[i, j] = <z^i p, z^j p>``, from the weights in a diagonal space.
+    ``S[i, j] = <v_i, v_j>``.  In a diagonal space S is Hermitian and banded
+    with half-bandwidth ``deg p``, and ``gram`` holds its lower band
+    ``gram[k, i] = S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout) while
+    ``weights`` holds ``w_0..w_M``; otherwise ``gram`` is S itself and
+    ``weights`` is None.  Each product with the rows is the ``deg p + 1``-term
+    stencil of p's coefficients, so no caller forms them.
+    """
+
+    p: np.ndarray        # coefficients of p, ascending
+    M: int
+    gram: np.ndarray
+    weights: np.ndarray | None
+
+    @property
+    def count(self) -> int:
+        return self.M - len(self.p) + 2
+
+    def functional(self, point: complex, order: int) -> np.ndarray:
+        """``v_j^(order)(point)`` for every row: ``rows @ derivative_functional``."""
+        v = derivative_functional(point, order, self.M)
+        return sliding_window_view(v, len(self.p)) @ self.p
+
+    def combine(self, x: np.ndarray) -> np.ndarray:
+        """Coefficients of ``sum_j x_j v_j`` (``x @ rows``), per row of a 2-D x."""
+        out = np.zeros(x.shape[:-1] + (self.M + 1,), dtype=complex)
+        for n, c in enumerate(self.p):
+            out[..., n: n + x.shape[-1]] += c * x
+        return out
+
+    def first_row(self) -> np.ndarray:
+        """``S[0, :]``, the pairings ``<v_0, v_j>``."""
+        if self.weights is None:
+            return self.gram[0]
+        out = np.zeros(self.count, dtype=complex)
+        out[: len(self.gram)] = np.conjugate(self.gram[:, 0])
+        return out
+
+    def norms_sq(self, X: np.ndarray) -> np.ndarray:
+        """Squared space norms of the elements ``X @ rows``, one per row of X."""
+        if self.weights is None:
+            return np.einsum("bj,bj->b", X @ self.gram, X.conj()).real
+        return np.abs(self.combine(X)) ** 2 @ self.weights
+
+    def solve(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
+        """x with ``sum_j x_j <v_j, v_i> = rhs_i`` over the rows from ``first`` on.
+
+        Cholesky-factors the Gram (banded in a diagonal space) and refuses
+        with IllConditioned when it is not definite, its pivot ratio falls
+        below PIVOT_FLOOR, or (banded) it is singular to working precision.
+        """
+        banded = self.weights is not None
+        S = self.gram[:, first:] if banded else self.gram[first:, first:]
+        factor = scipy.linalg.cholesky_banded if banded else scipy.linalg.cholesky
+        cho_solve = scipy.linalg.cho_solve_banded if banded else scipy.linalg.cho_solve
+        try:
+            L = factor(S, lower=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise IllConditioned("spanning-set Gram is not positive definite") from exc
+        pivots = np.abs(L[0] if banded else np.diag(L)) ** 2
+        if pivots.min() < PIVOT_FLOOR * pivots.max():
+            raise IllConditioned(
+                f"Gram pivot ratio {pivots.min() / pivots.max():.3e} below {PIVOT_FLOOR}"
+            )
+        if banded:
+            _refuse_singular_band(L, S[0].real)
+        # <v_j, v_i> = S[j, i], so the system matrix is conj(S).
+        return np.conjugate(cho_solve((L, True), np.conjugate(rhs)))
+
+
+def _refuse_singular_band(L: np.ndarray, diagonal: np.ndarray) -> None:
+    """IllConditioned when a banded Gram is singular within its factor's rounding.
+
+    The computed band factor L (half-bandwidth d) is exact for ``S + E`` with
+    ``|E_ij| <= gamma_(d+1) sqrt(S_ii S_jj)`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Thm 10.3), so when the least eigenvalue of the
+    equilibrated Gram ``D^-1 S D^-1`` (``D = diag(S)^(1/2)``) is at most
+    ``gamma_(d+1)``, a perturbation of the diagonal alone that is within that
+    bound makes S singular, and whether the factor exists is down to rounding.
+    Inverse iteration estimates the eigenvalue from above, so every refusal
+    holds, though a span just past the bound may still pass.
+    """
+    u = _UNIT_ROUNDOFF * len(L)
+    gamma = u / (1.0 - u)
+    root = np.sqrt(diagonal)
+    v = np.full(len(root), 1.0 / math.sqrt(len(root)))
+    for _ in range(_INVERSE_ITERATIONS):
+        y = root * scipy.linalg.cho_solve_banded((L, True), root * v)
+        size = float(np.linalg.norm(y))
+        v = y / size
+    if 1.0 / size <= gamma:
+        raise IllConditioned(
+            f"spanning-set Gram is singular to working precision: least "
+            f"equilibrated eigenvalue about {1.0 / size:.3e} <= {gamma:.3e}")
+
+
+def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
+    """The span ``{z^j p : 0 <= j <= M - deg p}`` with its Gram (see ShiftSpan).
+
+    In a diagonal space band k of the Gram is
+    ``S[i + k, i] = sum_(n = k..d) p_(n-k) w_(i+n) conj(p_n)``, d = deg p;
+    elsewhere ``S = rows G rows^H`` from the dense monomial Gram G.
     """
     pc = p.coefficients()
-    count = M - p.degree + 1
+    d = len(pc) - 1
+    count = M - d + 1
     if count < 1:
         raise ValueError(f"M = {M} leaves the span of p (degree {p.degree}) empty")
+    if space.diagonal:
+        w = space.weights(M)
+        window = sliding_window_view(w, d + 1)  # window[i, n] = w_(i+n)
+        band = np.zeros((min(d, count - 1) + 1, count), dtype=complex)
+        for k in range(len(band)):
+            band[k, : count - k] = window[: count - k, k:] @ (pc[: d + 1 - k] * pc[k:].conj())
+        return ShiftSpan(pc, M, band, w)
     rows = np.zeros((count, M + 1), dtype=complex)
     for j in range(count):
-        rows[j, j: j + len(pc)] = pc
-    if space.diagonal:
-        return rows, (rows * space.weights(M)) @ rows.conj().T
-    return rows, rows @ space.gram(M) @ rows.conj().T
-
-
-def _solve_projection(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the normal equations sum_j x_j <v_j, v_i> = rhs_i with pivot guard."""
-    try:
-        L = scipy.linalg.cholesky(S, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditioned("spanning-set Gram is not positive definite") from exc
-    pivots = np.abs(np.diag(L)) ** 2
-    if pivots.min() < PIVOT_FLOOR * pivots.max():
-        raise IllConditioned(
-            f"Gram pivot ratio {pivots.min() / pivots.max():.3e} below {PIVOT_FLOOR}"
-        )
-    # <v_j, v_i> = S[j, i], so the system matrix is conj(S).
-    y = scipy.linalg.cho_solve((L, True), np.conjugate(rhs))
-    return np.conjugate(y)
+        rows[j, j: j + d + 1] = pc
+    return ShiftSpan(pc, M, rows @ space.gram(M) @ rows.conj().T, None)
 
 
 def _project(space: SpaceSpec, p: FactoredPoly, M: int,
@@ -288,10 +384,10 @@ def _project(space: SpaceSpec, p: FactoredPoly, M: int,
 
     One span, one Gram factor and one solve with a column per target.
     """
-    rows, S = shift_span(space, p, M)
+    span = shift_span(space, p, M)
     # <k_t^(m), z^i p> = conj((z^i p)^(m)(t)).
-    rhs = np.stack([rows @ derivative_functional(t, m, M) for t, m in targets], axis=1)
-    return [x @ rows for x in _solve_projection(S, np.conjugate(rhs)).T]
+    rhs = np.stack([span.functional(t, m) for t, m in targets], axis=1)
+    return [span.combine(x) for x in span.solve(np.conjugate(rhs)).T]
 
 
 def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
@@ -330,10 +426,10 @@ def inner_projection_of(space: SpaceSpec, f: FactoredPoly, M: int) -> TaylorSeri
     """
     if M < f.degree + 10:
         raise ValueError(f"M = {M} too small; need at least deg f + 10 = {f.degree + 10}")
-    rows, S = shift_span(space, f, M)
+    span = shift_span(space, f, M)
     # Project f (row 0) onto the span of rows 1..; rhs_i = <f, z^i f> = S[0, i].
-    x = _solve_projection(S[1:, 1:], S[0, 1:])
-    coeffs = rows[0] - x @ rows[1:]
+    x = span.solve(span.first_row()[1:], first=1)
+    coeffs = span.combine(np.concatenate(([1.0], -x)))
     return _canonicalize(TaylorSeries(coeffs, 0.0), None, None)[0]
 
 

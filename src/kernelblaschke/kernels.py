@@ -11,7 +11,7 @@ and the pairing of two kernels is the series
 
 Every summation here returns ``(value, err)`` where ``err`` bounds the
 truncation error.  Sums inside the disk use a geometric tail bound (term-ratio
-majorant).  In ``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``,
+majorant) plus a bound on their rounding.  In ``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``,
 on the circle too, is a finite sum of polylogarithms ``Li_s(conj(a) b)``,
 summed by their expansion about 1; its err covers rounding as well.  Boundary
 kernel tails use an integral p-series bound.  ``bound_kind="none"`` stops
@@ -270,12 +270,24 @@ def _sum_heuristic(space, a, b, policy):
 
 
 def _pair_geometric(space, a, b, policy):
+    """The pairing series summed in blocks until its geometric tail is below tol.
+
+    err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
+    ``L = |log a| + |log b|``.  numpy forms ``z^n`` as ``exp(n log z)`` from
+    n = 100 on, with relative error about ``(7 n |log z| + 4) u``
+    (``u = eps/2``), and by repeated squaring below; the constant covers those
+    products, the falling factors, the weight and the blocked sum.  The loop
+    stops on the tail alone, so the rounding term never blocks a tolerance.
+    """
     rho = abs(a.point) * abs(b.point)
     tol = policy.target_tolerance
+    logs = abs(cmath.log(a.point)) + abs(cmath.log(b.point))
     total = 0j
+    size = 0.0
     for ns in _blocks(max(a.order, b.order), policy.max_terms, 256, 1 << 16):
         t = _pair_terms(space, a, b, ns)
         total += t.sum()
+        size += float(np.abs(t) @ (64.0 + 4.0 * logs * ns))
         j0 = int(ns[-1])
         ratio = rho * ((j0 + 1.0) / (j0 + 1.0 - a.order)) \
                     * ((j0 + 1.0) / (j0 + 1.0 - b.order)) \
@@ -283,7 +295,7 @@ def _pair_geometric(space, a, b, policy):
         if ratio < 1.0:
             bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
             if bound <= tol:
-                return total, float(bound)
+                return total, float(bound + _EPS * size * _FLOAT_SLACK)
     raise ToleranceUnreachable(
         f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
 

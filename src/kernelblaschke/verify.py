@@ -18,8 +18,7 @@ from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
 from .errors import IllConditioned, TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy,
-                      combo_derivative_at, derivative_functional, kernel_pairing,
-                      shift_inner_product)
+                      combo_derivative_at, kernel_pairing, shift_inner_product)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      reproducible_multiset)
 
@@ -435,6 +434,7 @@ class ExtremalReport:
 
 
 _EXTREMAL_BATCH = 2000  # fixed batch schedule keeps the RNG stream reproducible
+_NORM_CHUNK = 250  # samples per norm evaluation; bounds its temporaries
 
 
 def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult,
@@ -450,18 +450,24 @@ def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     d = reproducible_multiset(space, p).origin_multiplicity
-    rows, S = shift_span(space, p, M)
-    count = len(rows)
-    functional = rows @ derivative_functional(0j, d, M)
+    span = shift_span(space, p, M)
+    functional = span.functional(0j, d)
 
     rng = np.random.default_rng(seed)
     best = -math.inf
     remaining = samples
+    # One sample block and one draw buffer serve every batch; filling X.real,
+    # then X.imag, draws the stream of normal(shape) + 1j * normal(shape).
+    X = np.empty((min(_EXTREMAL_BATCH, samples), span.count), dtype=complex)
+    draw = np.empty(X.shape)
     while remaining > 0:
         batch = min(_EXTREMAL_BATCH, remaining)
-        X = rng.standard_normal((batch, count)) + 1j * rng.standard_normal((batch, count))
-        norms = np.einsum("bj,bj->b", X @ S, X.conj()).real
-        vals = (X @ functional).real / np.sqrt(norms)
+        x, buf = X[:batch], draw[:batch]
+        x.real = rng.standard_normal(out=buf)
+        x.imag = rng.standard_normal(out=buf)
+        norms = np.concatenate([span.norms_sq(x[lo: lo + _NORM_CHUNK])
+                                for lo in range(0, batch, _NORM_CHUNK)])
+        vals = (x @ functional).real / np.sqrt(norms)
         best = max(best, float(np.max(vals)))
         remaining -= batch
 

@@ -132,6 +132,22 @@ def test_criterion_2_route_agreement(route_constructions):
              ok, elapsed)
 
 
+def test_routes_agree_over_the_whole_truncation(route_constructions):
+    # Criterion 2's multisets with the oracle at M = taylor_degree: the banded
+    # projection makes M = 256 cheap, so every one of the 257 coefficients is
+    # held, not only degrees 0..40.
+    per_space, _ = route_constructions
+    worst = 0.0
+    for label, sp in ROUTE_SPACES:
+        for Z, det, sol, _ in per_space[label]:
+            orc = kb.oracle_result(sp, Z, M=256).taylor.coefficients
+            d, s = det.taylor.coefficients, sol.taylor.coefficients
+            assert len(d) == len(s) == len(orc) == 257
+            worst = max(worst, float(np.max(np.abs(d - s))),
+                        float(np.max(np.abs(d - orc))), float(np.max(np.abs(s - orc))))
+    assert worst <= 1e-8, worst
+
+
 def test_criterion_3_innerness(route_constructions, boundary_construction):
     start = time.perf_counter()
     per_space, _ = route_constructions

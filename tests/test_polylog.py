@@ -1,7 +1,9 @@
-"""Pairings near and on the circle against mpmath references at 40 digits.
+"""Kernel pairings against mpmath references at 40 digits.
 
 Every case asserts ``|value - ref| <= err``: the claimed err must be a true
-bound, rounding included.
+bound, rounding included.  The geometric sums below the polylogarithm switch,
+the polylogarithm engine near and on the circle, and ``_polylog`` itself are
+covered.
 """
 
 import math
@@ -64,6 +66,32 @@ def _check(space, a, b, p, q, ref):
     value, err = kb.kernel_pairing(space, kb.KernelTerm(a, p), kb.KernelTerm(b, q))
     dev = float(abs(mpmath.mpc(value) - ref))
     assert dev <= err, (space.label(), a, b, p, q, value, complex(ref), dev, err)
+
+
+@pytest.mark.parametrize("r", (0.3, 0.5, 0.7, 0.9))
+def test_geometric_pairings_hold_their_err(r):
+    # |conj(a) b| = r^2 < _POLYLOG_SWITCH: the blocked geometric sum, whose
+    # err must cover the rounding of the powers and of the sum.
+    assert r * r < kernels._POLYLOG_SWITCH
+    points = ((r * np.exp(0.4j), r * np.exp(0.4j)), (r * np.exp(0.4j), r * np.exp(2.4j)),
+              (r * np.exp(0.4j), -r * np.exp(0.4j)))
+    with mpmath.workdps(40):
+        for a, b in points:
+            a, b = complex(a), complex(b)
+            u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
+            for p, q in ORDERS:
+                _check(kb.hardy_space(), a, b, p, q, _closed_form(1, u, v, p, q))
+                _check(kb.bergman_space(), a, b, p, q, _closed_form(2, u, v, p, q))
+
+
+@pytest.mark.parametrize("angle", (math.pi, 2.0))
+def test_geometric_cancellation_holds_its_err(angle):
+    # |a| = |b| = 0.92 in D_-1, orders (2, 2): the alternating terms cancel to
+    # a value far below their sum, so the rounding term carries the err.
+    a, b = 0.92 * np.exp(0.3j), 0.92 * np.exp(1j * (0.3 + angle))
+    with mpmath.workdps(40):
+        u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
+        _check(kb.bergman_space(), a, b, 2, 2, _closed_form(2, u, v, 2, 2))
 
 
 @pytest.mark.parametrize("r", MODULI)
