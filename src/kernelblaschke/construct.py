@@ -260,16 +260,17 @@ class ShiftSpan:
 
     ``S[i, j] = <v_i, v_j>``.  In a diagonal space S is Hermitian and banded
     with half-bandwidth ``deg p``, and ``gram`` holds its lower band
-    ``gram[k, i] = S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout) while
-    ``weights`` holds ``w_0..w_M``; otherwise ``gram`` is S itself and
-    ``weights`` is None.  Each product with the rows is the ``deg p + 1``-term
-    stencil of p's coefficients, so no caller forms them.
+    ``gram[k, i] = S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout);
+    otherwise ``gram`` is S itself.  Each product with the rows is the
+    ``deg p + 1``-term stencil of p's coefficients, so no caller forms them,
+    and norms take the space's form ``space.inner`` on the combined
+    coefficients.
     """
 
     p: np.ndarray        # coefficients of p, ascending
     M: int
     gram: np.ndarray
-    weights: np.ndarray | None
+    space: SpaceSpec
 
     @property
     def count(self) -> int:
@@ -280,26 +281,37 @@ class ShiftSpan:
         v = derivative_functional(point, order, self.M)
         return sliding_window_view(v, len(self.p)) @ self.p
 
-    def combine(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of ``sum_j x_j v_j`` (``x @ rows``), per row of a 2-D x."""
-        out = np.zeros(x.shape[:-1] + (self.M + 1,), dtype=complex)
+    def combine(self, x: np.ndarray, out: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of ``sum_j x_j v_j`` (``x @ rows``), per row of a 2-D x.
+
+        ``out`` (shaped like the result) and ``tmp`` (complex, shaped like x)
+        are optional buffers for callers that combine many blocks alike.
+        """
+        if out is None:
+            out = np.zeros(x.shape[:-1] + (self.M + 1,), dtype=complex)
+        else:
+            out.fill(0)
+        if tmp is None:
+            tmp = np.empty(x.shape, dtype=complex)
         for n, c in enumerate(self.p):
-            out[..., n: n + x.shape[-1]] += c * x
+            out[..., n: n + x.shape[-1]] += np.multiply(c, x, out=tmp)
         return out
 
     def first_row(self) -> np.ndarray:
         """``S[0, :]``, the pairings ``<v_0, v_j>``."""
-        if self.weights is None:
+        if not self.space.diagonal:
             return self.gram[0]
         out = np.zeros(self.count, dtype=complex)
         out[: len(self.gram)] = np.conjugate(self.gram[:, 0])
         return out
 
-    def norms_sq(self, X: np.ndarray) -> np.ndarray:
-        """Squared space norms of the elements ``X @ rows``, one per row of X."""
-        if self.weights is None:
-            return np.einsum("bj,bj->b", X @ self.gram, X.conj()).real
-        return np.abs(self.combine(X)) ** 2 @ self.weights
+    def norms_sq(self, X: np.ndarray, out: np.ndarray | None = None,
+                 tmp: np.ndarray | None = None) -> np.ndarray:
+        """Squared space norms ``<c, c>`` of the elements ``c = X @ rows``, one
+        per row of X (``out`` and ``tmp`` are ``combine``'s buffers)."""
+        c = self.combine(X, out, tmp)
+        return self.space.inner(c, c).real
 
     def solve(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
         """x with ``sum_j x_j <v_j, v_i> = rhs_i`` over the rows from ``first`` on.
@@ -308,7 +320,7 @@ class ShiftSpan:
         with IllConditioned when it is not definite, its pivot ratio falls
         below PIVOT_FLOOR, or (banded) it is singular to working precision.
         """
-        banded = self.weights is not None
+        banded = self.space.diagonal
         S = self.gram[:, first:] if banded else self.gram[first:, first:]
         factor = scipy.linalg.cholesky_banded if banded else scipy.linalg.cholesky
         cho_solve = scipy.linalg.cho_solve_banded if banded else scipy.linalg.cho_solve
@@ -358,7 +370,8 @@ def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
 
     In a diagonal space band k of the Gram is
     ``S[i + k, i] = sum_(n = k..d) p_(n-k) w_(i+n) conj(p_n)``, d = deg p;
-    elsewhere ``S = rows G rows^H`` from the dense monomial Gram G.
+    elsewhere S is the space's ``span_gram`` (a closed form in the local
+    Dirichlet space, ``rows G rows^H`` from the monomial Gram G otherwise).
     """
     pc = p.coefficients()
     d = len(pc) - 1
@@ -371,11 +384,8 @@ def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
         band = np.zeros((min(d, count - 1) + 1, count), dtype=complex)
         for k in range(len(band)):
             band[k, : count - k] = window[: count - k, k:] @ (pc[: d + 1 - k] * pc[k:].conj())
-        return ShiftSpan(pc, M, band, w)
-    rows = np.zeros((count, M + 1), dtype=complex)
-    for j in range(count):
-        rows[j, j: j + d + 1] = pc
-    return ShiftSpan(pc, M, rows @ space.gram(M) @ rows.conj().T, None)
+        return ShiftSpan(pc, M, band, space)
+    return ShiftSpan(pc, M, space.span_gram(pc, count), space)
 
 
 def _project(space: SpaceSpec, p: FactoredPoly, M: int,

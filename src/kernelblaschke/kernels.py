@@ -514,7 +514,8 @@ def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[comp
     if tau != 0.0:
         raise UnboundedTail(
             "non-diagonal spaces support shift products only for exact polynomials")
-    G = space.gram(N + k)
-    block = G[k: k + N + 1, : N + 1]
-    value = complex(np.einsum("m,mn,n->", b, block, b.conj()))
-    return value, 0.0
+    shifted = np.zeros(N + k + 1, dtype=complex)
+    shifted[k:] = b
+    padded = np.zeros(N + k + 1, dtype=complex)
+    padded[: N + 1] = b
+    return complex(space.inner(shifted, padded)), 0.0

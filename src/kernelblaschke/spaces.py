@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (InadmissibleMultiset, MissingReproducibility,
                      ToleranceUnreachable)
@@ -151,6 +152,23 @@ class SpaceSpec:
                 out[n, m] = v.conjugate()
         return out
 
+    def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """``<f, g>`` for coefficient arrays F, G of equal length, rowwise over
+        leading axes: the dense ``F gram(M) G^H``, M = F.shape[-1] - 1.
+
+        Subclasses override it by their structure; ``inner(F, F)`` may then be
+        real, so callers read norms as ``.real``.
+        """
+        return _rowdot(F @ self.gram(F.shape[-1] - 1), G)
+
+    def span_gram(self, pc: np.ndarray, count: int) -> np.ndarray:
+        """``S[i, j] = <z^i p, z^j p>`` for ``0 <= i, j < count``, where p has
+        ascending coefficients ``pc``: the dense ``rows G rows^H``."""
+        rows = np.zeros((count, count + len(pc) - 1), dtype=complex)
+        for j in range(count):
+            rows[j, j: j + len(pc)] = pc
+        return rows @ self.gram(rows.shape[1] - 1) @ rows.conj().T
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -182,6 +200,12 @@ class DiagonalSpace(SpaceSpec):
 
     def gram(self, upto: int) -> np.ndarray:
         return np.diag(self.weights(upto)).astype(complex)
+
+    def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        w = self.weights(F.shape[-1] - 1)
+        if G is F:
+            return np.abs(F) ** 2 @ w
+        return (F * np.conjugate(G)) @ w
 
     def weight_ratio_sup(self, j0: int) -> float:
         """Upper bound for w_j / w_(j+1) over j >= j0.
@@ -370,11 +394,57 @@ class LocalDirichlet(SpaceSpec):
             return complex(base)
         return base + k * self.zeta ** (m - n)
 
+    def _powers(self, upto: int) -> np.ndarray:
+        """``zeta^0..zeta^upto``."""
+        return self.zeta ** np.arange(upto + 1)
+
     def gram(self, upto: int) -> np.ndarray:
         idx = np.arange(upto + 1)
-        mins = np.minimum.outer(idx, idx).astype(complex)
-        powers = np.power(self.zeta, np.subtract.outer(idx, idx))
-        return np.eye(upto + 1, dtype=complex) + mins * powers
+        pw = self._powers(upto)
+        return (np.eye(upto + 1, dtype=complex)
+                + np.minimum.outer(idx, idx) * np.outer(pw, pw.conj()))
+
+    def _tails(self, F: np.ndarray) -> np.ndarray:
+        """``T_k(F) = sum_(n >= k) F_n zeta^n`` for k = M..1 (one reverse cumsum)."""
+        T = F[..., ::-1] * self._powers(F.shape[-1] - 1)[::-1]
+        np.cumsum(T, axis=-1, out=T)
+        return T[..., :-1]
+
+    def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """``sum F_n conj(G_n) + sum_(k >= 1) T_k(F) conj(T_k(G))``.
+
+        The local Dirichlet integral of f is ``||(f - f(zeta)) / (z - zeta)||^2``
+        in H^2, whose k-th coefficient is ``-zeta^-k T_k(f)`` (Richter and
+        Sundberg, Michigan Math. J. 38, 1991), so each form costs O(M).
+        """
+        tf = self._tails(F)
+        tg = tf if G is F else self._tails(G)
+        return _rowdot(F, G) + _rowdot(tf, tg)
+
+    def span_gram(self, pc: np.ndarray, count: int) -> np.ndarray:
+        """Closed form of the shift-span Gram, no monomial Gram.
+
+        With ``P_r = sum_(m >= r) p_m zeta^m`` (``P_r = p(zeta)`` for r <= 0),
+        ``T_k(z^i p) = zeta^i P_(k-i)``, so for ``i - j = s >= 0``
+        ``S[i, j] = h_s + zeta^s (j |p(zeta)|^2 + c_s)`` with the H^2 band
+        ``h_s = sum_n p_(n-s) conj(p_n)`` and ``c_s = sum_(r=1..d) P_(r-s)
+        conj(P_r)``; for s >= d, ``c_s = p(zeta) conj(zeta p'(zeta))``.  When
+        ``p(zeta) = 0`` the Gram is banded.
+        """
+        d = len(pc) - 1
+        P = np.cumsum((pc * self._powers(d))[::-1])[::-1]
+        # shifted[s, r - 1] = P_(r-s) for r = 1..d, s = 0..d.
+        shifted = P[np.maximum(np.arange(1, d + 1) - np.arange(d + 1)[:, None], 0)]
+        c = np.full(count, shifted[-1] @ P[1:].conj())
+        c[: d + 1] = (shifted @ P[1:].conj())[:count]
+        h = np.zeros(count, dtype=complex)
+        for s in range(min(d, count - 1) + 1):
+            h[s] = pc[: d + 1 - s] @ pc[s:].conj()
+        idx = np.arange(count)
+        pw = self._powers(count - 1)
+        return (scipy.linalg.toeplitz(h, h.conj())
+                + np.outer(pw, pw.conj()) * (np.minimum.outer(idx, idx) * abs(P[0]) ** 2
+                                             + scipy.linalg.toeplitz(c, c.conj())))
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if abs(beta - self.zeta) <= POINT_MATCH_TOL:
@@ -415,7 +485,9 @@ class CustomGram(SpaceSpec):
             for point, order in self.reproducibility_table
         )
         object.__setattr__(self, "reproducibility_table", table)
-        if not callable(self.gram_rule):
+        if callable(self.gram_rule):
+            object.__setattr__(self, "_tabulated", np.empty((0, 0), dtype=complex))
+        else:
             arr = np.asarray(self.gram_rule, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError("gram table must be square")
@@ -427,6 +499,23 @@ class CustomGram(SpaceSpec):
             np.linalg.cholesky(probe)
         except np.linalg.LinAlgError as exc:
             raise ValueError("gram probe has a nonpositive leading minor") from exc
+
+    def gram(self, upto: int) -> np.ndarray:
+        """The table's upper triangle with its conjugate mirrored below (what
+        ``monomial_inner`` entry by entry gives).  A callable rule is tabulated
+        once, to the largest size asked so far, and served read-only."""
+        if callable(self.gram_rule):
+            table = self._tabulated
+            if len(table) <= upto:
+                table = super().gram(upto)
+                table.setflags(write=False)
+                object.__setattr__(self, "_tabulated", table)
+            return table[: upto + 1, : upto + 1]
+        size = self.gram_rule.shape[0]
+        if upto >= size:
+            raise IndexError(f"gram table of size {size} cannot serve ({upto},{upto})")
+        arr = self.gram_rule[: upto + 1, : upto + 1]
+        return np.where(np.triu(np.ones(arr.shape, dtype=bool), 1), arr, arr.conj().T)
 
     def _table_limit(self) -> int:
         if callable(self.gram_rule):
@@ -463,6 +552,14 @@ class CustomGram(SpaceSpec):
             ],
             "probe_size": self.probe_size,
         }
+
+
+def _rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``sum_n F_n conj(G_n)`` over the last axis (real sums when G is F)."""
+    if G is F:
+        return (np.einsum("...n,...n->...", F.real, F.real)
+                + np.einsum("...n,...n->...", F.imag, F.imag))
+    return np.einsum("...n,...n->...", F, np.conjugate(G))
 
 
 def space_from_json(obj: dict) -> SpaceSpec:
