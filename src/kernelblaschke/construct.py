@@ -281,21 +281,11 @@ class ShiftSpan:
         v = derivative_functional(point, order, self.M)
         return sliding_window_view(v, len(self.p)) @ self.p
 
-    def combine(self, x: np.ndarray, out: np.ndarray | None = None,
-                tmp: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients of ``sum_j x_j v_j`` (``x @ rows``), per row of a 2-D x.
-
-        ``out`` (shaped like the result) and ``tmp`` (complex, shaped like x)
-        are optional buffers for callers that combine many blocks alike.
-        """
-        if out is None:
-            out = np.zeros(x.shape[:-1] + (self.M + 1,), dtype=complex)
-        else:
-            out.fill(0)
-        if tmp is None:
-            tmp = np.empty(x.shape, dtype=complex)
+    def combine(self, x: np.ndarray) -> np.ndarray:
+        """Coefficients of ``sum_j x_j v_j`` (``x @ rows``), per row of a 2-D x."""
+        out = np.zeros(x.shape[:-1] + (self.M + 1,), dtype=complex)
         for n, c in enumerate(self.p):
-            out[..., n: n + x.shape[-1]] += np.multiply(c, x, out=tmp)
+            out[..., n: n + x.shape[-1]] += c * x
         return out
 
     def first_row(self) -> np.ndarray:
@@ -306,11 +296,10 @@ class ShiftSpan:
         out[: len(self.gram)] = np.conjugate(self.gram[:, 0])
         return out
 
-    def norms_sq(self, X: np.ndarray, out: np.ndarray | None = None,
-                 tmp: np.ndarray | None = None) -> np.ndarray:
+    def norms_sq(self, X: np.ndarray) -> np.ndarray:
         """Squared space norms ``<c, c>`` of the elements ``c = X @ rows``, one
-        per row of X (``out`` and ``tmp`` are ``combine``'s buffers)."""
-        c = self.combine(X, out, tmp)
+        per row of X."""
+        c = self.combine(X)
         return self.space.inner(c, c).real
 
     def solve(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:

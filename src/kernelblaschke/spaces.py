@@ -117,6 +117,10 @@ class SpaceSpec:
 
     All variants live on the unit disk (``domain_radius = 1``), are immutable,
     and every method is pure, so instances are safe to share across threads.
+    One cache is the exception: a CustomGram with a callable rule keeps its
+    largest tabulated Gram (read-only), so the form does not re-run the rule
+    per call.  Threads racing on it may each tabulate and overwrite it, which
+    wastes work but serves the same values.
     """
 
     domain_radius = 1.0
@@ -414,8 +418,8 @@ class LocalDirichlet(SpaceSpec):
         """``sum F_n conj(G_n) + sum_(k >= 1) T_k(F) conj(T_k(G))``.
 
         The local Dirichlet integral of f is ``||(f - f(zeta)) / (z - zeta)||^2``
-        in H^2, whose k-th coefficient is ``-zeta^-k T_k(f)`` (Richter and
-        Sundberg, Michigan Math. J. 38, 1991), so each form costs O(M).
+        in H^2, whose z^(k-1) coefficient is ``zeta^-k T_k(f)``, k >= 1 (Richter
+        and Sundberg, Michigan Math. J. 38, 1991), so each form costs O(M).
         """
         tf = self._tails(F)
         tg = tf if G is F else self._tails(G)

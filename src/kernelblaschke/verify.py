@@ -458,22 +458,16 @@ def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult
     remaining = samples
     # One sample block and one draw buffer serve every batch; filling X.real,
     # then X.imag, draws the stream of normal(shape) + 1j * normal(shape).
-    # The norm chunks share one pair of combine buffers.
     X = np.empty((min(_EXTREMAL_BATCH, samples), span.count), dtype=complex)
     draw = np.empty(X.shape)
-    norms = np.empty(len(X))
-    chunk = min(_NORM_CHUNK, len(X))
-    coeffs = np.empty((chunk, span.M + 1), dtype=complex)
-    tmp = np.empty((chunk, span.count), dtype=complex)
     while remaining > 0:
         batch = min(_EXTREMAL_BATCH, remaining)
         x, buf = X[:batch], draw[:batch]
         x.real = rng.standard_normal(out=buf)
         x.imag = rng.standard_normal(out=buf)
-        for lo in range(0, batch, chunk):
-            n = min(chunk, batch - lo)
-            norms[lo: lo + n] = span.norms_sq(x[lo: lo + n], coeffs[:n], tmp[:n])
-        vals = (x @ functional).real / np.sqrt(norms[:batch])
+        norms = np.concatenate([span.norms_sq(x[lo: lo + _NORM_CHUNK])
+                                for lo in range(0, batch, _NORM_CHUNK)])
+        vals = (x @ functional).real / np.sqrt(norms)
         best = max(best, float(np.max(vals)))
         remaining -= batch
 

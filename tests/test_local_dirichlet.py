@@ -99,6 +99,53 @@ def test_norms_against_mpmath():
             assert abs(got - ref) <= 1e-14 * ref
 
 
+# A crosscheck-deck span with a triple zero at zeta, whose Gram is
+# ill-conditioned, so the Gram's rounding shows in the projection.
+ZETA3 = complex(-0.9590913467517701, -0.28309678307228425)
+P3 = kb.FactoredPoly(1.0, ((-0.44079455478052076 - 0.05396826857931096j, 1), (ZETA3, 3),
+                           (-1.5495233504264483 - 0.8886145494565713j, 1)))
+
+
+def test_projection_with_a_triple_zero_at_zeta_against_mpmath():
+    """The projection of k_0 against a 40-digit reference: iterative refinement
+    with residuals from the monomial rule delta_ab + min(a, b) zeta^a conj(zeta)^b
+    in mpmath.  ``rows G rows^H`` with G from ``np.power(zeta, m - n)`` was
+    8.2e-10 off here."""
+    mpmath = pytest.importorskip("mpmath")
+    M = 60
+    sp = kb.LocalDirichlet(ZETA3)
+    got = construct.project_target_fd(sp, P3, M, [(0j, 0)])[0].coefficients
+    span = construct.shift_span(sp, P3, M)
+    with mpmath.workdps(40):
+        pc = [mpmath.mpc(c) for c in P3.coefficients()]
+        d, n = len(pc) - 1, span.count
+        zp = [mpmath.mpc(ZETA3) ** a for a in range(M + 1)]
+
+        def monomial(a, b):
+            return (a == b) + min(a, b) * zp[a] * mpmath.conj(zp[b])
+
+        S = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                S[i][j] = mpmath.fsum(pc[m] * mpmath.conj(pc[k]) * monomial(i + m, j + k)
+                                      for m in range(d + 1) for k in range(d + 1))
+                S[j][i] = mpmath.conj(S[i][j])
+        rhs = [mpmath.conj(pc[0])] + [mpmath.mpc(0)] * (n - 1)  # conj((z^i p)(0))
+        x = [mpmath.mpc(0)] * n
+        for _ in range(20):
+            r = [rhs[i] - mpmath.fsum(x[j] * S[j][i] for j in range(n)) for i in range(n)]
+            dx = span.solve(np.array([complex(v) for v in r]))
+            x = [a + mpmath.mpc(b) for a, b in zip(x, dx)]
+            if np.max(np.abs(dx)) <= 1e-30 * float(max(abs(v) for v in x)):
+                break
+        else:
+            pytest.fail("refinement did not converge")
+        ref = np.array([complex(mpmath.fsum(x[j] * pc[k - j]
+                                            for j in range(max(0, k - d), min(n - 1, k) + 1)))
+                        for k in range(M + 1)])
+    assert np.max(np.abs(got - ref)) <= 3e-10 * np.max(np.abs(ref))
+
+
 def test_extremal_matches_a_dense_sampler():
     p, M, samples, seed = P_ON, 120, 3000, 7
     result = kb.oracle_result(LD, kb.reproducible_multiset(LD, p), M)

@@ -33,17 +33,11 @@ PROTOCOL = (
     "--trace 0. {holdout}One traced run per side (crosscheck, seed 1, --trace 1) "
     "gives the per-layer numbers. Timings are run.py's, normalized to host "
     "slowness 1; each record keeps its wall-clock figures.")
+SECONDS = 30
+CROSSCHECK_SEEDS = list(range(1, 11))
+OTHER_SEEDS = list(range(1, 6))
 END_TO_END = {"tasks_per_s": "higher", "task_p50_ms": "lower",
               "task_tail_ms": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
-
-
-def seed_list(text: str) -> list[int]:
-    """``"1-10"`` or ``"1,3,5"`` as a list of ints."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
 
 
 def parse_args(argv):
@@ -53,14 +47,9 @@ def parse_args(argv):
     parser.add_argument("--title", default="", help="one line: what the change does")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--crosscheck-seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--other-seeds", type=seed_list, default=seed_list("1-5"))
     parser.add_argument("--holdout", type=int, default=None,
                         help="crosscheck seed run as one more pair, kept apart")
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
-    parser.add_argument("--no-trace", action="store_true",
-                        help="skip the traced crosscheck runs")
     parser.add_argument("--work", type=Path, default=REPO / ".bench_build" / "pair")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default BENCH_<n>.json at the repo root)")
@@ -83,10 +72,10 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One run.py run from ``tree``; returns the record it wrote."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{done.stderr}")
@@ -95,12 +84,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         return json.load(handle)
 
 
-def pair(trees: dict, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def pair(trees: dict, workload: str, seed: int, trace: int = 0) -> dict:
     """Both sides on one seed, the parent first on odd seeds."""
     order = ("parent", "change") if seed % 2 else ("change", "parent")
     out = {}
     for side in order:
-        out[side] = run_once(trees[side], workload, seed, seconds, trace)
+        out[side] = run_once(trees[side], workload, seed, trace)
         print(f"  {workload} seed {seed} trace {trace} {side}: "
               f"{out[side]['attempted']} tasks, {out[side]['failed']} failed",
               flush=True)
@@ -152,13 +141,13 @@ def main(argv=None) -> int:
         if trees[side].exists():
             raise SystemExit(f"{trees[side]} exists; remove it or pass another --work")
         commits[side] = export(rev, trees[side])
-    plan = [("crosscheck", args.crosscheck_seeds), ("scan", args.other_seeds),
-            ("series", args.other_seeds)]
+    plan = [("crosscheck", CROSSCHECK_SEEDS), ("scan", OTHER_SEEDS),
+            ("series", OTHER_SEEDS)]
     records, summary = [], {}
     for workload, seeds in plan:
         pairs = []
         for seed in seeds:
-            pairs.append(pair(trees, workload, seed, args.seconds))
+            pairs.append(pair(trees, workload, seed))
             records += [{"side": s, "workload": workload, "seed": seed, "trace": 0,
                          "record": r} for s, r in pairs[-1].items()]
         summary[workload] = summarize(pairs, seeds)
@@ -167,12 +156,12 @@ def main(argv=None) -> int:
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace T",
+                   f"--seconds {SECONDS} --trace T",
         "kind_p50_note": "kind_p50_ms_median: median over the seeds of each task "
                          "kind's p50, divided by the run's host slowness",
         "protocol": PROTOCOL.format(
-            cross=",".join(map(str, args.crosscheck_seeds)),
-            other=",".join(map(str, args.other_seeds)), seconds=args.seconds,
+            cross=",".join(map(str, CROSSCHECK_SEEDS)),
+            other=",".join(map(str, OTHER_SEEDS)), seconds=SECONDS,
             holdout="" if args.holdout is None else
             f"Crosscheck seed {args.holdout} ran one more pair, held out of the "
             "medians and reported apart. "),
@@ -189,20 +178,19 @@ def main(argv=None) -> int:
                            "median_change_ratio": s["median_change_ratio"],
                            "change_wins": s["change_wins"]}
     if args.holdout is not None:
-        held = pair(trees, "crosscheck", args.holdout, args.seconds)
+        held = pair(trees, "crosscheck", args.holdout)
         records += [{"side": s, "workload": "crosscheck", "seed": args.holdout,
                      "trace": 0, "holdout": True, "record": r} for s, r in held.items()]
         result["holdout"] = {"workload": "crosscheck", "seed": args.holdout,
                              **{m: {s: held[s][m] for s in ("parent", "change")}
                                 for m in END_TO_END}}
-    if not args.no_trace:
-        traced = pair(trees, "crosscheck", 1, args.seconds, trace=1)
-        records += [{"side": s, "workload": "crosscheck", "seed": 1, "trace": 1,
-                     "record": r} for s, r in traced.items()]
-        result["layers_crosscheck_seed1_traced"] = {
-            name: {s: traced[s]["per_layer"].get(name) for s in ("parent", "change")}
-            for name in sorted(set(traced["parent"]["per_layer"])
-                               | set(traced["change"]["per_layer"]))}
+    traced = pair(trees, "crosscheck", 1, trace=1)
+    records += [{"side": s, "workload": "crosscheck", "seed": 1, "trace": 1,
+                 "record": r} for s, r in traced.items()]
+    result["layers_crosscheck_seed1_traced"] = {
+        name: {s: traced[s]["per_layer"].get(name) for s in ("parent", "change")}
+        for name in sorted(set(traced["parent"]["per_layer"])
+                           | set(traced["change"]["per_layer"]))}
     result["records"] = records
     out = args.out or REPO / f"BENCH_{args.number}.json"
     with open(out, "w", encoding="utf-8") as handle:
