@@ -414,10 +414,10 @@ def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     return out
 
 
-def _taylor_coefficients(space: SpaceSpec, term: KernelTerm, N: int) -> np.ndarray:
-    # Coefficient n of k_t^(m) is conj(v_n) / w_n, v = derivative_functional(t, m, N).
-    return derivative_functional(np.conjugate(term.point), term.order, N) \
-        / space.weights(N)
+def _taylor_coefficients(term: KernelTerm, w: np.ndarray) -> np.ndarray:
+    # Coefficient n of k_t^(m) is conj(v_n) / w_n, v = derivative_functional(t, m, N),
+    # for the weights w = w_0..w_N.
+    return derivative_functional(np.conjugate(term.point), term.order, len(w) - 1) / w
 
 
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
@@ -454,7 +454,7 @@ def kernel_taylor(space: SpaceSpec, term: KernelTerm, N: int,
     """Taylor expansion of a derivative kernel through degree N."""
     _require_diagonal(space, "kernel_taylor")
     _require_admissible(space, term)
-    return TaylorSeries(_taylor_coefficients(space, term, N),
+    return TaylorSeries(_taylor_coefficients(term, space.weights(N)),
                         _taylor_tail(space, term, N, policy))
 
 
@@ -463,11 +463,12 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     """Taylor expansion of a kernel combination (linear in the terms)."""
     if B.space != space:
         raise ValueError("combo was built for a different space")
+    w = space.weights(N)
     coeffs = np.zeros(N + 1, dtype=complex)
     tail = 0.0
     for term, coef in B.terms:
         _require_admissible(space, term)
-        coeffs += coef * _taylor_coefficients(space, term, N)
+        coeffs += coef * _taylor_coefficients(term, w)
         tail += abs(coef) * _taylor_tail(space, term, N, policy)
     return TaylorSeries(coeffs, tail)
 
@@ -485,37 +486,72 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
     return value, err
 
 
-def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[complex, float]:
-    """``<z^k B, B>`` from the truncated coefficients, with a tail error bound.
+# Coefficients per block of ``shift_inner_products``: the block's slices of b,
+# conj(b), w and the products stay in a core's L2 cache across the shifts.
+SHIFT_BLOCK = 1 << 13
+
+
+def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
+                         shifts) -> list[tuple[complex, float]]:
+    """``<z^k B, B>`` for each k in ``shifts``, with tail error bounds.
 
     The finite part is the exact quadratic form of the truncation; the error
     combines the tail bound with Cauchy--Schwarz cross terms, using a bound on
     the shift norm.  A polynomial input (tail 0) gives err 0.
+
+    In a diagonal space one pass over ``SHIFT_BLOCK``-sized blocks of b forms,
+    for every shift, the partial sums of ``w_n b_(n-k) conj(b_n)`` and (for
+    the err) of ``w_(n+k) |b_n|^2`` from one weight vector; the block partials
+    are then added.  An input of at most ``SHIFT_BLOCK`` coefficients is one
+    block, summed exactly as a sum over the whole array.
     """
+    shifts = [int(k) for k in shifts]
     b = B.coefficients
     N = len(b) - 1
     tau = B.tail_bound
     if math.isinf(tau):
         raise UnboundedTail("shift_inner_product needs a finite tail bound")
-    if space.diagonal:
-        w = space.weights(N + k)
-        if k == 0:
-            value = complex(np.sum(w[: N + 1] * np.abs(b) ** 2))
-        elif k <= N:
-            value = complex(np.sum(w[k: N + 1] * b[: N + 1 - k] * b[k:].conj()))
-        else:
-            value = 0j
-        if tau == 0.0:
-            return value, 0.0
-        mk = space.shift_norm_bound(k)
-        znorm = math.sqrt(float(np.sum(w[k: k + N + 1] * np.abs(b) ** 2)))
-        bnorm = math.sqrt(float(np.sum(w[: N + 1] * np.abs(b) ** 2)))
-        return value, znorm * tau + mk * tau * (bnorm + tau)
-    if tau != 0.0:
-        raise UnboundedTail(
-            "non-diagonal spaces support shift products only for exact polynomials")
-    shifted = np.zeros(N + k + 1, dtype=complex)
-    shifted[k:] = b
-    padded = np.zeros(N + k + 1, dtype=complex)
-    padded[: N + 1] = b
-    return complex(space.inner(shifted, padded)), 0.0
+    if not space.diagonal:
+        if tau != 0.0:
+            raise UnboundedTail(
+                "non-diagonal spaces support shift products only for exact polynomials")
+        top = max(shifts)
+        shifted = np.zeros((len(shifts), N + top + 1), dtype=complex)
+        for row, k in zip(shifted, shifts):
+            row[k: k + N + 1] = b
+        padded = np.zeros(N + top + 1, dtype=complex)
+        padded[: N + 1] = b
+        return [(complex(v), 0.0) for v in space.inner(shifted, padded)]
+    w = space.weights(N + max(shifts))
+    # Shifts whose w_(n+k) |b_n|^2 sum is read: k = 0 is <B, B> and ||B||.
+    norms = sorted({0, *shifts}) if tau else [0] if 0 in shifts else []
+    blocks = range(0, N + 1, SHIFT_BLOCK)
+    cross = np.zeros((len(blocks), len(shifts)), dtype=complex)
+    square = np.zeros((len(blocks), len(norms)))
+    for i, lo in enumerate(blocks):
+        hi = min(lo + SHIFT_BLOCK, N + 1)
+        abs_sq = np.abs(b[lo:hi]) ** 2
+        conj = b[lo:hi].conj()
+        for j, k in enumerate(norms):
+            square[i, j] = np.sum(w[lo + k: hi + k] * abs_sq)
+        for j, k in enumerate(shifts):
+            start = max(lo, k)
+            if 0 < k and start < hi:
+                cross[i, j] = np.sum(w[start:hi] * b[start - k: hi - k]
+                                     * conj[start - lo:])
+    cross, square = cross.sum(axis=0), dict(zip(norms, square.sum(axis=0)))
+    out = []
+    for k, value in zip(shifts, cross):
+        err = 0.0
+        if tau:
+            mk = space.shift_norm_bound(k)
+            znorm = math.sqrt(float(square[k]))
+            bnorm = math.sqrt(float(square[0]))
+            err = znorm * tau + mk * tau * (bnorm + tau)
+        out.append((complex(square[0]) if k == 0 else complex(value), err))
+    return out
+
+
+def shift_inner_product(space: SpaceSpec, B: TaylorSeries, k: int) -> tuple[complex, float]:
+    """``<z^k B, B>`` with a tail error bound: ``shift_inner_products`` at one shift."""
+    return shift_inner_products(space, B, (k,))[0]

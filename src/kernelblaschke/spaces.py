@@ -496,9 +496,13 @@ class CustomGram(SpaceSpec):
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError("gram table must be square")
             object.__setattr__(self, "gram_rule", arr)
-        probe = self.gram(min(self.probe_size, self._table_limit()) - 1)
-        if not np.allclose(probe, probe.conj().T, atol=1e-10):
+        size = min(self.probe_size, self._table_limit())
+        # gram() mirrors the upper triangle, so the symmetry is read off the rule.
+        raw = np.array([[self.monomial_inner(m, n) for n in range(size)]
+                        for m in range(size)], dtype=complex)
+        if not np.allclose(raw, raw.conj().T, atol=1e-10):
             raise ValueError("gram rule is not Hermitian on the probe window")
+        probe = self.gram(size - 1)
         try:
             np.linalg.cholesky(probe)
         except np.linalg.LinAlgError as exc:

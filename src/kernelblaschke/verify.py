@@ -18,7 +18,8 @@ from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
 from .errors import IllConditioned, TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy,
-                      combo_derivative_at, kernel_pairing, shift_inner_product)
+                      combo_derivative_at, kernel_pairing, shift_inner_product,
+                      shift_inner_products)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      reproducible_multiset)
 
@@ -52,17 +53,13 @@ def inner_report(space: SpaceSpec, B: TaylorSeries, K: int,
     """Check ``<z^k B, B> = 0`` for k = 1..K relative to ``norm_sq = <B, B>``."""
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    value0, err0 = shift_inner_product(space, B, 0)
+    (value0, err0), *products = shift_inner_products(space, B, range(K + 1))
     norm_sq = float(value0.real)
     if norm_sq <= 0 or norm_sq <= err0:
         raise ZeroFunction("function is numerically zero; innerness is undefined")
-    rows = []
-    worst = 0.0
-    for k in range(1, K + 1):
-        value, err = shift_inner_product(space, B, k)
-        rows.append((k, abs(value), err))
-        worst = max(worst, abs(value) / norm_sq)
-    return InnerReport(norm_sq, tuple(rows), worst, worst <= tol, K)
+    rows = tuple((k, abs(value), err) for k, (value, err) in enumerate(products, 1))
+    worst = max([0.0] + [v / norm_sq for _, v, _ in rows])
+    return InnerReport(norm_sq, rows, worst, worst <= tol, K)
 
 
 # ---------------------------------------------------------------------------

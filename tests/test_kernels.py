@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernelblaschke as kb
 from kernelblaschke.kernels import DEFAULT_POLICY
@@ -281,6 +282,106 @@ def test_shift_errors():
         kb.shift_inner_product(kb.LocalDirichlet(1.0), truncated, 1)
     v, e = kb.shift_inner_product(H2, truncated, 1)
     assert e > 0
+
+
+def _shift_reference(space, B, k):
+    """``<z^k B, B>``, its err and the size ``sum |terms|``, one shift at a time:
+    whole-array sums in a diagonal space, one dense form per shift otherwise."""
+    b, tau = B.coefficients, B.tail_bound
+    N = len(b) - 1
+    if not space.diagonal:
+        shifted = np.zeros(N + k + 1, dtype=complex)
+        shifted[k:] = b
+        padded = np.zeros(N + k + 1, dtype=complex)
+        padded[: N + 1] = b
+        size = np.abs(shifted) @ np.abs(space.gram(N + k)) @ np.abs(padded)
+        return complex(space.inner(shifted, padded)), 0.0, size
+    w = space.weights(N + k)
+    if k == 0:
+        terms = w[: N + 1] * np.abs(b) ** 2
+    elif k <= N:
+        terms = w[k: N + 1] * b[: N + 1 - k] * b[k:].conj()
+    else:
+        terms = np.zeros(0)
+    value = complex(np.sum(terms)) if k <= N else 0j
+    if tau == 0.0:
+        return value, 0.0, float(np.sum(np.abs(terms)))
+    znorm = math.sqrt(float(np.sum(w[k: k + N + 1] * np.abs(b) ** 2)))
+    bnorm = math.sqrt(float(np.sum(w[: N + 1] * np.abs(b) ** 2)))
+    err = znorm * tau + space.shift_norm_bound(k) * tau * (bnorm + tau)
+    return value, err, float(np.sum(np.abs(terms)))
+
+
+def _gamma(n):
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+_BLOCK = kb.kernels.SHIFT_BLOCK
+
+
+@st.composite
+def _shift_cases(draw):
+    kind = draw(st.sampled_from(["dirichlet", "table", "local", "custom"]))
+    if kind in ("local", "custom"):
+        N = draw(st.integers(0, 40))
+    else:
+        N = draw(st.one_of(st.integers(0, 60),
+                           st.integers(_BLOCK - 3, _BLOCK + 3),
+                           st.integers(2 * _BLOCK, 2 * _BLOCK + 40)))
+    K = draw(st.integers(0, min(N + 5, 24)))
+    shifts = sorted(set(range(K + 1)) | set(draw(st.lists(st.integers(0, N + 5),
+                                                          max_size=3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)) \
+        / np.arange(1.0, N + 2)
+    top = N + max(shifts)
+    if kind == "dirichlet":
+        space = kb.DirichletType(draw(st.sampled_from([-1.0, 0.0, 1.0, 2.5, 4.0])))
+    elif kind == "table":
+        space = kb.WeightedHardy(tuple((k + 1.0) ** 1.5 for k in range(max(top + 1, 3))))
+    elif kind == "local":
+        space = kb.LocalDirichlet(np.exp(1j * draw(st.floats(0.0, 6.28))))
+    else:
+        A = rng.standard_normal((top + 1, top + 1)) + 1j * rng.standard_normal((top + 1, top + 1))
+        space = kb.CustomGram(A @ A.conj().T / (top + 1) + np.eye(top + 1), ())
+    tau = 0.0 if not space.diagonal else draw(st.sampled_from([0.0, 1e-9, 0.3]))
+    return space, kb.TaylorSeries(b, tau), shifts
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_shift_cases())
+def test_shift_inner_products_match_per_shift_reference(case):
+    space, B, shifts = case
+    n = len(B.coefficients)
+    products = kb.shift_inner_products(space, B, shifts)
+    assert len(products) == len(shifts)
+    for k, (value, err) in zip(shifts, products):
+        ref, ref_err, size = _shift_reference(space, B, k)
+        # One shift is one dense form, or the same blocked sums as any shifts.
+        one = (ref, ref_err) if not space.diagonal else (value, err)
+        assert kb.shift_inner_product(space, B, k) == one, k
+        if space.diagonal and n <= _BLOCK:
+            assert (value, err) == (ref, ref_err), k  # one block: bit equal
+        else:
+            bound = 4 * _gamma(n + k + 1) * size
+            assert abs(value - ref) <= bound, (k, abs(value - ref), bound)
+            assert abs(err - ref_err) <= 4 * _gamma(n + k + 1) * ref_err, k
+
+
+def test_shift_inner_products_weight_table_length():
+    # The products for shifts 0..K read w_0..w_(N+K): a table that long
+    # serves them, one entry shorter raises the typed error.
+    N, K = 30, 6
+    B = kb.TaylorSeries(np.linspace(1.0, 2.0, N + 1), 1e-6)
+    exact = kb.WeightedHardy(tuple((k + 1.0) ** 2 for k in range(N + K + 1)))
+    assert len(kb.shift_inner_products(exact, B, range(K + 1))) == K + 1
+    kb.inner_report(exact, B, K)
+    short = kb.WeightedHardy(tuple((k + 1.0) ** 2 for k in range(N + K)))
+    for call in (lambda: kb.shift_inner_products(short, B, range(K + 1)),
+                 lambda: kb.inner_report(short, B, K)):
+        with pytest.raises(kb.ToleranceUnreachable, match=f"length {N + K}"):
+            call()
 
 
 def test_shift_err_accounts_for_tail():

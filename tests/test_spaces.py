@@ -152,6 +152,17 @@ def test_custom_gram_probe_rejects_bad_tables():
         kb.CustomGram(np.diag([1.0, -1.0]).astype(complex), (), probe_size=2)
 
 
+def test_custom_gram_probe_rejects_lopsided_rules():
+    # Positive definite once the upper triangle is mirrored, but not Hermitian.
+    lopsided = np.array([[2.0, 1.0], [0.5, 2.0]], dtype=complex)
+    rules = (lopsided, lambda m, n: lopsided[m, n] if max(m, n) < 2 else float(m == n))
+    for rule in rules:
+        with pytest.raises(ValueError, match="not Hermitian on the probe window"):
+            kb.CustomGram(rule, (), probe_size=2)
+    hermitian = np.array([[2.0, 1.0 - 1j], [1.0 + 1j, 2.0]])
+    assert np.array_equal(kb.CustomGram(hermitian, (), probe_size=2).gram(1), hermitian)
+
+
 # ---------------------------------------------------------------------------
 # reproducible_multiset
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Paired benchmark of two commits: writes ``BENCH_<n>.json``.
 
-    python3 tools/bench_pair.py --number 9 --title "what the change does" \
-        --parent HEAD~1 --change HEAD --claim crosscheck:task_tail_ms --holdout 11
+    python3 tools/bench_pair.py --number 10 --title "what the change does" \
+        --parent HEAD~1 --change HEAD --claim series:task_tail_ms --holdout 6
 
 Each commit is exported with ``git archive`` into a fresh directory under
 ``--work`` (default ``.bench_build/pair``), so neither side sees uncommitted
 files and the repository's own checkout is untouched; ``perfbench/run.py``
 then runs from each copy, one run at a time, as ``PROTOCOL`` says.
 
-The output holds the environment, each metric's runs, median, quartiles
-(inclusive method) and wins per pair, every task kind's p50, the per-layer
-numbers of the traced runs and every run record.  Standard library only.
+The held-out pair and the traced pair run on the claimed workload
+(crosscheck when no claim is given).  The output holds the environment, each
+metric's runs, median, quartiles (inclusive method) and wins per pair, every
+task kind's p50, the per-layer numbers of the traced runs (each ``*_ms``
+figure also divided by its run's host slowness) and every run record.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ PROTOCOL = (
     "one run at a time. For each workload and seed the two sides ran back to "
     "back, parent first on odd seeds and change first on even seeds: crosscheck "
     "on seeds {cross}, scan and series on seeds {other}, --seconds {seconds:g} "
-    "--trace 0. {holdout}One traced run per side (crosscheck, seed 1, --trace 1) "
-    "gives the per-layer numbers. Timings are run.py's, normalized to host "
+    "--trace 0. {holdout}One traced run per side ({traced}, seed 1, --trace 1) "
+    "gives the per-layer numbers; each *_ms figure is given raw and divided by "
+    "its run's host slowness. Timings are run.py's, normalized to host "
     "slowness 1; each record keeps its wall-clock figures.")
 SECONDS = 30
 CROSSCHECK_SEEDS = list(range(1, 11))
@@ -48,7 +52,8 @@ def parse_args(argv):
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--holdout", type=int, default=None,
-                        help="crosscheck seed run as one more pair, kept apart")
+                        help="seed of the claimed workload (crosscheck without "
+                        "a claim) run as one more pair, kept apart")
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     parser.add_argument("--work", type=Path, default=REPO / ".bench_build" / "pair")
     parser.add_argument("--out", type=Path, default=None,
@@ -127,6 +132,21 @@ def summarize(pairs: list[dict], seeds: list[int]) -> dict:
     return out
 
 
+def layers(traced: dict) -> dict:
+    """Per-layer figures of the traced pair; each ``*_ms`` figure is also
+    given divided by its run's host slowness, as run.py gives the timings."""
+    out = {}
+    for name in sorted(set(traced["parent"]["per_layer"])
+                       | set(traced["change"]["per_layer"])):
+        row = {s: traced[s]["per_layer"].get(name) for s in ("parent", "change")}
+        if name.endswith("_ms"):
+            row.update({f"{s}_at_slowness_1": None if row[s] is None
+                        else row[s] / traced[s]["host_slowness"]
+                        for s in ("parent", "change")})
+        out[name] = row
+    return out
+
+
 def median_or_none(values: list[float]) -> float | None:
     """The median, or None for a kind that one side's short runs never reached."""
     return statistics.median(values) if values else None
@@ -134,6 +154,12 @@ def median_or_none(values: list[float]) -> float | None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    plan = [("crosscheck", CROSSCHECK_SEEDS), ("scan", OTHER_SEEDS),
+            ("series", OTHER_SEEDS)]
+    # The held-out and traced pairs run on the claimed workload.
+    target = args.claim.split(":")[0] if args.claim else "crosscheck"
+    if target not in dict(plan):
+        raise SystemExit(f"unknown workload {target!r} in --claim")
     args.work.mkdir(parents=True, exist_ok=True)
     trees, commits = {}, {}
     for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -141,8 +167,6 @@ def main(argv=None) -> int:
         if trees[side].exists():
             raise SystemExit(f"{trees[side]} exists; remove it or pass another --work")
         commits[side] = export(rev, trees[side])
-    plan = [("crosscheck", CROSSCHECK_SEEDS), ("scan", OTHER_SEEDS),
-            ("series", OTHER_SEEDS)]
     records, summary = [], {}
     for workload, seeds in plan:
         pairs = []
@@ -161,10 +185,10 @@ def main(argv=None) -> int:
                          "kind's p50, divided by the run's host slowness",
         "protocol": PROTOCOL.format(
             cross=",".join(map(str, CROSSCHECK_SEEDS)),
-            other=",".join(map(str, OTHER_SEEDS)), seconds=SECONDS,
+            other=",".join(map(str, OTHER_SEEDS)), seconds=SECONDS, traced=target,
             holdout="" if args.holdout is None else
-            f"Crosscheck seed {args.holdout} ran one more pair, held out of the "
-            "medians and reported apart. "),
+            f"{target.capitalize()} seed {args.holdout} ran one more pair, held out "
+            "of the medians and reported apart. "),
         "env": records[0]["record"]["env"],
         "summary": summary,
     }
@@ -178,19 +202,16 @@ def main(argv=None) -> int:
                            "median_change_ratio": s["median_change_ratio"],
                            "change_wins": s["change_wins"]}
     if args.holdout is not None:
-        held = pair(trees, "crosscheck", args.holdout)
-        records += [{"side": s, "workload": "crosscheck", "seed": args.holdout,
+        held = pair(trees, target, args.holdout)
+        records += [{"side": s, "workload": target, "seed": args.holdout,
                      "trace": 0, "holdout": True, "record": r} for s, r in held.items()]
-        result["holdout"] = {"workload": "crosscheck", "seed": args.holdout,
+        result["holdout"] = {"workload": target, "seed": args.holdout,
                              **{m: {s: held[s][m] for s in ("parent", "change")}
                                 for m in END_TO_END}}
-    traced = pair(trees, "crosscheck", 1, trace=1)
-    records += [{"side": s, "workload": "crosscheck", "seed": 1, "trace": 1,
+    traced = pair(trees, target, 1, trace=1)
+    records += [{"side": s, "workload": target, "seed": 1, "trace": 1,
                  "record": r} for s, r in traced.items()]
-    result["layers_crosscheck_seed1_traced"] = {
-        name: {s: traced[s]["per_layer"].get(name) for s in ("parent", "change")}
-        for name in sorted(set(traced["parent"]["per_layer"])
-                           | set(traced["change"]["per_layer"]))}
+    result[f"layers_{target}_seed1_traced"] = layers(traced)
     result["records"] = records
     out = args.out or REPO / f"BENCH_{args.number}.json"
     with open(out, "w", encoding="utf-8") as handle:
