@@ -8,8 +8,8 @@ Each commit is exported with ``git archive`` into a fresh directory under
 files and the repository's own checkout is untouched; ``perfbench/run.py``
 then runs from each copy, one run at a time, as ``PROTOCOL`` says.
 
-The held-out pair and the traced pair run on the claimed workload
-(crosscheck when no claim is given).  The output holds the environment, each
+The claimed workload (crosscheck when no claim is given) runs ten pairs,
+the others five; the held-out pair and the traced pair run on it too.  The output holds the environment, each
 metric's runs, median, quartiles (inclusive method) and wins per pair, every
 task kind's p50, the per-layer numbers of the traced runs (each ``*_ms``
 figure also divided by its run's host slowness) and every run record.
@@ -31,14 +31,15 @@ REPO = Path(__file__).resolve().parents[1]
 PROTOCOL = (
     "Parent and change ran from two fresh copies of their commits (git archive), "
     "one run at a time. For each workload and seed the two sides ran back to "
-    "back, parent first on odd seeds and change first on even seeds: crosscheck "
-    "on seeds {cross}, scan and series on seeds {other}, --seconds {seconds:g} "
+    "back, parent first on odd seeds and change first on even seeds: {traced} "
+    "on seeds {claim}, {others} on seeds {other}, --seconds {seconds:g} "
     "--trace 0. {holdout}One traced run per side ({traced}, seed 1, --trace 1) "
     "gives the per-layer numbers; each *_ms figure is given raw and divided by "
     "its run's host slowness. Timings are run.py's, normalized to host "
     "slowness 1; each record keeps its wall-clock figures.")
 SECONDS = 30
-CROSSCHECK_SEEDS = list(range(1, 11))
+WORKLOADS = ("crosscheck", "scan", "series")
+CLAIM_SEEDS = list(range(1, 11))  # the claimed workload: ten pairs
 OTHER_SEEDS = list(range(1, 6))
 END_TO_END = {"tasks_per_s": "higher", "task_p50_ms": "lower",
               "task_tail_ms": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
@@ -154,12 +155,11 @@ def median_or_none(values: list[float]) -> float | None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    plan = [("crosscheck", CROSSCHECK_SEEDS), ("scan", OTHER_SEEDS),
-            ("series", OTHER_SEEDS)]
-    # The held-out and traced pairs run on the claimed workload.
+    # The claimed workload runs ten pairs, the held-out pair and the traced pair.
     target = args.claim.split(":")[0] if args.claim else "crosscheck"
-    if target not in dict(plan):
+    if target not in WORKLOADS:
         raise SystemExit(f"unknown workload {target!r} in --claim")
+    plan = [(w, CLAIM_SEEDS if w == target else OTHER_SEEDS) for w in WORKLOADS]
     args.work.mkdir(parents=True, exist_ok=True)
     trees, commits = {}, {}
     for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -184,7 +184,8 @@ def main(argv=None) -> int:
         "kind_p50_note": "kind_p50_ms_median: median over the seeds of each task "
                          "kind's p50, divided by the run's host slowness",
         "protocol": PROTOCOL.format(
-            cross=",".join(map(str, CROSSCHECK_SEEDS)),
+            claim=",".join(map(str, CLAIM_SEEDS)),
+            others=" and ".join(w for w in WORKLOADS if w != target),
             other=",".join(map(str, OTHER_SEEDS)), seconds=SECONDS, traced=target,
             holdout="" if args.holdout is None else
             f"{target.capitalize()} seed {args.holdout} ran one more pair, held out "
