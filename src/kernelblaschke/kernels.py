@@ -410,7 +410,7 @@ def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
         raise ValueError("derivative order must be nonnegative")
     out = np.zeros(N + 1, dtype=complex)
     ns = np.arange(order, N + 1)
-    # In place: one full-length complex temporary fewer at a Taylor degree of 10^6.
+    # Formed in out itself: no full-length complex temporary at a Taylor degree of 10^6.
     np.power(point, ns - order, out=out[order:])
     out[order:] *= _falling(ns, order)
     return out

@@ -343,7 +343,7 @@ def _shift_cases(draw):
     elif kind == "local":
         space = kb.LocalDirichlet(np.exp(1j * draw(st.floats(0.0, 6.28))))
     else:
-        A = rng.standard_normal((top + 1, top + 1)) + 1j * rng.standard_normal((top + 1, top + 1))
+        A = rng.standard_normal((top + 1, 2 * top + 2)).view(complex)
         space = kb.CustomGram(A @ A.conj().T / (top + 1) + np.eye(top + 1), ())
     tau = 0.0 if not space.diagonal else draw(st.sampled_from([0.0, 1e-9, 0.3]))
     return space, kb.TaylorSeries(b, tau), shifts

@@ -9,11 +9,11 @@ files and the repository's own checkout is untouched; ``perfbench/run.py``
 then runs from each copy, one run at a time, as ``PROTOCOL`` says.
 
 The claimed workload (crosscheck when no claim is given) runs ten pairs,
-the others five; the held-out pair and the traced pair run on it too.  The output holds the environment, each
-metric's runs, median, quartiles (inclusive method) and wins per pair, every
-task kind's p50, the per-layer numbers of the traced runs (each ``*_ms``
-figure also divided by its run's host slowness) and every run record.
-Standard library only.
+the others five; the held-out pair and the traced pair run on it too.  The
+output holds the environment, each metric's runs, median, quartiles
+(inclusive method) and wins per pair, every task kind's p50, the per-layer
+numbers of the traced runs (each ``*_ms`` figure also divided by its run's
+host slowness) and every run record.  Standard library only.
 """
 
 from __future__ import annotations
