@@ -9,7 +9,7 @@ from .errors import (ConfigError, DegenerateResidueSystem, DivergentSeries,
                      IllConditioned, InadmissibleMultiset, KernelSpaceError,
                      MissingReproducibility, SingularGram,
                      ToleranceUnreachable, TruncationDominatesResidual,
-                     UnboundedTail, ZeroFunction)
+                     UnboundedTail, UnsupportedRoute, ZeroFunction)
 from .spaces import (CustomGram, DirichletType, FactoredPoly, LocalDirichlet,
                      ReproducibleMultiset, ReproducibleOrder, SpaceSpec,
                      WeightedHardy, bergman_space, dirichlet_space,

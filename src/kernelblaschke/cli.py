@@ -153,14 +153,14 @@ def _task_subspace(cfg, out_dir, seed, quiet):
 def _task_extremal(cfg, out_dir, seed, quiet):
     space = _parse(cfg, "space", space_from_json)
     p = _parse(cfg, "p", FactoredPoly.from_json)
-    policy = _parse_policy(cfg)
+    if "samples" in cfg:
+        raise ConfigError(
+            "config field 'samples' is no longer read: extremal optimality is "
+            "decided by the exact span supremum, not by random unit vectors; "
+            "remove the field")
     Z = reproducible_multiset(space, p)
-    result = _build(space, Z, cfg, policy)
-    report = _verify.extremal_check(
-        space, p, result,
-        samples=_positive(cfg, "samples", 10_000),
-        seed=seed,
-        M=_positive(cfg, "M", 400))
+    result = _build(space, Z, cfg, _parse_policy(cfg))
+    report = _verify.extremal_check(space, p, result, M=_positive(cfg, "M", 400))
     return report.verdict, {"construction_route": result.route,
                             "extremal_report": report.to_json()}
 

@@ -10,7 +10,7 @@ Four independent routes build (up to the canonical gauge) the same function:
   onto ``span{p, z p, ..., z^(M - deg p) p}`` using the monomial Gram; this is
   the oracle the kernel routes are checked against, and the only route
   available in non-diagonal spaces.  ``shift_span`` is the one builder of
-  this span and its Gram, for every projection and the extremal sampler: in a
+  this span and its Gram, for every projection and the extremal supremum: in a
   diagonal space the Gram is Hermitian with half-bandwidth ``deg p`` and is
   kept and Cholesky-factored as a band, in O(M deg p^2); otherwise it is dense.
 * ``classical_blaschke`` / ``bergman_rational`` -- closed forms (the rational
@@ -33,7 +33,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
-                     ZeroFunction)
+                     UnsupportedRoute, ZeroFunction)
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
                       TruncationPolicy, combo_taylor, derivative_functional,
@@ -197,10 +197,9 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
     Z.validate_for(space)
     _reject_clusters(Z)
     if not space.diagonal:
-        raise TypeError(
-            "kernel pairings need a diagonal space; use project_kernel_fd "
-            "for non-diagonal monomial Grams"
-        )
+        raise UnsupportedRoute(
+            f"route {route!r} needs kernel pairings, which need a diagonal "
+            f'space; {space.label()} is not diagonal, so use route: "oracle"')
     u, vs = multiset_kernel_terms(Z)
     n = len(vs)
     G, gram_err = pairing_gram(space, vs, policy)
@@ -262,9 +261,7 @@ class ShiftSpan:
     with half-bandwidth ``deg p``, and ``gram`` holds its lower band
     ``gram[k, i] = S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout);
     otherwise ``gram`` is S itself.  Each product with the rows is the
-    ``deg p + 1``-term stencil of p's coefficients, so no caller forms them,
-    and norms take the space's form ``space.inner`` on the combined
-    coefficients.
+    ``deg p + 1``-term stencil of p's coefficients, so no caller forms them.
     """
 
     p: np.ndarray        # coefficients of p, ascending
@@ -295,12 +292,6 @@ class ShiftSpan:
         out = np.zeros(self.count, dtype=complex)
         out[: len(self.gram)] = np.conjugate(self.gram[:, 0])
         return out
-
-    def norms_sq(self, X: np.ndarray) -> np.ndarray:
-        """Squared space norms ``<c, c>`` of the elements ``c = X @ rows``, one
-        per row of X."""
-        c = self.combine(X)
-        return self.space.inner(c, c).real
 
     def solve(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
         """x with ``sum_j x_j <v_j, v_i> = rhs_i`` over the rows from ``first`` on.

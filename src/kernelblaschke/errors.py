@@ -45,5 +45,10 @@ class MissingReproducibility(KernelSpaceError):
     """A custom space has no reproducibility entry for the queried point."""
 
 
+class UnsupportedRoute(KernelSpaceError):
+    """A construction route needs structure the space lacks (kernel routes
+    need a diagonal space)."""
+
+
 class ConfigError(KernelSpaceError):
     """An experiment configuration is malformed or incomplete."""

@@ -315,7 +315,7 @@ class WeightedHardy(DiagonalSpace):
             object.__setattr__(self, "_served", len(table))
         probe = min(1000, self._served - 2)
         for k in (0, 1, 2, probe // 2, probe):
-            if k < 0:
+            if not 0 <= k < self._served:
                 continue
             w = self.weight(k)
             if not (w > 0.0) or not math.isfinite(w):
@@ -337,9 +337,9 @@ class WeightedHardy(DiagonalSpace):
         if callable(self.weight_rule):
             return float(self.weight_rule(k))
         if k >= self._served:
-            raise IndexError(
+            raise ToleranceUnreachable(
                 f"weight table of length {self._served} cannot serve index {k}; "
-                "supply a longer table or a callable rule"
+                f"supply a table of length at least {k + 1} or a callable rule"
             )
         return float(self._table[k])
 
@@ -349,7 +349,8 @@ class WeightedHardy(DiagonalSpace):
         if ks[-1] >= self._served:
             raise ToleranceUnreachable(
                 f"weight table of length {self._served} cannot serve indices "
-                f"up to {ks[-1]}; supply a longer table or a callable rule"
+                f"up to {ks[-1]}; supply a table of length at least {ks[-1] + 1} "
+                "or a callable rule"
             )
         return self._table[ks]
 
@@ -521,7 +522,7 @@ class CustomGram(SpaceSpec):
             return table[: upto + 1, : upto + 1]
         size = self.gram_rule.shape[0]
         if upto >= size:
-            raise IndexError(f"gram table of size {size} cannot serve ({upto},{upto})")
+            raise _short_table(size, upto)
         arr = self.gram_rule[: upto + 1, : upto + 1]
         return np.where(np.triu(np.ones(arr.shape, dtype=bool), 1), arr, arr.conj().T)
 
@@ -534,8 +535,8 @@ class CustomGram(SpaceSpec):
         if callable(self.gram_rule):
             return complex(self.gram_rule(m, n))
         arr = self.gram_rule
-        if m >= arr.shape[0] or n >= arr.shape[0]:
-            raise IndexError(f"gram table of size {arr.shape[0]} cannot serve ({m},{n})")
+        if max(m, n) >= arr.shape[0]:
+            raise _short_table(arr.shape[0], max(m, n))
         return complex(arr[m, n])
 
     def reproducible_order(self, beta: complex) -> ReproducibleOrder:
@@ -560,6 +561,13 @@ class CustomGram(SpaceSpec):
             ],
             "probe_size": self.probe_size,
         }
+
+
+def _short_table(size: int, index: int) -> ToleranceUnreachable:
+    return ToleranceUnreachable(
+        f"gram table of size {size} cannot serve monomial index {index}; "
+        f"supply a table of size at least {index + 1} (M + 1 for a span up to "
+        "degree M) or a callable rule")
 
 
 def _rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import cli
+from kernelblaschke import cli, construct
 from kernelblaschke.jsonio import dumps_canonical
 
 H2 = kb.hardy_space()
@@ -253,6 +253,21 @@ def test_criterion_7_subspace_laws():
              time.perf_counter() - start)
 
 
+def _unit_sample_best(space, p, d, M, samples, seed):
+    """Best ``Re g^(d)(0)`` over random unit vectors of ``span{z^j p}``: complex
+    Gaussian coefficients normalized in the space norm, in batches of 2000."""
+    span = construct.shift_span(space, p, M)
+    v = span.functional(0j, d)
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    for lo in range(0, samples, 2000):
+        shape = (min(2000, samples - lo), span.count)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = span.combine(X)
+        best = max(best, float(np.max((X @ v).real / np.sqrt(space.inner(c, c).real))))
+    return best
+
+
 def test_criterion_8_extremal_dominance():
     start = time.perf_counter()
     p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1),))
@@ -260,13 +275,37 @@ def test_criterion_8_extremal_dominance():
     ok = True
     for sp in (H2, A2):
         ss = kb.shapiro_shields(sp, Z, taylor_degree=400)
-        rep = kb.extremal_check(sp, p, ss, samples=10_000, seed=SEED, M=400,
-                                slack=1e-9)
-        ok = ok and rep.verdict
-        print(f"  {sp.label()}: best sample {rep.best_sample:.6f} vs "
-              f"construction {rep.construction_value:.6f}")
-    announce(8, "10^4 random unit vectors never beat the construction", ok,
+        rep = kb.extremal_check(sp, p, ss, M=400, slack=1e-9)
+        # 10^4 random unit vectors of the span witness the supremum's side.
+        best = _unit_sample_best(sp, p, 0, 400, 10_000, SEED)
+        ok = ok and rep.verdict and best <= rep.span_supremum
+        print(f"  {sp.label()}: span supremum {rep.span_supremum:.15f}, best of "
+              f"10^4 samples {best:.6f}, construction {rep.construction_value:.15f}")
+    announce(8, "no unit element of the span beats the construction", ok,
              time.perf_counter() - start)
+
+
+def test_criterion_8_exact_check_refuses_a_near_miss():
+    # A unit element of the span 1e-6 short of the supremum: the exact check
+    # refuses it, while 10^4 random unit vectors would have passed it.
+    M = 400
+    Z = kb.ReproducibleMultiset(0, ((0.5 + 0.2j, 1), (-0.6 + 0.1j, 1), (0.1 - 0.7j, 1)))
+    p = Z.polynomial()
+    oracle = kb.oracle_result(A2, Z, M)
+    exact = kb.extremal_check(A2, p, oracle, M=M)
+    assert exact.verdict
+    # h = z p is orthogonal to the oracle g (h(0) = 0), so only the norm grows:
+    # g(0) / ||g + eps h|| = supremum - 1e-6.
+    target = exact.span_supremum - 1e-6
+    span = construct.shift_span(A2, p, M)
+    h = span.combine(np.eye(span.count)[1])
+    g = oracle.taylor.coefficients
+    eps = math.sqrt((1.0 / target ** 2 - A2.inner(g, g).real) / A2.inner(h, h).real)
+    mutant = kb.ConstructionResult(kb.TaylorSeries(g + eps * h, 0.0), 1.0 + 0j, "oracle")
+    rep = kb.extremal_check(A2, p, mutant, M=M)
+    assert abs(rep.construction_value - target) <= 1e-9
+    assert rep.verdict is False
+    assert _unit_sample_best(A2, p, 0, M, 10_000, SEED) <= rep.construction_value + 1e-9
 
 
 def test_criterion_9_extraneous_zero_scan():

@@ -52,7 +52,6 @@ def test_extremal_seed_determinism(tmp_path):
         "name": "ext",
         "space": {"type": "dirichlet", "alpha": 0},
         "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]},
-        "samples": 500,
         "M": 120,
         "taylor_degree": 200,
         "seed": 9,
@@ -62,12 +61,13 @@ def test_extremal_seed_determinism(tmp_path):
     cli.main(["extremal", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"])
     a = (tmp_path / "a" / "extremal-ext.json").read_bytes()
     assert a == (tmp_path / "b" / "extremal-ext.json").read_bytes()
-    # A seed override changes the draw but stays deterministic.
+    # The check draws nothing: a seed override moves the recorded seed only.
     cli.main(["extremal", "--config", cfg, "--out", str(tmp_path / "c"),
               "--seed", "10", "--quiet"])
     c = json.loads((tmp_path / "c" / "extremal-ext.json").read_text())
     assert c["seed"] == 10
     assert c["ok"] is True
+    assert c["report"] == json.loads(a)["report"]
 
 
 def test_failing_verdict_gives_exit_one(tmp_path):
@@ -82,7 +82,7 @@ def test_failing_verdict_gives_exit_one(tmp_path):
     assert rc == 1
 
 
-def test_config_error_diagnostics(tmp_path):
+def test_config_error_diagnostics(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"space": {"type": "dirichlet"\n', encoding="utf-8")
     rc = cli.main(["verify", "--config", str(bad), "--out", str(tmp_path / "r"),
@@ -102,8 +102,7 @@ def test_config_error_diagnostics(tmp_path):
     poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
     cubic = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1},
                                           {"point": [0, 0.3], "mult": 2}]}
-    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly,
-                "samples": 50, "M": 60}
+    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
     for task, cfg in (("extremal", dict(extremal, M=-3)),
                       ("extremal", dict(extremal, samples=0)),
                       ("oracle", dict(extremal, M="abc")),
@@ -122,6 +121,12 @@ def test_config_error_diagnostics(tmp_path):
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
                        "--quiet"])
         assert rc == 2, (task, cfg)
+    # The extremal check no longer samples, and says so to a config that asks.
+    capsys.readouterr()
+    path = write_config(tmp_path / "samples.json", dict(extremal, samples=10_000))
+    assert cli.main(["extremal", "--config", path, "--out", str(tmp_path / "r"),
+                     "--quiet"]) == 2
+    assert "exact span supremum" in capsys.readouterr().err
 
 
 def test_short_weight_table_exits_two(tmp_path, capsys):
@@ -132,6 +137,50 @@ def test_short_weight_table_exits_two(tmp_path, capsys):
                    "--quiet"])
     assert rc == 2
     assert "ToleranceUnreachable" in capsys.readouterr().err
+
+
+def test_one_weight_table_exits_two(tmp_path, capsys):
+    # The positivity probe read w_1 and w_2 of any table: a bare IndexError.
+    assert kb.WeightedHardy((1.0,)).weight(0) == 1.0
+    cfg = write_config(tmp_path / "cfg.json", dict(
+        BASE_VERIFY, space={"type": "weights", "rule": "table", "values": [1.0]}))
+    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r"),
+                   "--quiet"])
+    assert rc == 2
+    assert "error [ToleranceUnreachable]" in capsys.readouterr().err
+
+
+def _custom_4x4():
+    return {"type": "custom", "gram": "table",
+            "values": [[[float(m == n) * (m + 1), 0.0] for n in range(4)]
+                       for m in range(4)],
+            "reproducibility": [{"point": [0.5, 0.0], "order": "infinite"}]}
+
+
+def test_short_custom_table_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "name": "cg", "space": _custom_4x4(), "M": 40,
+        "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}})
+    rc = cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [ToleranceUnreachable]" in err and "at least 41" in err
+
+
+def test_kernel_route_on_a_non_diagonal_space_exits_two(tmp_path, capsys):
+    # The default route needs kernel pairings; it raised a bare TypeError.
+    p = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    multiset = {"origin": 0, "points": [{"point": [0.5, 0.0], "mult": 1}]}
+    for space in (_custom_4x4(), {"type": "local_dirichlet", "zeta": [1.0, 0.0]}):
+        for task, cfg in (("extremal", {"p": p, "M": 3}),
+                          ("verify", {"multiset": multiset}),
+                          ("construct", {"multiset": multiset})):
+            path = write_config(tmp_path / "cfg.json", dict(cfg, name="k", space=space))
+            rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
+                           "--quiet"])
+            assert rc == 2, (task, space["type"])
+            err = capsys.readouterr().err
+            assert "error [UnsupportedRoute]" in err and 'route: "oracle"' in err
 
 
 def test_construct_zeros_subspace_oracle_tasks(tmp_path):

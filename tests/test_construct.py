@@ -201,7 +201,7 @@ def test_multiset_rejections():
         kb.shapiro_shields(H2, Z_of((1.0, 1)))
     with pytest.raises(kb.InadmissibleMultiset):
         kb.shapiro_shields(D4, Z_of((1.0, 3)))
-    with pytest.raises(TypeError):
+    with pytest.raises(kb.UnsupportedRoute, match='route: "oracle"'):
         kb.shapiro_shields(kb.LocalDirichlet(1.0), Z_of((0.5, 1)))
     with pytest.raises(ValueError):
         kb.shapiro_shields(H2, Z_of((0.5, 1)), route="magic")

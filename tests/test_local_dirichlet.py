@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import construct, spaces, verify
+from kernelblaschke import construct, spaces
 from kernelblaschke.kernels import derivative_functional
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -78,7 +78,8 @@ def test_span_gram_matches_the_dense_product(p, M):
     rng = np.random.default_rng(2)
     X = _complex(rng, (5, len(rows)))
     expect = np.einsum("bj,bj->b", X @ dense, X.conj()).real
-    assert np.allclose(span.norms_sq(X), expect, rtol=1e-12, atol=0)
+    c = span.combine(X)
+    assert np.allclose(LD.inner(c, c).real, expect, rtol=1e-12, atol=0)
 
 
 def test_norms_against_mpmath():
@@ -146,25 +147,23 @@ def test_projection_with_a_triple_zero_at_zeta_against_mpmath():
     assert np.max(np.abs(got - ref)) <= 3e-10 * np.max(np.abs(ref))
 
 
-def test_extremal_matches_a_dense_sampler():
+def test_extremal_supremum_matches_a_dense_solve():
     p, M, samples, seed = P_ON, 120, 3000, 7
     result = kb.oracle_result(LD, kb.reproducible_multiset(LD, p), M)
-    report = kb.extremal_check(LD, p, result, samples=samples, seed=seed, M=M)
-    # The seed's sampler: batches of normal + 1j * normal, dense X S X^H.
+    report = kb.extremal_check(LD, p, result, M=M)
+    # sup Re g'(0) over unit g in the span, from the dense X S X^H form.
     rows = _rows(p, M)
     S = rows @ LD.gram(M) @ rows.conj().T
     functional = rows @ derivative_functional(0j, 1, M)
+    x = np.linalg.solve(S.T, functional.conj())
+    expect = math.sqrt((x @ functional).real)
+    assert abs(report.span_supremum - expect) <= 1e-12 * expect
+    # Random unit vectors of the span stay below it.
     rng = np.random.default_rng(seed)
-    best, left = -math.inf, samples
-    while left > 0:
-        n = min(verify._EXTREMAL_BATCH, left)
-        X = (rng.standard_normal((n, len(rows)))
-             + 1j * rng.standard_normal((n, len(rows))))
-        norms = np.einsum("bj,bj->b", X @ S, X.conj()).real
-        best = max(best, float(np.max((X @ functional).real / np.sqrt(norms))))
-        left -= n
+    X = _complex(rng, (samples, len(rows)))
+    norms = np.einsum("bj,bj->b", X @ S, X.conj()).real
+    assert np.max((X @ functional).real / np.sqrt(norms)) <= report.span_supremum
     assert report.verdict is True
-    assert abs(report.best_sample - best) <= 1e-12 * abs(best)
 
 
 def test_no_dense_monomial_gram_on_the_hot_path(monkeypatch):
@@ -177,7 +176,7 @@ def test_no_dense_monomial_gram_on_the_hot_path(monkeypatch):
     equal, _ = kb.subspace_equal(LD, P_ON, kb.FactoredPoly(
         1.0, ((ZETA, 1), (0.4 - 0.3j, 1), (0j, 1))), M=M)
     result = kb.oracle_result(LD, kb.reproducible_multiset(LD, P_ON), M)
-    report = kb.extremal_check(LD, P_ON, result, samples=500, M=M)
+    report = kb.extremal_check(LD, P_ON, result, M=M)
     assert abs(taylor.coefficients[0] - 1) <= 1e-12
     assert equal is True and report.verdict is True
     assert kb.inner_projection_of(LD, P_ON, M).tail_bound == 0.0
@@ -191,8 +190,10 @@ def test_custom_table_slice_matches_the_rule_loop():
     sp = kb.CustomGram(table, ())
     for upto in (0, 5, 11):
         assert np.array_equal(sp.gram(upto), spaces.SpaceSpec.gram(sp, upto))
-    with pytest.raises(IndexError):
+    with pytest.raises(kb.ToleranceUnreachable, match="size at least 13"):
         sp.gram(12)
+    with pytest.raises(kb.ToleranceUnreachable, match="size at least 15"):
+        sp.monomial_inner(2, 14)
     rule = kb.CustomGram(lambda m, n: table[m, n], ())
     assert np.array_equal(rule.gram(11), sp.gram(11))
     assert np.array_equal(rule.gram(4), sp.gram(4))

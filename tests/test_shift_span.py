@@ -55,7 +55,8 @@ def test_band_and_stencils_match_the_rows(space):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, len(rows))) + 1j * rng.standard_normal((7, len(rows)))
     assert np.max(np.abs(span.combine(X) - X @ rows)) <= 1e-13 * np.max(np.abs(X @ rows))
-    assert np.allclose(span.norms_sq(X), np.einsum("bj,bj->b", X @ dense, X.conj()).real,
+    c = span.combine(X)
+    assert np.allclose(space.inner(c, c).real, np.einsum("bj,bj->b", X @ dense, X.conj()).real,
                        rtol=1e-13, atol=0)
     assert np.allclose(span.first_row(), dense[0], rtol=0, atol=1e-15 * scale)
 

@@ -289,7 +289,7 @@ def test_multiset_admissibility_validation():
 def test_weighted_hardy_weight_rules():
     table = kb.WeightedHardy(tuple((k + 1.0) ** 2 for k in range(64)))
     assert table.weight(3) == 16.0
-    with pytest.raises(IndexError):
+    with pytest.raises(kb.ToleranceUnreachable, match="length at least 101"):
         table.weight(100)
     with pytest.raises(ValueError):
         kb.WeightedHardy(lambda k: -1.0)

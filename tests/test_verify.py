@@ -7,6 +7,7 @@ import pytest
 
 import kernelblaschke as kb
 from kernelblaschke import verify
+from kernelblaschke.jsonio import dumps_canonical
 
 H2 = kb.hardy_space()
 A2 = kb.bergman_space()
@@ -340,29 +341,44 @@ def test_subspace_equal_uses_multisets_not_oracle():
 def test_extremal_monomial_attains_one():
     p = kb.FactoredPoly(1.0, ((0j, 1),))
     ss = kb.shapiro_shields(H2, Z_of(origin=1), taylor_degree=60)
-    rep = kb.extremal_check(H2, p, ss, samples=500, seed=3, M=80)
+    rep = kb.extremal_check(H2, p, ss, M=80)
     assert rep.verdict
     assert rep.construction_value == pytest.approx(1.0)
+    assert rep.span_supremum == pytest.approx(1.0, abs=1e-12)
     assert rep.d == 1
 
 
 def test_extremal_blaschke_factor_hardy():
     p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1),))
     ss = kb.shapiro_shields(H2, Z_of((0.5, 1)), taylor_degree=300)
-    rep = kb.extremal_check(H2, p, ss, samples=2000, seed=11, M=300)
+    rep = kb.extremal_check(H2, p, ss, M=300)
     assert rep.verdict
     assert rep.construction_value == pytest.approx(0.5, abs=1e-10)
-    assert rep.best_sample < rep.construction_value
+    assert rep.span_supremum == pytest.approx(rep.construction_value, abs=1e-12)
 
 
 def test_extremal_deterministic_for_fixed_seed():
+    # Nothing is drawn, so two runs give byte-identical reports.
     p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1),))
     ss = kb.shapiro_shields(A2, Z_of((0.5, 1)), taylor_degree=200)
-    a = kb.extremal_check(A2, p, ss, samples=1000, seed=42, M=200)
-    b = kb.extremal_check(A2, p, ss, samples=1000, seed=42, M=200)
+    a = kb.extremal_check(A2, p, ss, M=200)
+    b = kb.extremal_check(A2, p, ss, M=200)
     assert a == b
-    c = kb.extremal_check(A2, p, ss, samples=1000, seed=43, M=200)
-    assert c.best_sample != a.best_sample
+    assert dumps_canonical(a.to_json()) == dumps_canonical(b.to_json())
+    assert set(a.to_json()) == {"d", "span_supremum", "construction_value",
+                                "margin", "verdict"}
+
+
+@pytest.mark.parametrize("space, expect", (
+    (H2, 0.5), (A2, 0.5 * math.sqrt(2.0 - 0.25))), ids=("H2", "A2"))
+def test_extremal_supremum_closed_forms(space, expect):
+    # For p = z - a the extremal value of [p] is |a| in H2 and
+    # |a| sqrt(2 - |a|^2) in A2; at M = 400 the span misses it by |a|^400.
+    p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1),))
+    ss = kb.shapiro_shields(space, Z_of((0.5, 1)), taylor_degree=400)
+    rep = kb.extremal_check(space, p, ss, M=400)
+    assert abs(rep.span_supremum - expect) <= 1e-12
+    assert rep.verdict
 
 
 def test_no_vacuous_passing_verdicts():
@@ -371,10 +387,10 @@ def test_no_vacuous_passing_verdicts():
     with pytest.raises(ValueError):
         kb.inner_report(H2, B.taylor, K=0)
     p = kb.FactoredPoly(1.0, ((0.5 + 0j, 1), (-0.2j, 1)))
-    with pytest.raises(ValueError):
-        kb.extremal_check(H2, p, B, samples=0, M=80)
-    with pytest.raises(ValueError):  # M = deg p - 1: the span is empty
-        kb.extremal_check(H2, p, B, samples=10, M=p.degree - 1)
+    with pytest.raises(ValueError, match="exact span supremum"):  # draws nothing
+        kb.extremal_check(H2, p, B, samples=10, M=80)
+    with pytest.raises(ValueError, match="empty"):  # M = deg p - 1
+        kb.extremal_check(H2, p, B, M=p.degree - 1)
 
 
 def test_dense_span_gram_matches_diagonal():
@@ -400,10 +416,9 @@ def test_dense_span_gram_matches_diagonal():
         # Deviations are already relative to the projection norms.
         assert abs(pd["deviation"] - pa["deviation"]) <= 1e-12
     result = kb.ConstructionResult(oracle[1], 1.0 + 0j, "oracle")
-    ext = [kb.extremal_check(s, p, result, samples=400, seed=2, M=M)
-           for s in spaces]
+    ext = [kb.extremal_check(s, p, result, M=M) for s in spaces]
     assert ext[0].verdict and ext[1].verdict
-    assert close(ext[0].best_sample, ext[1].best_sample)
+    assert close(ext[0].span_supremum, ext[1].span_supremum)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +528,7 @@ def test_reports_serialize():
     inner = kb.inner_report(H2, ss.taylor, 5)
     zr = kb.zero_report(H2, ss, Z, radius=0.9)
     cm = kb.scalar_multiple_check(ss.taylor, ss.taylor)
-    ex = kb.extremal_check(H2, Z.polynomial(), ss, samples=100, seed=1, M=60)
+    ex = kb.extremal_check(H2, Z.polynomial(), ss, M=60)
     # A failing prescribed check still yields a plain bool verdict.
     failing = kb.zero_report(H2, ss, Z_of((0.45, 1)))
     for obj in (inner.to_json(), zr.to_json(), cm.to_json(), ex.to_json(),
