@@ -13,6 +13,7 @@ batch.  See README for config schemas and the bundled presets.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,13 +65,14 @@ def _parse(cfg: dict, key: str, from_json):
 
 
 def _parse_policy(cfg: dict) -> TruncationPolicy:
+    """The policy's keys, each read by ``_positive``; any other key is an error."""
     obj = _field(cfg, "policy", default={})
+    fields = {f.name: f.default for f in dataclasses.fields(TruncationPolicy)}
+    if not isinstance(obj, dict) or not set(obj) <= set(fields):
+        raise ConfigError(f"'policy' must be an object with keys among {sorted(fields)}, "
+                          f"got {obj!r}")
     try:
-        return TruncationPolicy(
-            target_tolerance=float(obj.get("target_tolerance", 1e-12)),
-            max_terms=int(obj.get("max_terms", 2_000_000)),
-            bound_kind=str(obj.get("bound_kind", "geometric")),
-        )
+        return TruncationPolicy(**{k: _positive(obj, k, v) for k, v in fields.items()})
     except ValueError as exc:
         raise ConfigError(f"bad 'policy' object: {exc}")
 
@@ -87,6 +89,13 @@ def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
     return value
 
 
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config field '{key}' must be true or false, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Construction dispatch
 # ---------------------------------------------------------------------------
@@ -98,21 +107,21 @@ def _build(space, Z, cfg, policy):
                                          M=_positive(cfg, "oracle_degree", 400))
     return _construct.shapiro_shields(
         space, Z, route=route, policy=policy,
-        taylor_degree=int(cfg.get("taylor_degree", 256)))
+        taylor_degree=_positive(cfg, "taylor_degree", 256, zero_ok=True))
 
 
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
 
-def _task_construct(cfg, out_dir, seed, quiet):
+def _task_construct(cfg):
     space = _parse(cfg, "space", space_from_json)
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
     return True, {"construction": result.to_json()}
 
 
-def _task_verify(cfg, out_dir, seed, quiet):
+def _task_verify(cfg):
     space = _parse(cfg, "space", space_from_json)
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
@@ -123,7 +132,7 @@ def _task_verify(cfg, out_dir, seed, quiet):
                             "inner_report": report.to_json()}
 
 
-def _task_zeros(cfg, out_dir, seed, quiet):
+def _task_zeros(cfg):
     space = _parse(cfg, "space", space_from_json)
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     policy = _parse_policy(cfg)
@@ -131,13 +140,13 @@ def _task_zeros(cfg, out_dir, seed, quiet):
     report = _verify.zero_report(space, result, Z,
                                  radius=_positive(cfg, "radius", 0.99),
                                  tol=_positive(cfg, "tolerance", 1e-8),
-                                 scan=bool(cfg.get("scan", True)),
+                                 scan=_flag(cfg, "scan", True),
                                  policy=policy)
     return report.verdict, {"construction_route": result.route,
                             "zero_report": report.to_json()}
 
 
-def _task_subspace(cfg, out_dir, seed, quiet):
+def _task_subspace(cfg):
     space = _parse(cfg, "space", space_from_json)
     p = _parse(cfg, "p", FactoredPoly.from_json)
     q = _parse(cfg, "q", FactoredPoly.from_json)
@@ -146,11 +155,11 @@ def _task_subspace(cfg, out_dir, seed, quiet):
         tol=_positive(cfg, "tolerance", 1e-8))
     ok = True
     if "expect" in cfg:
-        ok = bool(cfg["expect"]) == equal
+        ok = _flag(cfg, "expect", True) == equal
     return ok, {"equal": equal, "evidence": evidence}
 
 
-def _task_extremal(cfg, out_dir, seed, quiet):
+def _task_extremal(cfg):
     space = _parse(cfg, "space", space_from_json)
     p = _parse(cfg, "p", FactoredPoly.from_json)
     if "samples" in cfg:
@@ -165,7 +174,7 @@ def _task_extremal(cfg, out_dir, seed, quiet):
                             "extremal_report": report.to_json()}
 
 
-def _task_oracle(cfg, out_dir, seed, quiet):
+def _task_oracle(cfg):
     space = _parse(cfg, "space", space_from_json)
     p = _parse(cfg, "p", FactoredPoly.from_json)
     d = _positive(cfg, "d", reproducible_multiset(space, p).origin_multiplicity,
@@ -183,7 +192,7 @@ def _rf_example_poly() -> FactoredPoly:
     return FactoredPoly(1.0, ((0j, 2), (0.5j, 1), (1.0 + 0j, 2), (-1.0 + 0j, 2)))
 
 
-def _preset_rf_example(out_dir, seed, quiet):
+def _preset_rf_example(out_dir):
     """Reproducible-zero table of z^2 (z - i/2) (z^2 - 1)^2 across four spaces."""
     f = _rf_example_poly()
     cases = [
@@ -212,7 +221,7 @@ def _preset_rf_example(out_dir, seed, quiet):
     return ok, {"polynomial": f.to_json(), "cases": blocks}
 
 
-def _preset_h2_blaschke(out_dir, seed, quiet):
+def _preset_h2_blaschke(out_dir):
     """Determinant construction vs the closed-form product in the Hardy space."""
     zeros = [0.5 + 0j, -0.3 + 0.4j]
     space = hardy_space()
@@ -234,7 +243,7 @@ def _preset_h2_blaschke(out_dir, seed, quiet):
     }
 
 
-def _preset_a2_residue(out_dir, seed, quiet):
+def _preset_a2_residue(out_dir):
     """Residue-vanishing route vs determinant route in the Bergman space."""
     space = bergman_space()
     ok = True
@@ -260,7 +269,7 @@ def _preset_a2_residue(out_dir, seed, quiet):
     return ok, {"cases": blocks}
 
 
-def _preset_a2_scan(out_dir, seed, quiet):
+def _preset_a2_scan(out_dir):
     """Extraneous-zero scan over two-point Bergman multisets; signed report."""
     report = _verify.extraneous_zero_scan(bergman_space())
     passed = (not report["instance_found"]) or bool(report["all_scalar_checks_pass"])
@@ -333,11 +342,11 @@ def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
         if name not in _PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-        ok, body = _PRESETS[name](out_dir, effective_seed, quiet)
+        ok, body = _PRESETS[name](out_dir)
         label = f"preset-{name}"
     elif task in _TASKS:
         try:
-            ok, body = _TASKS[task](cfg, out_dir, effective_seed, quiet)
+            ok, body = _TASKS[task](cfg)
         except ValueError as exc:  # the library's argument checks, e.g. M too small
             raise ConfigError(f"{task}: {exc}") from exc
         label = f"{task}-{cfg.get('name', 'report')}"

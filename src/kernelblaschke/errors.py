@@ -22,7 +22,9 @@ class SingularGram(KernelSpaceError):
 
 
 class IllConditioned(KernelSpaceError):
-    """Spanning-set Gram condition exceeded the configured pivot threshold."""
+    """A spanning-set Gram is not definite, has a pivot ratio below the
+    constant ``construct.PIVOT_FLOOR`` or is singular to working precision; or
+    a disk's zero count cannot be certified."""
 
 
 class InadmissibleMultiset(KernelSpaceError):

@@ -9,13 +9,14 @@ and the pairing of two kernels is the series
 
     <k_a^(p), k_b^(q)> = sum_n [n!/(n-p)!][n!/(n-q)!] conj(a)^(n-p) b^(n-q) / w_n.
 
-Every summation here returns ``(value, err)`` where ``err`` bounds the
-truncation error.  Sums inside the disk use a geometric tail bound (term-ratio
-majorant) plus a bound on their rounding.  In ``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``,
-on the circle too, is a finite sum of polylogarithms ``Li_s(conj(a) b)``,
-summed by their expansion about 1; its err covers rounding as well.  Boundary
-kernel tails use an integral p-series bound.  ``bound_kind="none"`` stops
-heuristically (the returned err is then an estimate, not a bound).
+Every summation here returns a certified ``(value, err)``, or a Taylor
+series whose ``tail_bound`` is a bound, or raises ``ToleranceUnreachable``;
+no sum returns an infinite or estimated ``err``.  Sums inside the disk use a
+geometric tail bound (term-ratio majorant) plus a bound on their rounding.  In
+``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``, on the circle
+too, is a finite sum of polylogarithms ``Li_s(conj(a) b)``, summed by their
+expansion about 1; its err covers rounding as well.  Boundary kernel tails use
+an integral p-series bound.
 
 All functions are pure; summation order is fixed, so results are deterministic.
 """
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
-from .errors import DivergentSeries, ToleranceUnreachable, UnboundedTail
+from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
+                     UnsupportedRoute)
 from .jsonio import complex_pair, pair_complex
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
@@ -65,29 +67,22 @@ class KernelTerm:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How hard to push a series and which tail certificate to use.
+    """How hard to push a series: the tail to close below, and the term budget.
 
-    ``bound_kind``: ``"geometric"`` and ``"p_series"`` both mean *certified*
-    (each sum picks its bound: geometric tails inside the disk, the
+    Each sum picks its own certificate (geometric tails inside the disk, the
     polylogarithm expansion near and on the circle of ``D_alpha``, p-series
-    kernel tails on it); ``"none"`` stops heuristically.
+    kernel tails on it) and raises ``ToleranceUnreachable`` when the budget
+    runs out first.
     """
 
     target_tolerance: float = 1e-12
     max_terms: int = 2_000_000
-    bound_kind: str = "geometric"
 
     def __post_init__(self):
         if not self.target_tolerance > 0:
             raise ValueError("target_tolerance must be positive")
         if self.max_terms < 16:
             raise ValueError("max_terms must be at least 16")
-        if self.bound_kind not in ("geometric", "p_series", "none"):
-            raise ValueError(f"unknown bound kind {self.bound_kind!r}")
-
-    @property
-    def certified(self) -> bool:
-        return self.bound_kind != "none"
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -98,7 +93,8 @@ class TaylorSeries:
     """Truncated power series with a bound on the norm of the discarded tail.
 
     ``tail_bound`` is a bound on the space norm of the tail (``0`` for exact
-    polynomials, ``inf`` when no bound is available).
+    polynomials).  Library routines always give a finite bound; a series built
+    by hand with ``inf`` is refused by the shift products (``UnboundedTail``).
     """
 
     coefficients: np.ndarray
@@ -209,9 +205,9 @@ def _falling(n: np.ndarray, m: int) -> np.ndarray:
 
 def _require_diagonal(space: SpaceSpec, what: str) -> None:
     if not space.diagonal:
-        raise TypeError(f"{what} needs a diagonal (weighted) space; "
-                        f"got {type(space).__name__} -- use the finite-dimensional "
-                        "projection routines instead")
+        raise UnsupportedRoute(f"{what} needs a diagonal (weighted) space; "
+                               f"got {type(space).__name__} -- use the finite-"
+                               "dimensional projection routines instead")
 
 
 def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
@@ -240,7 +236,7 @@ def _alpha_of(space: SpaceSpec) -> float:
     if space.decay_exponent is None:
         raise ToleranceUnreachable(
             "boundary-point series have certified bounds only in Dirichlet-type "
-            "spaces; use bound_kind='none' for a heuristic sum")
+            "spaces")
     return space.decay_exponent
 
 
@@ -249,24 +245,6 @@ def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
     return t.astype(complex) * np.conjugate(a.point) ** (ns - a.order) \
         * b.point ** (ns - b.order)
-
-
-def _sum_heuristic(space, a, b, policy):
-    """Uncertified summation for bound_kind='none': stop on 8 tiny terms."""
-    tol = policy.target_tolerance
-    total = 0j
-    quiet = 0
-    window = []
-    for ns in _blocks(max(a.order, b.order), policy.max_terms, 512, 512):
-        for v in _pair_terms(space, a, b, ns):
-            total += v
-            window.append(abs(v))
-            if len(window) > 8:
-                window.pop(0)
-            quiet = quiet + 1 if abs(v) <= tol * 1e-3 else 0
-            if quiet >= 8:
-                return total, float(sum(window))
-    raise ToleranceUnreachable("max_terms reached before the series settled")
 
 
 def _pair_geometric(space, a, b, policy):
@@ -391,8 +369,6 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
         if n < max(a.order, b.order):
             return 0j, 0.0
         return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
-    if not policy.certified:
-        return _sum_heuristic(space, a, b, policy)
     rho = abs(a.point) * abs(b.point)
     if rho > 1.0 + BOUNDARY_TOL:
         raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
@@ -425,14 +401,12 @@ def _taylor_coefficients(term: KernelTerm, w: np.ndarray) -> np.ndarray:
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
                  policy: TruncationPolicy) -> float:
     """Bound on the space norm of the discarded tail of ``kernel_taylor``."""
-    if not policy.certified:
-        return math.inf
     m = term.order
     beta = abs(term.point)
     if beta == 0:
         if N >= m:
             return 0.0
-        return math.factorial(m) / math.sqrt(space.weights_at(np.array([m]))[0])
+        return math.factorial(m) / math.sqrt(space.weight(m))
     if beta < 1.0 - BOUNDARY_TOL:
         rho2 = beta * beta
         total = 0.0
@@ -444,7 +418,9 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
                 * space.weight_ratio_sup(j0)
             if ratio < 1.0:
                 return math.sqrt(total + q[-1] * ratio / (1.0 - ratio)) * _FLOAT_SLACK
-        return math.inf
+        raise ToleranceUnreachable(
+            f"Taylor tail of k_{term.point}^({m}) past degree {N} did not close "
+            f"within {policy.max_terms} terms")
     # On the circle (admissible, so s > 1): w_n |c_n|^2 <= (n+1)^(-s), an
     # integral tail bound.
     s = _alpha_of(space) - 2 * m
@@ -463,6 +439,7 @@ def kernel_taylor(space: SpaceSpec, term: KernelTerm, N: int,
 def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> TaylorSeries:
     """Taylor expansion of a kernel combination (linear in the terms)."""
+    _require_diagonal(space, "combo_taylor")
     if B.space != space:
         raise ValueError("combo was built for a different space")
     w = space.weights(N)

@@ -142,9 +142,6 @@ class SpaceSpec:
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         raise NotImplementedError
 
-    def weight(self, k: int) -> float:
-        raise TypeError(f"{type(self).__name__} has no diagonal weight sequence")
-
     def gram(self, upto: int) -> np.ndarray:
         """Dense monomial Gram ``G[m, n] = <z^m, z^n>`` for m, n <= upto."""
         size = upto + 1
@@ -183,9 +180,9 @@ class SpaceSpec:
 class DiagonalSpace(SpaceSpec):
     """Space with ``<z^m, z^n> = w_n`` for m = n and 0 otherwise.
 
-    Subclasses give the rule as ``weight(k)``, its vector form
-    ``weights_at(ks)`` over an ascending index array, and
-    ``_boundary_order(beta)``, the reproducible order of every unimodular point.
+    Subclasses give the rule as ``weights_at(ks)`` over an ascending index
+    array, and ``_boundary_order(beta)``, the reproducible order of every
+    unimodular point.
     The facts about the weights that tail certificates need live here.
     """
 
@@ -194,6 +191,10 @@ class DiagonalSpace(SpaceSpec):
     # series certified.
     decay_exponent: float | None = None
     _served = math.inf  # how many weights the rule can serve
+
+    def weight(self, k: int) -> float:
+        """The weight w_k: ``weights_at`` at one index."""
+        return float(self.weights_at(np.array([k]))[0])
 
     def weights(self, upto: int) -> np.ndarray:
         """Weights w_0..w_upto as a vector."""
@@ -242,9 +243,6 @@ class DirichletType(DiagonalSpace):
     @property
     def decay_exponent(self) -> float:
         return self.alpha
-
-    def weight(self, k: int) -> float:
-        return float(k + 1) ** self.alpha
 
     def weights_at(self, ks: np.ndarray) -> np.ndarray:
         return (ks + 1.0) ** self.alpha
@@ -333,19 +331,9 @@ class WeightedHardy(DiagonalSpace):
                     stacklevel=2,
                 )
 
-    def weight(self, k: int) -> float:
-        if callable(self.weight_rule):
-            return float(self.weight_rule(k))
-        if k >= self._served:
-            raise ToleranceUnreachable(
-                f"weight table of length {self._served} cannot serve index {k}; "
-                f"supply a table of length at least {k + 1} or a callable rule"
-            )
-        return float(self._table[k])
-
     def weights_at(self, ks: np.ndarray) -> np.ndarray:
         if callable(self.weight_rule):
-            return np.array([self.weight(k) for k in ks.tolist()], dtype=float)
+            return np.array([float(self.weight_rule(k)) for k in ks.tolist()])
         if ks[-1] >= self._served:
             raise ToleranceUnreachable(
                 f"weight table of length {self._served} cannot serve indices "

@@ -432,23 +432,26 @@ def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult
                    slack: float = 1e-9) -> ExtremalReport:
     """No unit element of the truncated subspace beats the construction.
 
-    With d the origin multiplicity of R(p) and ``V = span{z^j p : j <= M -
-    deg p}``, Cauchy--Schwarz gives ``sup {Re g^(d)(0) : g in V, ||g|| = 1} =
-    ||P_V k_0^(d)|| = sqrt(sum_j x_j v_j)``, where ``v_j = (z^j p)^(d)(0)``
+    With ``R(p)`` the reproducible multiset of p, d its origin multiplicity,
+    ``q = R(p).polynomial()`` and ``V = V_M(q) = span{z^j q : j <= M - deg q}``,
+    Cauchy--Schwarz gives ``sup {Re g^(d)(0) : g in V, ||g|| = 1} =
+    ||P_V k_0^(d)|| = sqrt(sum_j x_j v_j)``, where ``v_j = (z^j q)^(d)(0)``
     and x solves the span's Gram system for ``conj(v)`` (x holds the
     coefficients of ``P_V k_0^(d)``).  The construction maximizes ``Re
-    g^(d)(0)`` over the unit elements of [p], and ``V`` lies in [p], so the
-    verdict is ``span_supremum <= construction_value + slack``; the oracle on
-    the same span attains the supremum.  ``samples`` stays in the signature
-    because the traced benchmark binds it (ROADMAP item 6); nothing is drawn,
-    and 0 is its only accepted value.
+    g^(d)(0)`` over the unit elements of ``[p] = [q]``, and V (which holds
+    ``V_M(p)``) lies in ``[q]``, so the verdict is ``span_supremum <=
+    construction_value + slack``; the oracle, built on the same span, attains
+    the supremum.  ``samples`` stays in the signature because the
+    traced benchmark binds it (ROADMAP item 6); nothing is drawn, and 0 is its
+    only accepted value.
     """
     if samples != 0:
         raise ValueError(
             f"samples = {samples}: extremal_check no longer draws random unit "
             "vectors, it compares with the exact span supremum; pass samples=0")
-    d = reproducible_multiset(space, p).origin_multiplicity
-    span = shift_span(space, p, M)
+    R = reproducible_multiset(space, p)
+    d = R.origin_multiplicity
+    span = shift_span(space, R.polynomial(), M)
     v = span.functional(0j, d)
     supremum = math.sqrt(max(float((span.solve(np.conjugate(v)) @ v).real), 0.0))
 

@@ -116,13 +116,29 @@ def test_config_error_diagnostics(tmp_path, capsys):
                       ("extremal", dict(extremal, p=cubic, M=2)),
                       ("extremal", dict(extremal, route="oracle", oracle_degree=5)),
                       ("construct", dict(BASE_VERIFY, route="oracle",
-                                         oracle_degree=5))):
+                                         oracle_degree=5)),
+                      # A policy that is not an object, a key of the wrong
+                      # type, a misspelt key and the retired bound_kind.
+                      ("verify", dict(BASE_VERIFY, policy=5)),
+                      ("verify", dict(BASE_VERIFY, policy=[1e-3])),
+                      ("verify", dict(BASE_VERIFY, policy={"max_terms": None})),
+                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": [1]})),
+                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": 0})),
+                      ("verify", dict(BASE_VERIFY, policy={"max_terms": 8})),
+                      ("verify", dict(BASE_VERIFY, policy={"target_tolerence": 1e-3})),
+                      ("verify", dict(BASE_VERIFY, policy={"bound_kind": "none"})),
+                      ("construct", dict(BASE_VERIFY, taylor_degree=None)),
+                      ("construct", dict(BASE_VERIFY, taylor_degree=[3])),
+                      ("construct", dict(BASE_VERIFY, taylor_degree=-5)),
+                      ("zeros", dict(BASE_VERIFY, scan="no")),
+                      ("zeros", dict(BASE_VERIFY, scan=0)),
+                      ("subspace", dict(extremal, q=poly, expect="no"))):
         path = write_config(tmp_path / "int.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
                        "--quiet"])
         assert rc == 2, (task, cfg)
+        assert capsys.readouterr().err.startswith("config error"), (task, cfg)
     # The extremal check no longer samples, and says so to a config that asks.
-    capsys.readouterr()
     path = write_config(tmp_path / "samples.json", dict(extremal, samples=10_000))
     assert cli.main(["extremal", "--config", path, "--out", str(tmp_path / "r"),
                      "--quiet"]) == 2

@@ -1,5 +1,6 @@
 """Kernel algebra: pairings, expansions, derivatives, shift inner products."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -114,15 +115,15 @@ def test_pairing_divergence_errors():
 
 
 def test_pairing_requires_diagonal_space():
-    with pytest.raises(TypeError):
-        kb.kernel_pairing(kb.LocalDirichlet(1.0), K(0.5), K(0.5))
-
-
-def test_heuristic_policy_sums_without_certificate():
-    none = kb.TruncationPolicy(target_tolerance=1e-10, bound_kind="none")
-    v, e = kb.kernel_pairing(H2, K(0.5), K(0.5), none)
-    assert abs(v - 4 / 3) < 1e-9
-    assert math.isfinite(e)
+    LD = kb.LocalDirichlet(1.0)
+    combo = kb.KernelCombo(H2, ((K(0.5), 1.0),))
+    calls = (lambda: kb.kernel_pairing(LD, K(0.5), K(0.5)),
+             lambda: kb.kernel_taylor(LD, K(0.5), 10),
+             # It read the missing weights: a bare AttributeError.
+             lambda: kb.combo_taylor(LD, combo, 10))
+    for call in calls:
+        with pytest.raises(kb.UnsupportedRoute, match="diagonal"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,18 @@ def test_combo_taylor_examples():
     single = kb.KernelCombo(D1, ((K(0), 1.0),))
     t = kb.combo_taylor(D1, single, 3)
     assert np.allclose(t.coefficients, [1, 0, 0, 0])
+
+
+def test_taylor_tail_out_of_terms_raises():
+    # The tail loop past degree 256 has no terms within max_terms = 100; it
+    # returned tail inf, which every check downstream then refused.
+    policy = kb.TruncationPolicy(max_terms=100)
+    with pytest.raises(kb.ToleranceUnreachable, match="within 100 terms"):
+        kb.kernel_taylor(H2, K(0.5), 256, policy)
+    Z = kb.ReproducibleMultiset(0, ((0.5 + 0j, 1),))
+    with pytest.raises(kb.ToleranceUnreachable, match="within 100 terms"):
+        kb.shapiro_shields(H2, Z, policy=policy, taylor_degree=256)
+    assert math.isfinite(kb.kernel_taylor(H2, K(0.5), 64, policy).tail_bound)
 
 
 def test_combo_validation():
@@ -405,9 +418,12 @@ def test_policy_validation():
         kb.TruncationPolicy(target_tolerance=0.0)
     with pytest.raises(ValueError):
         kb.TruncationPolicy(max_terms=4)
-    with pytest.raises(ValueError):
-        kb.TruncationPolicy(bound_kind="magic")
-    assert DEFAULT_POLICY.certified
+    # Two fields; there is no uncertified summation mode to select.
+    assert [f.name for f in dataclasses.fields(kb.TruncationPolicy)] == [
+        "target_tolerance", "max_terms"]
+    with pytest.raises(TypeError):
+        kb.TruncationPolicy(bound_kind="none")
+    assert DEFAULT_POLICY == kb.TruncationPolicy(1e-12, 2_000_000)
 
 
 def test_taylor_series_mechanics():

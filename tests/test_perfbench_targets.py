@@ -1,7 +1,8 @@
-"""The traced benchmark wraps library functions by name and reads their
-arguments; every name it relies on must still exist.  Reads ``perfbench/``
-and changes nothing there."""
+"""The benchmark wraps library functions by name, reads their arguments and
+calls them; every name and call it relies on must still fit the library.
+Reads ``perfbench/`` and changes nothing there."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 # Arguments each span's counter reads, besides the projection counters'.
 COUNTER_ARGS = {
@@ -47,3 +49,43 @@ def test_counters_find_their_arguments(spans):
                                    "construct.project_kernel_fd",
                                    "construct.project_target_fd",
                                    "verify.extremal_check"]
+
+
+def test_workload_calls_bind_to_the_library():
+    # Every kb.<name>(...) and cli.<name>(...) call in the workloads, and every
+    # call through a module-level alias such as KT = kb.KernelTerm, must bind
+    # to the current signature: a renamed or dropped parameter fails here,
+    # not in the middle of a benchmark run.
+    modules = {"kb": importlib.import_module("kernelblaschke"),
+               "cli": importlib.import_module("kernelblaschke.cli")}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+
+    def target(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return f"{node.value.id}.{node.attr}"
+        return None
+
+    aliases = {t.id: target(stmt.value) for stmt in tree.body
+               if isinstance(stmt, ast.Assign) and target(stmt.value)
+               for t in stmt.targets if isinstance(t, ast.Name)}
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = target(node.func) or (isinstance(node.func, ast.Name)
+                                     and aliases.get(node.func.id))
+        if not name:
+            continue
+        prefix, attr = name.split(".")
+        func = getattr(modules[prefix], attr, None)
+        assert callable(func), (node.lineno, name)
+        assert not any(isinstance(a, ast.Starred) for a in node.args), (node.lineno, name)
+        assert all(k.arg for k in node.keywords), (node.lineno, name)
+        try:
+            inspect.signature(func).bind(*node.args, **{k.arg: k for k in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"workloads.py:{node.lineno}: {name}: {exc}")
+        bound.append(name)
+    assert {"kb.shapiro_shields", "kb.kernel_pairing", "kb.zero_report",
+            "kb.inner_report", "cli.run_experiment"} <= set(bound)

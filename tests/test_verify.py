@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import verify
+from kernelblaschke import construct, verify
 from kernelblaschke.jsonio import dumps_canonical
 
 H2 = kb.hardy_space()
@@ -379,6 +379,41 @@ def test_extremal_supremum_closed_forms(space, expect):
     rep = kb.extremal_check(space, p, ss, M=400)
     assert abs(rep.span_supremum - expect) <= 1e-12
     assert rep.verdict
+
+
+def test_custom_gram_extremal_refuses_a_miss_inside_the_old_gap():
+    # p's boundary root is declared not reproducible, so R(p) drops it and the
+    # construction lives in V_M(q), q = R(p).polynomial().  The supremum over
+    # V_M(p) sat 5.3e-4 below the construction; a construction short by half
+    # that gap passed.  Over V_M(q) the check is tight and refuses it.
+    M = 60
+    k = np.arange(M + 1)
+    gram = np.diag(1.0 / (k + 1.0)) + 0.2 * 0.3 ** np.abs(np.subtract.outer(k, k)) \
+        / np.sqrt(np.outer(k + 1.0, k + 1.0))
+    eta = complex(math.cos(0.7), math.sin(0.7))
+    space = kb.CustomGram(gram, ((0.4 - 0.2j, "infinite"), (eta, "none")))
+    p = kb.FactoredPoly(1.0, ((0.4 - 0.2j, 1), (eta, 1), (0j, 1)))
+    Z = kb.reproducible_multiset(space, p)
+    oracle = kb.oracle_result(space, Z, M)
+    exact = kb.extremal_check(space, p, oracle, M=M)
+    assert exact.verdict and abs(exact.span_supremum - exact.construction_value) <= 1e-12
+
+    def supremum(span):
+        v = span.functional(0j, Z.origin_multiplicity)
+        return math.sqrt((span.solve(np.conjugate(v)) @ v).real)
+
+    old = supremum(construct.shift_span(space, p, M))
+    assert exact.span_supremum - old > 1e-4
+    # h = z q has h'(0) = 0 and is orthogonal to the oracle g, so only the norm grows.
+    target = (exact.span_supremum + old) / 2
+    span = construct.shift_span(space, Z.polynomial(), M)
+    h = span.combine(np.eye(span.count)[1])
+    g = oracle.taylor.coefficients
+    eps = math.sqrt((1.0 / target ** 2 - space.inner(g, g).real) / space.inner(h, h).real)
+    mutant = kb.ConstructionResult(kb.TaylorSeries(g + eps * h, 0.0), 1.0 + 0j, "oracle")
+    rep = kb.extremal_check(space, p, mutant, M=M)
+    assert abs(rep.construction_value - target) <= 1e-9
+    assert old + 1e-9 < rep.construction_value and rep.verdict is False
 
 
 def test_no_vacuous_passing_verdicts():
