@@ -78,15 +78,25 @@ def _parse_policy(cfg: dict) -> TruncationPolicy:
 
 
 def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
+    """``cfg[key]`` read as ``type(default)``: an integer field takes an integral
+    number (``400.0`` reads as 400), a float field a finite one; a boolean, a
+    fraction in an integer field and a non-finite value are config errors."""
     value = cfg.get(key, default)
+    integral = isinstance(default, int)
     try:
-        value = type(default)(value)
+        if isinstance(value, bool) or (integral and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        number = type(default)(value)
+        if not math.isfinite(number):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field '{key}' must be numeric, got {value!r}")
-    if value < 0 or (value == 0 and not zero_ok):
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"config field '{key}' must be {kind}, got {value!r}")
+    if number < 0 or (number == 0 and not zero_ok):
         sign = "non-negative" if zero_ok else "positive"
-        raise ConfigError(f"config field '{key}' must be {sign}, got {value}")
-    return value
+        raise ConfigError(f"config field '{key}' must be {sign}, got {number}")
+    return number
 
 
 def _flag(cfg: dict, key: str, default: bool) -> bool:

@@ -377,25 +377,53 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     return _pair_polylog(space, a, b, policy)
 
 
+def _powers(t: complex, ns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``t**n`` for an ascending array ``ns`` of indices ``n >= 0``, as ``np.power`` gives it.
+
+    numpy's complex power squares repeatedly below n = 100 and is C ``cpow``,
+    ``exp(n log t)``, from there on; this forms the latter in place with
+    ``log t`` taken once, where ``np.power`` takes a ``clog`` per element.  A real
+    ``t`` keeps ``np.power`` throughout.
+    """
+    out = np.empty(len(ns), dtype=complex) if out is None else out
+    cut = int(np.searchsorted(ns, 100)) if isinstance(t, complex) else len(ns)
+    np.power(t, ns[:cut], out=out[:cut])
+    if cut == len(ns):
+        return out
+    if t == 0:
+        out[cut:] = 0.0
+    else:
+        np.multiply(ns[cut:], np.log(t), out=out[cut:])
+        np.exp(out[cut:], out=out[cut:])
+    return out
+
+
 def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     """Vector v with ``v @ c = f^(order)(point)`` for ``f = sum_{n<=N} c_n z^n``.
 
-    ``v_n = n!/(n-order)! * point^(n-order)`` for n >= order and 0 below.
+    ``v_n = n!/(n-order)! * point^(n-order)`` for n >= order and 0 below, formed
+    in place in the output by ``_powers``.
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     out = np.zeros(N + 1, dtype=complex)
     ns = np.arange(order, N + 1)
-    # Formed in out itself: no full-length complex temporary at a Taylor degree of 10^6.
-    np.power(point, ns - order, out=out[order:])
+    _powers(point, ns - order, out[order:])
     out[order:] *= _falling(ns, order)
     return out
 
 
-def _taylor_coefficients(term: KernelTerm, w: np.ndarray) -> np.ndarray:
-    # Coefficient n of k_t^(m) is conj(v_n) / w_n, v = derivative_functional(t, m, N),
-    # for the weights w = w_0..w_N.
-    return derivative_functional(np.conjugate(term.point), term.order, len(w) - 1) / w
+def _coefficient_block(term: KernelTerm, ns: np.ndarray, w: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Coefficients ``conj(v_n) / w_n`` of ``k_term`` at the ascending indices ns,
+    written into out: v is ``derivative_functional(conj(point), order, .)``, w the
+    weights at ns."""
+    m = term.order
+    j = int(np.searchsorted(ns, m))
+    out[:j] = 0.0
+    _powers(np.conjugate(term.point), ns[j:] - m, out[j:])
+    out[j:] *= _falling(ns[j:], m)
+    return np.divide(out, w, out=out)
 
 
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
@@ -432,23 +460,53 @@ def kernel_taylor(space: SpaceSpec, term: KernelTerm, N: int,
     """Taylor expansion of a derivative kernel through degree N."""
     _require_diagonal(space, "kernel_taylor")
     _require_admissible(space, term)
-    return TaylorSeries(_taylor_coefficients(term, space.weights(N)),
-                        _taylor_tail(space, term, N, policy))
+    coeffs = _coefficient_block(term, np.arange(N + 1), space.weights(N),
+                                np.empty(N + 1, dtype=complex))
+    return TaylorSeries(coeffs, _taylor_tail(space, term, N, policy))
+
+
+# Indices per block of ``combo_taylor``: a block's weights and term coefficients
+# are small beside the output, however long the series.
+TAYLOR_BLOCK = 1 << 16
 
 
 def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> TaylorSeries:
-    """Taylor expansion of a kernel combination (linear in the terms)."""
+    """Taylor expansion of a kernel combination (linear in the terms).
+
+    Coefficient n is ``sum_i coef_i conj(v_n) / w_n`` over the terms, v each
+    term's ``derivative_functional`` at ``conj(point)``.  One pass over
+    ``TAYLOR_BLOCK``-sized index blocks reads each block's weights once and adds
+    every term's coefficients into the output in place, so the output is the
+    only array of length N + 1.  Each coefficient takes the same floating-point
+    operations, in the same order, as whole-array products would.
+    """
     _require_diagonal(space, "combo_taylor")
     if B.space != space:
         raise ValueError("combo was built for a different space")
-    w = space.weights(N)
-    coeffs = np.zeros(N + 1, dtype=complex)
+    space.weight(N)  # a weight table shorter than N + 1 raises here, naming N + 1
     tail = 0.0
     for term, coef in B.terms:
         _require_admissible(space, term)
-        coeffs += coef * _taylor_coefficients(term, w)
         tail += abs(coef) * _taylor_tail(space, term, N, policy)
+    # numpy rounds a complex product differently with the scalar first and
+    # second.  The whole-array ``coef * array`` that this pass replaces ran as
+    # written below 256 KiB and, by numpy's temporary elision, as ``array *=
+    # coef`` from there on; each length keeps its order, so its bits.
+    scalar_last = 16 * (N + 1) >= 1 << 18
+    coeffs = np.zeros(N + 1, dtype=complex)
+    buf = np.empty(min(N + 1, TAYLOR_BLOCK), dtype=complex)
+    for lo in range(0, N + 1, TAYLOR_BLOCK):
+        ns = np.arange(lo, min(lo + TAYLOR_BLOCK, N + 1))
+        w = space.weights_at(ns)
+        part = buf[: len(ns)]
+        for term, coef in B.terms:
+            _coefficient_block(term, ns, w, part)
+            if scalar_last:
+                part *= coef
+            else:
+                np.multiply(coef, part, out=part)
+            coeffs[lo: lo + len(ns)] += part
     return TaylorSeries(coeffs, tail)
 
 
@@ -466,7 +524,9 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
 
 
 # Coefficients per block of ``shift_inner_products``: the block's slices of b,
-# conj(b), w and the products stay in a core's L2 cache across the shifts.
+# w and the products stay in a core's L2 cache across the shifts.  At most
+# 8192, so OpenBLAS runs each dot on one thread (its threshold is 10000) and
+# sums in one fixed order.
 SHIFT_BLOCK = 1 << 13
 
 
@@ -478,11 +538,11 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     combines the tail bound with Cauchy--Schwarz cross terms, using a bound on
     the shift norm.  A polynomial input (tail 0) gives err 0.
 
-    In a diagonal space one pass over ``SHIFT_BLOCK``-sized blocks of b forms,
-    for every shift, the partial sums of ``w_n b_(n-k) conj(b_n)`` and (for
-    the err) of ``w_(n+k) |b_n|^2`` from one weight vector; the block partials
-    are then added.  An input of at most ``SHIFT_BLOCK`` coefficients is one
-    block, summed exactly as a sum over the whole array.
+    In a diagonal space one pass over ``SHIFT_BLOCK``-sized blocks of b reads
+    one weight vector.  Each block forms ``c_n = w_n conj(b_n)`` and ``|b_n|^2``
+    once; every shift's partial sums of ``b_(n-k) c_n`` and (for the err) of
+    ``w_(n+k) |b_n|^2`` are then one BLAS dot each over contiguous slices, and
+    the block partials are added in block order.
     """
     shifts = [int(k) for k in shifts]
     b = B.coefficients
@@ -510,14 +570,13 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     for i, lo in enumerate(blocks):
         hi = min(lo + SHIFT_BLOCK, N + 1)
         abs_sq = np.abs(b[lo:hi]) ** 2
-        conj = b[lo:hi].conj()
+        c = w[lo:hi] * b[lo:hi].conj()
         for j, k in enumerate(norms):
-            square[i, j] = np.sum(w[lo + k: hi + k] * abs_sq)
+            square[i, j] = np.dot(w[lo + k: hi + k], abs_sq)
         for j, k in enumerate(shifts):
             start = max(lo, k)
             if 0 < k and start < hi:
-                cross[i, j] = np.sum(w[start:hi] * b[start - k: hi - k]
-                                     * conj[start - lo:])
+                cross[i, j] = np.dot(b[start - k: hi - k], c[start - lo:])
     cross, square = cross.sum(axis=0), dict(zip(norms, square.sum(axis=0)))
     out = []
     for k, value in zip(shifts, cross):

@@ -70,6 +70,44 @@ def test_extremal_seed_determinism(tmp_path):
     assert c["report"] == json.loads(a)["report"]
 
 
+def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsys):
+    # int() truncated these: taylor_degree 30.9 ran at degree 30 and K true as
+    # K = 1, exit 0; float() read true as 1.0, and JSON's NaN passed every check.
+    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    for task, cfg in (("verify", dict(BASE_VERIFY, taylor_degree=30.9)),
+                      ("verify", dict(BASE_VERIFY, K=True)),
+                      ("verify", dict(BASE_VERIFY, K=10.5)),
+                      ("verify", dict(BASE_VERIFY, route="oracle", oracle_degree=40.5)),
+                      ("verify", dict(BASE_VERIFY, policy={"max_terms": 1e5 + 0.5})),
+                      ("verify", dict(BASE_VERIFY, policy={"max_terms": True})),
+                      ("verify", dict(BASE_VERIFY, tolerance=True)),
+                      ("verify", dict(BASE_VERIFY, tolerance=math.nan)),
+                      ("verify", dict(BASE_VERIFY, tolerance=math.inf)),
+                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": math.nan})),
+                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": False})),
+                      ("zeros", dict(BASE_VERIFY, radius=math.nan)),
+                      ("zeros", dict(BASE_VERIFY, radius=True)),
+                      ("oracle", dict(extremal, M=60.25)),
+                      ("oracle", dict(extremal, M=True)),
+                      ("oracle", dict(extremal, d=True)),
+                      ("oracle", dict(extremal, d=0.5))):
+        path = write_config(tmp_path / "num.json", cfg)
+        rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
+        assert rc == 2, (task, cfg)
+        assert capsys.readouterr().err.startswith("config error"), (task, cfg)
+    # An integral float is that integer.
+    cfg = write_config(tmp_path / "whole.json",
+                       dict(BASE_VERIFY, name="whole", taylor_degree=300.0, K=10.0))
+    for task in ("verify", "construct"):
+        assert cli.main([task, "--config", cfg, "--out", str(tmp_path / "w"),
+                         "--quiet"]) == 0
+    report = json.loads((tmp_path / "w" / "verify-whole.json").read_text())
+    assert report["report"]["inner_report"]["K"] == 10
+    report = json.loads((tmp_path / "w" / "construct-whole.json").read_text())
+    assert report["report"]["construction"]["taylor"]["N"] == 300
+
+
 def test_failing_verdict_gives_exit_one(tmp_path):
     cfg_obj = dict(BASE_VERIFY, name="bad",
                    multiset={"origin": 0,

@@ -185,6 +185,128 @@ def test_combo_validation():
         kb.combo_taylor(A2, combo, 4)
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_POWER_POINTS = (0j, 1 + 0j, complex(np.exp(0.4j)), 0.5 + 0.2j, 0.99 + 0.1j)
+_POWER_NS = (0, 1, 2, 3, 7, 98, 99, 100, 101, 102, 257, 4096, 65535, 65536,
+             123_457, 1_000_003, 1_499_999, 1_500_000)
+
+
+def test_powers_and_derivative_functional_against_mpmath():
+    # exp(n log t) from n = 100 on: relative error about 2 n |log t| u, held
+    # to 8 n eps; a value that underflows is held to the smallest normal.
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.array(_POWER_NS)
+    with mpmath.workdps(40):
+        for t in _POWER_POINTS:
+            powers = kb.kernels._powers(t, ns)
+            for n, value in zip(_POWER_NS, powers):
+                ref = mpmath.mpc(t) ** n
+                assert abs(mpmath.mpc(value) - ref) <= (8 * n + 16) * _EPS * abs(ref) + _TINY, (t, n)
+            for order in range(3):
+                v = kb.kernels.derivative_functional(t, order, _POWER_NS[-1])
+                for n in _POWER_NS:
+                    ref = mpmath.ff(n, order) * mpmath.mpc(t) ** (n - order) if n >= order else 0
+                    bound = (8 * n + 16) * _EPS * abs(ref) + _TINY
+                    assert abs(mpmath.mpc(v[n]) - ref) <= bound, (t, order, n)
+
+
+def test_short_weight_table_names_the_length_needed():
+    # The blocked pass reads its weights block by block; a table too short
+    # for degree N is refused first, naming N + 1 and not a block's end.
+    N = 3 * kb.kernels.TAYLOR_BLOCK + 17
+    table = kb.WeightedHardy(tuple(1.0 / (k + 1) for k in range(70_000)))
+    combo = kb.KernelCombo(table, ((K(0.5 + 0.1j), 1.0), (K(0, 1), 2.0)))
+    message = (f"weight table of length 70000 cannot serve indices up to {N}; "
+               f"supply a table of length at least {N + 1} or a callable rule")
+    for call in (lambda: kb.combo_taylor(table, combo, N),
+                 lambda: kb.kernel_taylor(table, K(0.5), N)):
+        with pytest.raises(kb.ToleranceUnreachable) as info:
+            call()
+        assert str(info.value) == message
+
+
+def _blocked_cases(N):
+    """A Dirichlet space with a boundary kernel, a weight table and a callable
+    rule, each with kernels of orders 0 to 4 at and off the origin."""
+    table = kb.WeightedHardy(tuple((k + 2.0) ** -0.5 for k in range(N + 4000)))
+    rule = kb.WeightedHardy(lambda k: 1.0 / math.sqrt(k + 1.0))
+    inner = ((K(0, 3), 1.5 - 0.5j), (K(0.5 + 0.2j, 4), 0.25j),
+             (K(-0.3 + 0.6j, 0), -1.0), (K(0.7j, 1), 0.7 + 0.1j))
+    return [(D4, kb.KernelCombo(D4, inner + ((K(1j, 1), 2.0 - 1j), (K(1.0), -0.5)))),
+            (table, kb.KernelCombo(table, inner)),
+            (rule, kb.KernelCombo(rule, inner))]
+
+
+@pytest.mark.parametrize("block", [2, 3, 64, None])
+def test_combo_taylor_blocks_match_unblocked_and_mpmath(block, monkeypatch):
+    # N = 3 blocks + 17: the orders 3 and 4 straddle the edges of the small
+    # blocks, n = 100 (where the powers switch to exp(n log t)) falls inside
+    # one of 64, and the full-size case crosses its three edges.
+    mpmath = pytest.importorskip("mpmath")
+    if block is not None:
+        monkeypatch.setattr(kb.kernels, "TAYLOR_BLOCK", block)
+    block = kb.kernels.TAYLOR_BLOCK
+    N = 3 * block + 17
+    samples = sorted(n for n in {e * block + d for e in range(4) for d in (-1, 0, 1)}
+                     | {0, 1, 2, 3, 4, 5, 99, 100, 101, N} if 0 <= n <= N)
+    for space, combo in _blocked_cases(N):
+        series = kb.combo_taylor(space, combo, N)
+        again = kb.combo_taylor(space, combo, N)
+        assert series.coefficients.tobytes() == again.coefficients.tobytes()
+        assert series.tail_bound == again.tail_bound
+        # Unblocked: whole-array functionals, one term at a time.
+        w = space.weights(N)
+        ref, size = np.zeros(N + 1, dtype=complex), np.zeros(N + 1)
+        for term, coef in combo.terms:
+            v = kb.kernels.derivative_functional(term.point, term.order, N)
+            ref += coef * np.conjugate(v) / w
+            size += abs(coef) * np.abs(v) / w
+        ns = np.arange(N + 1)
+        bound = (16 * ns + 64) * _EPS * size + _TINY
+        assert np.all(np.abs(series.coefficients - ref) <= bound)
+        with mpmath.workdps(30):
+            for n in samples:
+                exact = mpmath.fsum(
+                    mpmath.mpc(coef) * mpmath.ff(n, t.order)
+                    * mpmath.conj(mpmath.mpc(t.point)) ** (n - t.order) / mpmath.mpf(w[n])
+                    for t, coef in combo.terms if n >= t.order)
+                bound = (8 * n + 64) * _EPS * size[n] + _TINY
+                assert abs(mpmath.mpc(series.coefficients[n]) - exact) <= bound, (space, n)
+
+
+@pytest.mark.parametrize("block", [8, None])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_shift_inner_products_blocks_match_unblocked_and_longdouble(block, tau,
+                                                                    monkeypatch):
+    # Unsorted shifts, one past SHIFT_BLOCK and one past N, over three full
+    # blocks and a partial one.
+    if block is not None:
+        monkeypatch.setattr(kb.kernels, "SHIFT_BLOCK", block)
+    block = kb.kernels.SHIFT_BLOCK
+    N = 3 * block + 17
+    shifts = [5, 0, block + 3, N + 4, 1, 2 * block + 1, 3]
+    rng = np.random.default_rng(block)
+    b = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)) / np.arange(1.0, N + 2)
+    B = kb.TaylorSeries(b, tau)
+    for space, _ in _blocked_cases(N + max(shifts)):
+        products = kb.shift_inner_products(space, B, shifts)
+        assert products == kb.shift_inner_products(space, B, shifts)
+        w = space.weights(N + max(shifts)).astype(np.longdouble)
+        bl = b.astype(np.clongdouble)
+        for k, (value, err) in zip(shifts, products):
+            ref, ref_err, size = _shift_reference(space, B, k)
+            if k == 0:
+                exact = np.sum(w[: N + 1] * np.abs(bl) ** 2)
+            else:
+                exact = np.sum(w[k: N + 1] * bl[: max(N + 1 - k, 0)] * np.conj(bl[k:]))
+            bound = 4 * _gamma(N + k + 1) * size
+            assert abs(value - ref) <= bound, (space, k)
+            assert abs(value - complex(exact)) <= bound, (space, k)
+            assert abs(err - ref_err) <= 4 * _gamma(N + k + 1) * ref_err, (space, k)
+            assert (err == 0.0) == (tau == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # combo_derivative_at
 # ---------------------------------------------------------------------------
@@ -299,7 +421,8 @@ def test_shift_errors():
 
 def _shift_reference(space, B, k):
     """``<z^k B, B>``, its err and the size ``sum |terms|``, one shift at a time:
-    whole-array sums in a diagonal space, one dense form per shift otherwise."""
+    whole-array dot products in a diagonal space, one dense form per shift
+    otherwise."""
     b, tau = B.coefficients, B.tail_bound
     N = len(b) - 1
     if not space.diagonal:
@@ -310,17 +433,19 @@ def _shift_reference(space, B, k):
         size = np.abs(shifted) @ np.abs(space.gram(N + k)) @ np.abs(padded)
         return complex(space.inner(shifted, padded)), 0.0, size
     w = space.weights(N + k)
+    abs_sq = np.abs(b) ** 2
     if k == 0:
-        terms = w[: N + 1] * np.abs(b) ** 2
+        terms = w[: N + 1] * abs_sq
+        value = complex(np.dot(w[: N + 1], abs_sq))
     elif k <= N:
         terms = w[k: N + 1] * b[: N + 1 - k] * b[k:].conj()
+        value = complex(np.dot(b[: N + 1 - k], w[k: N + 1] * b[k:].conj()))
     else:
-        terms = np.zeros(0)
-    value = complex(np.sum(terms)) if k <= N else 0j
+        terms, value = np.zeros(0), 0j
     if tau == 0.0:
         return value, 0.0, float(np.sum(np.abs(terms)))
-    znorm = math.sqrt(float(np.sum(w[k: k + N + 1] * np.abs(b) ** 2)))
-    bnorm = math.sqrt(float(np.sum(w[: N + 1] * np.abs(b) ** 2)))
+    znorm = math.sqrt(float(np.dot(w[k: k + N + 1], abs_sq)))
+    bnorm = math.sqrt(float(np.dot(w[: N + 1], abs_sq)))
     err = znorm * tau + space.shift_norm_bound(k) * tau * (bnorm + tau)
     return value, err, float(np.sum(np.abs(terms)))
 
