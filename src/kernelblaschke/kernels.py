@@ -377,15 +377,15 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     return _pair_polylog(space, a, b, policy)
 
 
-def _powers(t: complex, ns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``t**n`` for an ascending array ``ns`` of indices ``n >= 0``, as ``np.power`` gives it.
+def _powers(t: complex, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``t**n`` into out for an ascending array ``ns`` of indices ``n >= 0``, as
+    ``np.power`` gives it.
 
     numpy's complex power squares repeatedly below n = 100 and is C ``cpow``,
     ``exp(n log t)``, from there on; this forms the latter in place with
     ``log t`` taken once, where ``np.power`` takes a ``clog`` per element.  A real
     ``t`` keeps ``np.power`` throughout.
     """
-    out = np.empty(len(ns), dtype=complex) if out is None else out
     cut = int(np.searchsorted(ns, 100)) if isinstance(t, complex) else len(ns)
     np.power(t, ns[:cut], out=out[:cut])
     if cut == len(ns):
@@ -398,6 +398,17 @@ def _powers(t: complex, ns: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
+def _functional_at(point: complex, order: int, ns: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """``n!/(n-order)! * point^(n-order)`` into out at the ascending indices ns,
+    0 for n < order."""
+    j = int(np.searchsorted(ns, order))
+    out[:j] = 0.0
+    _powers(point, ns[j:] - order, out[j:])
+    out[j:] *= _falling(ns[j:], order)
+    return out
+
+
 def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     """Vector v with ``v @ c = f^(order)(point)`` for ``f = sum_{n<=N} c_n z^n``.
 
@@ -406,11 +417,7 @@ def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    out = np.zeros(N + 1, dtype=complex)
-    ns = np.arange(order, N + 1)
-    _powers(point, ns - order, out[order:])
-    out[order:] *= _falling(ns, order)
-    return out
+    return _functional_at(point, order, np.arange(N + 1), np.empty(N + 1, dtype=complex))
 
 
 def _coefficient_block(term: KernelTerm, ns: np.ndarray, w: np.ndarray,
@@ -418,11 +425,7 @@ def _coefficient_block(term: KernelTerm, ns: np.ndarray, w: np.ndarray,
     """Coefficients ``conj(v_n) / w_n`` of ``k_term`` at the ascending indices ns,
     written into out: v is ``derivative_functional(conj(point), order, .)``, w the
     weights at ns."""
-    m = term.order
-    j = int(np.searchsorted(ns, m))
-    out[:j] = 0.0
-    _powers(np.conjugate(term.point), ns[j:] - m, out[j:])
-    out[j:] *= _falling(ns[j:], m)
+    _functional_at(np.conjugate(term.point), term.order, ns, out)
     return np.divide(out, w, out=out)
 
 
@@ -479,7 +482,8 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     ``TAYLOR_BLOCK``-sized index blocks reads each block's weights once and adds
     every term's coefficients into the output in place, so the output is the
     only array of length N + 1.  Each coefficient takes the same floating-point
-    operations, in the same order, as whole-array products would.
+    operations, in the same order, as whole-array products ``array * coef``
+    would.
     """
     _require_diagonal(space, "combo_taylor")
     if B.space != space:
@@ -489,11 +493,6 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     for term, coef in B.terms:
         _require_admissible(space, term)
         tail += abs(coef) * _taylor_tail(space, term, N, policy)
-    # numpy rounds a complex product differently with the scalar first and
-    # second.  The whole-array ``coef * array`` that this pass replaces ran as
-    # written below 256 KiB and, by numpy's temporary elision, as ``array *=
-    # coef`` from there on; each length keeps its order, so its bits.
-    scalar_last = 16 * (N + 1) >= 1 << 18
     coeffs = np.zeros(N + 1, dtype=complex)
     buf = np.empty(min(N + 1, TAYLOR_BLOCK), dtype=complex)
     for lo in range(0, N + 1, TAYLOR_BLOCK):
@@ -502,10 +501,7 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
         part = buf[: len(ns)]
         for term, coef in B.terms:
             _coefficient_block(term, ns, w, part)
-            if scalar_last:
-                part *= coef
-            else:
-                np.multiply(coef, part, out=part)
+            part *= coef
             coeffs[lo: lo + len(ns)] += part
     return TaylorSeries(coeffs, tail)
 
@@ -526,7 +522,7 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
 # Coefficients per block of ``shift_inner_products``: the block's slices of b,
 # w and the products stay in a core's L2 cache across the shifts.  At most
 # 8192, so OpenBLAS runs each dot on one thread (its threshold is 10000) and
-# sums in one fixed order.
+# sums in one order, fixed for a given host and BLAS build.
 SHIFT_BLOCK = 1 << 13
 
 

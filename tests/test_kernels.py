@@ -199,7 +199,7 @@ def test_powers_and_derivative_functional_against_mpmath():
     ns = np.array(_POWER_NS)
     with mpmath.workdps(40):
         for t in _POWER_POINTS:
-            powers = kb.kernels._powers(t, ns)
+            powers = kb.kernels._powers(t, ns, np.empty(len(ns), dtype=complex))
             for n, value in zip(_POWER_NS, powers):
                 ref = mpmath.mpc(t) ** n
                 assert abs(mpmath.mpc(value) - ref) <= (8 * n + 16) * _EPS * abs(ref) + _TINY, (t, n)
