@@ -25,7 +25,7 @@ import numpy as np
 from . import construct as _construct
 from . import verify as _verify
 from .errors import ConfigError, KernelSpaceError, UnboundedTail
-from .jsonio import atomic_write_text, complex_pair, dumps_canonical
+from .jsonio import atomic_write_text, complex_pair, dumps_canonical, json_number
 from .kernels import TaylorSeries, TruncationPolicy
 from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
                      ReproducibleMultiset, bergman_space, hardy_space,
@@ -39,13 +39,16 @@ from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            cfg = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _field(cfg: dict, key: str, default=None, required: bool = False):
@@ -58,6 +61,8 @@ def _field(cfg: dict, key: str, default=None, required: bool = False):
 
 def _parse(cfg: dict, key: str, from_json):
     obj = _field(cfg, key, required=True)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{key}' must be an object, got {obj!r}")
     try:
         return from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
@@ -78,21 +83,12 @@ def _parse_policy(cfg: dict) -> TruncationPolicy:
 
 
 def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
-    """``cfg[key]`` read as ``type(default)``: an integer field takes an integral
-    number (``400.0`` reads as 400), a float field a finite one; a boolean, a
-    fraction in an integer field and a non-finite value are config errors."""
-    value = cfg.get(key, default)
-    integral = isinstance(default, int)
+    """``cfg[key]`` read as ``type(default)`` by ``jsonio.json_number``; a value
+    it refuses is a config error, and so is a negative one (or 0 unless zero_ok)."""
     try:
-        if isinstance(value, bool) or (integral and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError
-        number = type(default)(value)
-        if not math.isfinite(number):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if integral else "a finite number"
-        raise ConfigError(f"config field '{key}' must be {kind}, got {value!r}")
+        number = json_number(cfg.get(key, default), type(default), f"config field '{key}'")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if number < 0 or (number == 0 and not zero_ok):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"config field '{key}' must be {sign}, got {number}")

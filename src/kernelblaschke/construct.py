@@ -148,7 +148,7 @@ def pairing_gram(space: SpaceSpec, terms: list[KernelTerm],
 
 def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
                   gauge_index: int | None = None):
-    """Scale so the gauge coefficient is 1; returns (taylor, combo, scale, idx)."""
+    """Scale so the gauge coefficient is 1; returns (taylor, combo, scale)."""
     coeffs = taylor.coefficients
     top = float(np.max(np.abs(coeffs)))
     if top == 0.0:
@@ -165,7 +165,7 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
     scale = 1.0 / pivot
     return (taylor.scaled(scale),
             None if combo is None else combo.scaled(scale),
-            scale, gauge_index)
+            scale)
 
 
 def _cholesky_or_singular(G: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -244,7 +244,7 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
 
     combo = KernelCombo(space, tuple(combo_terms))
     taylor = combo_taylor(space, combo, taylor_degree, policy)
-    taylor, combo, scale, _ = _canonicalize(taylor, combo, Z.origin_multiplicity)
+    taylor, combo, scale = _canonicalize(taylor, combo, Z.origin_multiplicity)
     return ConstructionResult(taylor, scale, used, combo,
                               gram_err * abs(scale))
 
@@ -473,6 +473,16 @@ def _cauchy_tail_bound(num: np.ndarray, poles, N: int) -> float:
     return float(np.min(m_r * r ** -(N + 1.0) / np.sqrt(1.0 - r ** -2.0)))
 
 
+def _rational_taylor(num: np.ndarray, poles, N: int) -> TaylorSeries:
+    """Taylor series through degree N of ``num / prod (1 - q z)^m``, ``(q, m)`` in
+    poles, with ``_cauchy_tail_bound`` as its tail bound."""
+    coeffs = np.zeros(N + 1, dtype=complex)
+    coeffs[: len(num)] = num[: N + 1]
+    for q, m in poles:
+        coeffs = np.convolve(coeffs, _geometric_inverse_power(q, m, N))[: N + 1]
+    return TaylorSeries(coeffs, _cauchy_tail_bound(num, poles, N))
+
+
 def classical_blaschke(zeros, taylor_degree: int = 256):
     """Finite product of disk automorphism factors for interior zeros.
 
@@ -504,16 +514,8 @@ def classical_blaschke(zeros, taylor_degree: int = 256):
     )
 
     num_coeffs = FactoredPoly(scale, tuple(roots)).coefficients()
-    coeffs = np.zeros(taylor_degree + 1, dtype=complex)
-    coeffs[: len(num_coeffs)] = num_coeffs[: taylor_degree + 1]
-    for point, mult in roots:
-        if point == 0:
-            continue
-        series = _geometric_inverse_power(np.conjugate(point), mult, taylor_degree)
-        coeffs = np.convolve(coeffs, series)[: taylor_degree + 1]
     poles = [(np.conjugate(point), mult) for point, mult in roots if point != 0]
-    tail = _cauchy_tail_bound(num_coeffs, poles, taylor_degree)
-    return rational, TaylorSeries(coeffs, tail), rational
+    return rational, _rational_taylor(num_coeffs, poles, taylor_degree), rational
 
 
 def bergman_rational(zeros, taylor_degree: int = 256):
@@ -573,14 +575,8 @@ def bergman_rational(zeros, taylor_degree: int = 256):
         FactoredPoly(den_coeffs[-1], tuple((1.0 / np.conjugate(p), 2) for p in points)),
     )
 
-    coeffs = np.zeros(taylor_degree + 1, dtype=complex)
-    coeffs[: len(num_coeffs)] = num_coeffs[: taylor_degree + 1]
-    for p in points:
-        series = _geometric_inverse_power(np.conjugate(p), 2, taylor_degree)
-        coeffs = np.convolve(coeffs, series)[: taylor_degree + 1]
-    tail = _cauchy_tail_bound(num_coeffs, [(np.conjugate(p), 2) for p in points],
-                              taylor_degree)
-    return rational, TaylorSeries(coeffs, tail)
+    poles = [(np.conjugate(p), 2) for p in points]
+    return rational, _rational_taylor(num_coeffs, poles, taylor_degree)
 
 
 def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""JSON helpers: complex <-> [re, im] pairs, canonical dumps, atomic file writes.
+"""JSON helpers: complex <-> [re, im] pairs, numbers, canonical dumps, atomic writes.
 
 Reports must be byte-identical across runs for a fixed (config, seed), so all
 serialization goes through `dumps_canonical` (sorted keys, fixed separators,
@@ -8,6 +8,7 @@ no timestamps) and files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -23,6 +24,26 @@ def pair_complex(obj) -> complex:
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         return complex(float(obj[0]), float(obj[1]))
     raise ValueError(f"expected [re, im] pair, got {obj!r}")
+
+
+def json_number(value, kind: type, what: str):
+    """``value`` read as a finite ``kind`` (``int`` or ``float``).
+
+    An int field takes an integral number only (``400.0`` reads as 400), a float
+    field any finite number; a boolean, a fraction in an int field, a non-finite
+    number and anything ``kind`` cannot convert raise ValueError naming ``what``.
+    """
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        number = kind(value)
+        if not math.isfinite(number):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{what} must be {noun}, got {value!r}") from None
+    return number
 
 
 def dumps_canonical(obj) -> str:

@@ -95,13 +95,19 @@ class TaylorSeries:
     ``tail_bound`` is a bound on the space norm of the tail (``0`` for exact
     polynomials).  Library routines always give a finite bound; a series built
     by hand with ``inf`` is refused by the shift products (``UnboundedTail``).
+
+    The series takes ownership of a complex ndarray handed to it: the array is
+    kept, not copied, and marked read-only, so the caller must not write to it
+    through another reference.  Any other sequence is converted to a new one.
     """
 
     coefficients: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=complex)
+        arr = self.coefficients
+        if not (isinstance(arr, np.ndarray) and arr.dtype == complex):
+            arr = np.array(arr, dtype=complex)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("coefficients must be a nonempty 1-D array")
         arr.setflags(write=False)
@@ -126,13 +132,6 @@ class TaylorSeries:
     def scaled(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self.coefficients * factor,
                             abs(factor) * self.tail_bound)
-
-    def padded(self, degree: int) -> "TaylorSeries":
-        if degree <= self.truncation_degree:
-            return self
-        out = np.zeros(degree + 1, dtype=complex)
-        out[: len(self.coefficients)] = self.coefficients
-        return TaylorSeries(out, self.tail_bound)
 
     def to_json(self) -> dict:
         return {"coeffs": [complex_pair(c) for c in self.coefficients],
@@ -420,18 +419,9 @@ def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     return _functional_at(point, order, np.arange(N + 1), np.empty(N + 1, dtype=complex))
 
 
-def _coefficient_block(term: KernelTerm, ns: np.ndarray, w: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
-    """Coefficients ``conj(v_n) / w_n`` of ``k_term`` at the ascending indices ns,
-    written into out: v is ``derivative_functional(conj(point), order, .)``, w the
-    weights at ns."""
-    _functional_at(np.conjugate(term.point), term.order, ns, out)
-    return np.divide(out, w, out=out)
-
-
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
                  policy: TruncationPolicy) -> float:
-    """Bound on the space norm of the discarded tail of ``kernel_taylor``."""
+    """Bound on the space norm of the Taylor tail of ``k_term`` past degree N."""
     m = term.order
     beta = abs(term.point)
     if beta == 0:
@@ -460,12 +450,9 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
 
 def kernel_taylor(space: SpaceSpec, term: KernelTerm, N: int,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> TaylorSeries:
-    """Taylor expansion of a derivative kernel through degree N."""
-    _require_diagonal(space, "kernel_taylor")
-    _require_admissible(space, term)
-    coeffs = _coefficient_block(term, np.arange(N + 1), space.weights(N),
-                                np.empty(N + 1, dtype=complex))
-    return TaylorSeries(coeffs, _taylor_tail(space, term, N, policy))
+    """Taylor expansion of a derivative kernel through degree N: ``combo_taylor``
+    of the one-term combination ``((term, 1),)``."""
+    return combo_taylor(space, KernelCombo(space, ((term, 1),)), N, policy)
 
 
 # Indices per block of ``combo_taylor``: a block's weights and term coefficients
@@ -488,11 +475,10 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     _require_diagonal(space, "combo_taylor")
     if B.space != space:
         raise ValueError("combo was built for a different space")
-    space.weight(N)  # a weight table shorter than N + 1 raises here, naming N + 1
-    tail = 0.0
-    for term, coef in B.terms:
+    for term, _ in B.terms:
         _require_admissible(space, term)
-        tail += abs(coef) * _taylor_tail(space, term, N, policy)
+    space.weight(N)  # a weight table shorter than N + 1 raises here, naming N + 1
+    tail = sum(abs(coef) * _taylor_tail(space, term, N, policy) for term, coef in B.terms)
     coeffs = np.zeros(N + 1, dtype=complex)
     buf = np.empty(min(N + 1, TAYLOR_BLOCK), dtype=complex)
     for lo in range(0, N + 1, TAYLOR_BLOCK):
@@ -500,7 +486,8 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
         w = space.weights_at(ns)
         part = buf[: len(ns)]
         for term, coef in B.terms:
-            _coefficient_block(term, ns, w, part)
+            _functional_at(np.conjugate(term.point), term.order, ns, part)
+            part /= w
             part *= coef
             coeffs[lo: lo + len(ns)] += part
     return TaylorSeries(coeffs, tail)
@@ -535,12 +522,14 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     the shift norm.  A polynomial input (tail 0) gives err 0.
 
     In a diagonal space one pass over ``SHIFT_BLOCK``-sized blocks of b reads
-    one weight vector.  Each block forms ``c_n = w_n conj(b_n)`` and ``|b_n|^2``
-    once; every shift's partial sums of ``b_(n-k) c_n`` and (for the err) of
-    ``w_(n+k) |b_n|^2`` are then one BLAS dot each over contiguous slices, and
-    the block partials are added in block order.
+    one weight vector.  Each block forms ``|b_n|^2`` once, and
+    ``c_n = w_n conj(b_n)`` once when a shift is positive; every shift's partial
+    sums of ``b_(n-k) c_n`` and (for the err) of ``w_(n+k) |b_n|^2`` are then
+    one BLAS dot each over contiguous slices, and the block partials are added
+    in block order.
     """
     shifts = [int(k) for k in shifts]
+    top = max(shifts)
     b = B.coefficients
     N = len(b) - 1
     tau = B.tail_bound
@@ -550,14 +539,13 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
         if tau != 0.0:
             raise UnboundedTail(
                 "non-diagonal spaces support shift products only for exact polynomials")
-        top = max(shifts)
         shifted = np.zeros((len(shifts), N + top + 1), dtype=complex)
         for row, k in zip(shifted, shifts):
             row[k: k + N + 1] = b
         padded = np.zeros(N + top + 1, dtype=complex)
         padded[: N + 1] = b
         return [(complex(v), 0.0) for v in space.inner(shifted, padded)]
-    w = space.weights(N + max(shifts))
+    w = space.weights(N + top)
     # Shifts whose w_(n+k) |b_n|^2 sum is read: k = 0 is <B, B> and ||B||.
     norms = sorted({0, *shifts}) if tau else [0] if 0 in shifts else []
     blocks = range(0, N + 1, SHIFT_BLOCK)
@@ -566,7 +554,7 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     for i, lo in enumerate(blocks):
         hi = min(lo + SHIFT_BLOCK, N + 1)
         abs_sq = np.abs(b[lo:hi]) ** 2
-        c = w[lo:hi] * b[lo:hi].conj()
+        c = w[lo:hi] * b[lo:hi].conj() if top > 0 else None
         for j, k in enumerate(norms):
             square[i, j] = np.dot(w[lo + k: hi + k], abs_sq)
         for j, k in enumerate(shifts):

@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .errors import (InadmissibleMultiset, MissingReproducibility,
                      ToleranceUnreachable)
-from .jsonio import complex_pair, pair_complex
+from .jsonio import complex_pair, json_number, pair_complex
 
 ORIGIN_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
@@ -105,7 +105,7 @@ class ReproducibleOrder:
             return cls.infinite()
         if obj == "none":
             return cls.not_reproducible()
-        return cls.finite(int(obj))
+        return cls.finite(json_number(obj, int, "reproducible order"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,10 @@ class DirichletType(DiagonalSpace):
 
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+
     @property
     def decay_exponent(self) -> float:
         return self.alpha
@@ -306,6 +310,9 @@ class WeightedHardy(DiagonalSpace):
     boundary_order: int | None = None
 
     def __post_init__(self):
+        if self.boundary_order is not None:
+            object.__setattr__(self, "boundary_order",
+                               json_number(self.boundary_order, int, "boundary_order"))
         if not callable(self.weight_rule):
             table = np.array(self.weight_rule, dtype=float)
             table.setflags(write=False)
@@ -569,7 +576,7 @@ def _rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
 def space_from_json(obj: dict) -> SpaceSpec:
     kind = obj.get("type")
     if kind == "dirichlet":
-        return DirichletType(float(obj["alpha"]))
+        return DirichletType(json_number(obj["alpha"], float, "alpha"))
     if kind == "weights":
         if obj.get("rule") != "table":
             raise ValueError(f"unsupported weight rule {obj.get('rule')!r}")
@@ -670,7 +677,8 @@ class FactoredPoly:
     def from_json(cls, obj: dict) -> "FactoredPoly":
         return cls(
             pair_complex(obj["leading"]),
-            tuple((pair_complex(r["point"]), int(r["mult"])) for r in obj.get("roots", ())),
+            tuple((pair_complex(r["point"]), json_number(r["mult"], int, "root multiplicity"))
+                  for r in obj.get("roots", ())),
         )
 
 
@@ -757,8 +765,9 @@ class ReproducibleMultiset:
     @classmethod
     def from_json(cls, obj: dict) -> "ReproducibleMultiset":
         return cls(
-            int(obj.get("origin", 0)),
-            tuple((pair_complex(e["point"]), int(e["mult"])) for e in obj.get("points", ())),
+            json_number(obj.get("origin", 0), int, "origin multiplicity"),
+            tuple((pair_complex(e["point"]), json_number(e["mult"], int, "multiplicity"))
+                  for e in obj.get("points", ())),
         )
 
 

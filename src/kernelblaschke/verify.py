@@ -387,9 +387,7 @@ def subspace_equal(space: SpaceSpec, p: FactoredPoly, q: FactoredPoly,
     projections = zip(project_target_fd(space, p, M, targets),
                       project_target_fd(space, q, M, targets))
     for (point, order), (proj_p, proj_q) in zip(targets, projections):
-        n = max(len(proj_p.coefficients), len(proj_q.coefficients))
-        cp = proj_p.padded(n - 1).coefficients
-        cq = proj_q.padded(n - 1).coefficients
+        cp, cq = proj_p.coefficients, proj_q.coefficients
         scale = max(float(np.linalg.norm(cp)), float(np.linalg.norm(cq)), 1e-300)
         deviation = float(np.max(np.abs(cp - cq))) / scale
         probes.append({"target": complex_pair(point), "order": order,

@@ -91,7 +91,29 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
                       ("oracle", dict(extremal, M=60.25)),
                       ("oracle", dict(extremal, M=True)),
                       ("oracle", dict(extremal, d=True)),
-                      ("oracle", dict(extremal, d=0.5))):
+                      ("oracle", dict(extremal, d=0.5)),
+                      # The JSON parsers truncated these integers and read
+                      # alpha true as 1.0; alpha NaN or inf ran to a typed
+                      # error past the parse.
+                      ("verify", dict(BASE_VERIFY, multiset={
+                          "origin": 0, "points": [{"point": [0.5, 0], "mult": 1.7}]})),
+                      ("verify", dict(BASE_VERIFY, multiset={
+                          "origin": 0, "points": [{"point": [0.5, 0], "mult": True}]})),
+                      ("verify", dict(BASE_VERIFY, multiset={"origin": 1.9, "points": []})),
+                      ("oracle", dict(extremal, p={"leading": [1, 0], "roots": [
+                          {"point": [0.5, 0], "mult": 2.5}]})),
+                      ("oracle", dict(extremal, space={
+                          "type": "weights", "rule": "table", "boundary_order": 0.5,
+                          "values": [(k + 1.0) ** 4 for k in range(61)]})),
+                      ("oracle", dict(extremal, M=11, space={
+                          "type": "custom",
+                          "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
+                          "reproducibility": [{"point": [0.5, 0], "order": 1.5}]})),
+                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": True})),
+                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
+                                                          "alpha": math.nan})),
+                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
+                                                          "alpha": math.inf}))):
         path = write_config(tmp_path / "num.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
         assert rc == 2, (task, cfg)
@@ -170,7 +192,11 @@ def test_config_error_diagnostics(tmp_path, capsys):
                       ("construct", dict(BASE_VERIFY, taylor_degree=-5)),
                       ("zeros", dict(BASE_VERIFY, scan="no")),
                       ("zeros", dict(BASE_VERIFY, scan=0)),
-                      ("subspace", dict(extremal, q=poly, expect="no"))):
+                      ("subspace", dict(extremal, q=poly, expect="no")),
+                      # A field or a whole config that is not an object.
+                      ("verify", dict(BASE_VERIFY, multiset=[1, 2])),
+                      ("verify", dict(BASE_VERIFY, space=[1])),
+                      ("verify", [1, 2])):
         path = write_config(tmp_path / "int.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
                        "--quiet"])

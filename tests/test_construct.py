@@ -1,6 +1,7 @@
 """Construction routes: determinant, solve, projection oracle, closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ def test_boundary_multiset_orthogonality():
     for ell in (0, 1):
         v, e = kb.combo_derivative_at(D4, r.combo, 1.0, ell)
         assert abs(v) <= e + 1e-10
+
+
+def test_long_construction_peaks_at_two_output_arrays():
+    # The expansion writes the output in place and the gauge scaling makes one
+    # product; a copy of either array in TaylorSeries peaked at 3 outputs.
+    N = 200_000
+    for space, point in ((D4, 1.0 + 0j), (A2, 0.5 + 0.2j)):
+        Z = kb.ReproducibleMultiset(0, ((point, 1),))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = kb.shapiro_shields(space, Z, taylor_degree=N)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.taylor.coefficients.nbytes, (space, peak)
 
 
 def test_origin_order_exact():

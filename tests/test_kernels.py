@@ -557,13 +557,27 @@ def test_taylor_series_mechanics():
     assert t.coefficient(5) == 0
     assert t(0.5) == pytest.approx(1 + 1 + 0.75)
     assert t.derivative_at(0.0, 1) == pytest.approx(2.0)
-    padded = t.padded(5)
-    assert padded.truncation_degree == 5
-    assert padded.coefficient(2) == 3
     with pytest.raises(ValueError):
         kb.TaylorSeries([], 0.0)
     back = kb.TaylorSeries.from_json(t.to_json())
     assert np.allclose(back.coefficients, t.coefficients)
+
+
+def test_taylor_series_adopts_a_complex_array():
+    arr = np.arange(4, dtype=complex)
+    t = kb.TaylorSeries(arr, 0.5)
+    assert t.coefficients is arr
+    assert not arr.flags.writeable
+    doubled = t.scaled(2.0)
+    assert doubled.coefficients is not arr and not doubled.coefficients.flags.writeable
+    assert np.array_equal(doubled.coefficients, 2 * arr) and doubled.tail_bound == 1.0
+    # Lists and other dtypes are converted into a new array, as before.
+    real = np.arange(3.0)
+    for given in ([1, 2.5, 3j], real):
+        t = kb.TaylorSeries(given)
+        assert t.coefficients.dtype == complex and not t.coefficients.flags.writeable
+        assert np.array_equal(t.coefficients, np.asarray(given, dtype=complex))
+    assert real.flags.writeable
 
 
 def test_combo_json_round_trip():

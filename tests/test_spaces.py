@@ -119,6 +119,13 @@ def test_boundary_cap_monotone_in_alpha():
     assert all(a <= b for a, b in zip(caps, caps[1:]))
 
 
+def test_dirichlet_alpha_must_be_finite():
+    # NaN summed 2e6 terms into ToleranceUnreachable; inf ended in ZeroFunction.
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kb.DirichletType(alpha)
+
+
 def test_reproducible_order_never_gapped():
     # Finite(r) means orders 0..r all admitted and r+1 is not.
     ro = kb.reproducible_order(D4, 1j)
