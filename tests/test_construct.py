@@ -150,8 +150,8 @@ def test_boundary_multiset_orthogonality():
 
 
 def test_long_construction_peaks_at_two_output_arrays():
-    # The expansion writes the output in place and the gauge scaling makes one
-    # product; a copy of either array in TaylorSeries peaked at 3 outputs.
+    # The expansion writes its output in place and the gauge scaling is one
+    # product, so the peak is two outputs; a copy in TaylorSeries makes three.
     N = 200_000
     for space, point in ((D4, 1.0 + 0j), (A2, 0.5 + 0.2j)):
         Z = kb.ReproducibleMultiset(0, ((point, 1),))
