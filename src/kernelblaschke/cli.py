@@ -82,13 +82,19 @@ def _parse_policy(cfg: dict) -> TruncationPolicy:
         raise ConfigError(f"bad 'policy' object: {exc}")
 
 
-def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
+def _number(cfg: dict, key: str, default):
     """``cfg[key]`` read as ``type(default)`` by ``jsonio.json_number``; a value
-    it refuses is a config error, and so is a negative one (or 0 unless zero_ok)."""
+    it refuses is a config error."""
     try:
-        number = json_number(cfg.get(key, default), type(default), f"config field '{key}'")
+        return json_number(cfg.get(key, default), type(default), f"config field '{key}'")
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
+    """``_number``, where a negative value (or 0 unless zero_ok) is a config
+    error too."""
+    number = _number(cfg, key, default)
     if number < 0 or (number == 0 and not zero_ok):
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"config field '{key}' must be {sign}, got {number}")
@@ -342,7 +348,8 @@ _TASKS = {
 def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
                    quiet: bool = False) -> tuple[bool, str]:
     """Run one experiment; returns (ok, report_path)."""
-    effective_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    # Any integer, negative ones included: the seed is only recorded.
+    effective_seed = seed if seed is not None else _number(cfg, "seed", 0)
     if task == "preset":
         name = cfg.get("preset")
         if name not in _PRESETS:

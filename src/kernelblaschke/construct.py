@@ -11,8 +11,9 @@ Four independent routes build (up to the canonical gauge) the same function:
   the oracle the kernel routes are checked against, and the only route
   available in non-diagonal spaces.  ``shift_span`` is the one builder of
   this span and its Gram, for every projection and the extremal supremum: in a
-  diagonal space the Gram is Hermitian with half-bandwidth ``deg p`` and is
-  kept and Cholesky-factored as a band, in O(M deg p^2); otherwise it is dense.
+  diagonal space, and in the local Dirichlet space when ``p(zeta) = 0``, the
+  Gram is Hermitian with half-bandwidth ``deg p`` and is kept and
+  Cholesky-factored as a band, in O(M deg p^2); otherwise it is dense.
 * ``classical_blaschke`` / ``bergman_rational`` -- closed forms (the rational
   product in the Hardy space; the residue-vanishing construction in the
   Bergman space).
@@ -39,7 +40,7 @@ from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
                       TruncationPolicy, combo_taylor, derivative_functional,
                       kernel_pairing)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
-                     polyval_derivative)
+                     polyval_derivative, rounding_gamma)
 
 CLUSTER_TOL = 1e-6
 PIVOT_FLOOR = 1e-12
@@ -47,7 +48,6 @@ GAUGE_REL_TOL = 1e-9
 # Below this normalized Gram determinant the cofactor expansion loses too many
 # digits to double precision; such systems take the solve route instead.
 DETERMINANT_TRUST_FLOOR = 1e-8
-_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 _INVERSE_ITERATIONS = 4
 
 
@@ -257,17 +257,20 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
 class ShiftSpan:
     """The rows ``v_j = z^j p`` (0 <= j <= M - deg p, degrees 0..M) and their Gram.
 
-    ``S[i, j] = <v_i, v_j>``.  In a diagonal space S is Hermitian and banded
-    with half-bandwidth ``deg p``, and ``gram`` holds its lower band
-    ``gram[k, i] = S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout);
-    otherwise ``gram`` is S itself.  Each product with the rows is the
-    ``deg p + 1``-term stencil of p's coefficients, so no caller forms them.
+    ``S[i, j] = <v_i, v_j>``.  When ``banded`` (every diagonal space, and the
+    local Dirichlet space when ``p(zeta) = 0``) S is Hermitian and banded with
+    half-bandwidth ``deg p``, and ``gram`` holds its lower band ``gram[k, i] =
+    S[i + k, i]`` (``scipy.linalg.cholesky_banded`` layout); otherwise ``gram``
+    is S itself.  The flag, not the shape, tells them apart: a span with
+    fewer rows than ``deg p + 1`` has a square band.  Each product with the
+    rows is the ``deg p + 1``-term stencil of p's coefficients, so no caller
+    forms them.
     """
 
     p: np.ndarray        # coefficients of p, ascending
     M: int
     gram: np.ndarray
-    space: SpaceSpec
+    banded: bool
 
     @property
     def count(self) -> int:
@@ -287,7 +290,7 @@ class ShiftSpan:
 
     def first_row(self) -> np.ndarray:
         """``S[0, :]``, the pairings ``<v_0, v_j>``."""
-        if not self.space.diagonal:
+        if not self.banded:
             return self.gram[0]
         out = np.zeros(self.count, dtype=complex)
         out[: len(self.gram)] = np.conjugate(self.gram[:, 0])
@@ -296,11 +299,12 @@ class ShiftSpan:
     def solve(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
         """x with ``sum_j x_j <v_j, v_i> = rhs_i`` over the rows from ``first`` on.
 
-        Cholesky-factors the Gram (banded in a diagonal space) and refuses
-        with IllConditioned when it is not definite, its pivot ratio falls
-        below PIVOT_FLOOR, or (banded) it is singular to working precision.
+        Cholesky-factors the Gram (as a band when ``banded``, in O(M deg p^2))
+        and refuses with IllConditioned when it is not definite, its pivot
+        ratio falls below PIVOT_FLOOR, or (banded) it is singular to working
+        precision.
         """
-        banded = self.space.diagonal
+        banded = self.banded
         S = self.gram[:, first:] if banded else self.gram[first:, first:]
         factor = scipy.linalg.cholesky_banded if banded else scipy.linalg.cholesky
         cho_solve = scipy.linalg.cho_solve_banded if banded else scipy.linalg.cho_solve
@@ -331,8 +335,7 @@ def _refuse_singular_band(L: np.ndarray, diagonal: np.ndarray) -> None:
     Inverse iteration estimates the eigenvalue from above, so every refusal
     holds, though a span just past the bound may still pass.
     """
-    u = _UNIT_ROUNDOFF * len(L)
-    gamma = u / (1.0 - u)
+    gamma = rounding_gamma(len(L))
     root = np.sqrt(diagonal)
     v = np.full(len(root), 1.0 / math.sqrt(len(root)))
     for _ in range(_INVERSE_ITERATIONS):
@@ -348,24 +351,16 @@ def _refuse_singular_band(L: np.ndarray, diagonal: np.ndarray) -> None:
 def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
     """The span ``{z^j p : 0 <= j <= M - deg p}`` with its Gram (see ShiftSpan).
 
-    In a diagonal space band k of the Gram is
-    ``S[i + k, i] = sum_(n = k..d) p_(n-k) w_(i+n) conj(p_n)``, d = deg p;
-    elsewhere S is the space's ``span_gram`` (a closed form in the local
-    Dirichlet space, ``rows G rows^H`` from the monomial Gram G otherwise).
+    The Gram, and whether it is kept as a band, is the space's ``span_gram``:
+    a band from the weights in a diagonal space; the closed form in the local
+    Dirichlet space, a band when ``p(zeta) = 0`` and dense otherwise; the
+    dense ``rows G rows^H`` from the monomial Gram G elsewhere.
     """
     pc = p.coefficients()
-    d = len(pc) - 1
-    count = M - d + 1
+    count = M - len(pc) + 2
     if count < 1:
         raise ValueError(f"M = {M} leaves the span of p (degree {p.degree}) empty")
-    if space.diagonal:
-        w = space.weights(M)
-        window = sliding_window_view(w, d + 1)  # window[i, n] = w_(i+n)
-        band = np.zeros((min(d, count - 1) + 1, count), dtype=complex)
-        for k in range(len(band)):
-            band[k, : count - k] = window[: count - k, k:] @ (pc[: d + 1 - k] * pc[k:].conj())
-        return ShiftSpan(pc, M, band, space)
-    return ShiftSpan(pc, M, space.span_gram(pc, count), space)
+    return ShiftSpan(pc, M, *space.span_gram(pc, count))
 
 
 def _project(space: SpaceSpec, p: FactoredPoly, M: int,

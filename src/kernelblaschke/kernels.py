@@ -96,9 +96,11 @@ class TaylorSeries:
     polynomials).  Library routines always give a finite bound; a series built
     by hand with ``inf`` is refused by the shift products (``UnboundedTail``).
 
-    The series takes ownership of a complex ndarray handed to it: the array is
-    kept, not copied, and marked read-only, so the caller must not write to it
-    through another reference.  Any other sequence is converted to a new one.
+    The series takes ownership of a complex ndarray that owns its memory: the
+    array is kept, not copied, and marked read-only, so the caller must not
+    write to it through another reference.  A view is copied (so a slice does
+    not keep its larger base alive), and any other sequence is converted to a
+    new array.
     """
 
     coefficients: np.ndarray
@@ -106,7 +108,7 @@ class TaylorSeries:
 
     def __post_init__(self):
         arr = self.coefficients
-        if not (isinstance(arr, np.ndarray) and arr.dtype == complex):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.base is None):
             arr = np.array(arr, dtype=complex)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("coefficients must be a nonempty 1-D array")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (InadmissibleMultiset, MissingReproducibility,
                      ToleranceUnreachable)
@@ -162,13 +163,18 @@ class SpaceSpec:
         """
         return _rowdot(F @ self.gram(F.shape[-1] - 1), G)
 
-    def span_gram(self, pc: np.ndarray, count: int) -> np.ndarray:
-        """``S[i, j] = <z^i p, z^j p>`` for ``0 <= i, j < count``, where p has
-        ascending coefficients ``pc``: the dense ``rows G rows^H``."""
+    def span_gram(self, pc: np.ndarray, count: int) -> tuple[np.ndarray, bool]:
+        """``(gram, banded)`` for ``S[i, j] = <z^i p, z^j p>``, ``0 <= i, j < count``,
+        where p has ascending coefficients ``pc``.
+
+        ``banded`` says which layout ``gram`` has: S's lower band ``gram[k, i] =
+        S[i + k, i]``, k <= deg p (``scipy.linalg.cholesky_banded`` layout), or
+        S itself.  Here S is the dense ``rows G rows^H``.
+        """
         rows = np.zeros((count, count + len(pc) - 1), dtype=complex)
         for j in range(count):
             rows[j, j: j + len(pc)] = pc
-        return rows @ self.gram(rows.shape[1] - 1) @ rows.conj().T
+        return rows @ self.gram(rows.shape[1] - 1) @ rows.conj().T, False
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -205,6 +211,16 @@ class DiagonalSpace(SpaceSpec):
 
     def gram(self, upto: int) -> np.ndarray:
         return np.diag(self.weights(upto)).astype(complex)
+
+    def span_gram(self, pc: np.ndarray, count: int) -> tuple[np.ndarray, bool]:
+        """The lower band of the shift-span Gram, in O(count deg p^2): band k is
+        ``S[i + k, i] = sum_(n = k..d) p_(n-k) w_(i+n) conj(p_n)``, d = deg p."""
+        d = len(pc) - 1
+        window = sliding_window_view(self.weights(count + d - 1), d + 1)  # [i, n] = w_(i+n)
+        band = np.zeros((min(d, count - 1) + 1, count), dtype=complex)
+        for k in range(len(band)):
+            band[k, : count - k] = window[: count - k, k:] @ (pc[: d + 1 - k] * pc[k:].conj())
+        return band, True
 
     def inner(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         w = self.weights(F.shape[-1] - 1)
@@ -421,7 +437,7 @@ class LocalDirichlet(SpaceSpec):
         tg = tf if G is F else self._tails(G)
         return _rowdot(F, G) + _rowdot(tf, tg)
 
-    def span_gram(self, pc: np.ndarray, count: int) -> np.ndarray:
+    def span_gram(self, pc: np.ndarray, count: int) -> tuple[np.ndarray, bool]:
         """Closed form of the shift-span Gram, no monomial Gram.
 
         With ``P_r = sum_(m >= r) p_m zeta^m`` (``P_r = p(zeta)`` for r <= 0),
@@ -429,10 +445,16 @@ class LocalDirichlet(SpaceSpec):
         ``S[i, j] = h_s + zeta^s (j |p(zeta)|^2 + c_s)`` with the H^2 band
         ``h_s = sum_n p_(n-s) conj(p_n)`` and ``c_s = sum_(r=1..d) P_(r-s)
         conj(P_r)``; for s >= d, ``c_s = p(zeta) conj(zeta p'(zeta))``.  When
-        ``p(zeta) = 0`` the Gram is banded.
+        ``p(zeta) = 0`` (the computed ``P_0`` is 0 within its rounding bound
+        ``gamma_(d+1) sum |p_m|``) S is banded, ``S[i + s, i] = h_s + zeta^s c_s``
+        for s <= d, and its lower band is returned: the terms it drops, ``c_s``
+        for s > d and ``j |P_0|^2``, are below the rounding of the dense entries.
+        Otherwise S is returned dense.
         """
         d = len(pc) - 1
         P = np.cumsum((pc * self._powers(d))[::-1])[::-1]
+        if _rounds_to_zero(P[0], pc):
+            return self._span_band(pc, count), True
         # shifted[s, r - 1] = P_(r-s) for r = 1..d, s = 0..d.
         shifted = P[np.maximum(np.arange(1, d + 1) - np.arange(d + 1)[:, None], 0)]
         c = np.full(count, shifted[-1] @ P[1:].conj())
@@ -444,7 +466,26 @@ class LocalDirichlet(SpaceSpec):
         pw = self._powers(count - 1)
         return (scipy.linalg.toeplitz(h, h.conj())
                 + np.outer(pw, pw.conj()) * (np.minimum.outer(idx, idx) * abs(P[0]) ** 2
-                                             + scipy.linalg.toeplitz(c, c.conj())))
+                                             + scipy.linalg.toeplitz(c, c.conj()))), False
+
+    def _span_band(self, pc: np.ndarray, count: int) -> np.ndarray:
+        """The lower band ``S[i + s, i] = h_s + zeta^s c_s``, s <= d, for p(zeta) = 0.
+
+        Each diagonal holds one value, so an error in it recurs all down the
+        diagonal, coherently, where the dense entries' errors are independent;
+        the d + 1 values are formed in extended precision (``np.clongdouble``,
+        where the platform has one) and rounded once.
+        """
+        d = len(pc) - 1
+        width = min(d, count - 1) + 1
+        q = pc.astype(np.clongdouble)
+        zp = np.cumprod(np.r_[1.0, np.full(d, self.zeta)].astype(np.clongdouble))
+        P = np.cumsum((q * zp)[::-1])[::-1]
+        band = np.zeros((width, count), dtype=complex)
+        for s in range(width):
+            c_s = P[np.maximum(np.arange(1 - s, d + 1 - s), 0)] @ P[1:].conj()
+            band[s, : count - s] = q[: d + 1 - s] @ q[s:].conj() + zp[s] * c_s
+        return band
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if abs(beta - self.zeta) <= POINT_MATCH_TOL:
@@ -468,8 +509,8 @@ class CustomGram(SpaceSpec):
     ``reproducibility_table`` -- a sequence of ``(point, ReproducibleOrder)``
     pairs; a missing entry raises ``MissingReproducibility``.
 
-    The leading principal minors up to ``probe_size`` are checked positive at
-    construction.
+    The leading principal minors up to ``probe_size`` (a positive integer) are
+    checked positive at construction.
     """
 
     gram_rule: object
@@ -479,6 +520,10 @@ class CustomGram(SpaceSpec):
     diagonal = False
 
     def __post_init__(self):
+        probe_size = json_number(self.probe_size, int, "probe_size")
+        if probe_size < 1:
+            raise ValueError(f"probe_size must be at least 1, got {probe_size}")
+        object.__setattr__(self, "probe_size", probe_size)
         table = tuple(
             (complex(point), order if isinstance(order, ReproducibleOrder)
              else ReproducibleOrder.from_json(order))
@@ -565,6 +610,19 @@ def _short_table(size: int, index: int) -> ToleranceUnreachable:
         "degree M) or a callable rule")
 
 
+def rounding_gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, u the unit roundoff: the relative
+    rounding bound of a sum of n products."""
+    nu = n * float(np.finfo(float).eps) / 2
+    return nu / (1.0 - nu)
+
+
+def _rounds_to_zero(total: complex, coeffs: np.ndarray) -> bool:
+    """Whether ``total``, the computed ``sum_m coeffs_m t^m`` at a unimodular t,
+    is 0 within its rounding bound ``gamma_(n) sum |coeffs_m|``, n = len(coeffs)."""
+    return abs(total) <= rounding_gamma(len(coeffs)) * float(np.sum(np.abs(coeffs)))
+
+
 def _rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """``sum_n F_n conj(G_n)`` over the last axis (real sums when G is F)."""
     if G is F:
@@ -585,14 +643,31 @@ def space_from_json(obj: dict) -> SpaceSpec:
     if kind == "local_dirichlet":
         return LocalDirichlet(pair_complex(obj["zeta"]))
     if kind == "custom":
-        values = np.array([[pair_complex(v) for v in row] for row in obj["values"]],
-                          dtype=complex)
+        values = _complex_table(obj["values"])
         table = tuple(
             (pair_complex(e["point"]), ReproducibleOrder.from_json(e["order"]))
             for e in obj.get("reproducibility", ())
         )
-        return CustomGram(values, table, probe_size=int(obj.get("probe_size", 8)))
+        return CustomGram(values, table, probe_size=obj.get("probe_size", 8))
     raise ValueError(f"unknown space type {kind!r}")
+
+
+def _complex_table(values) -> np.ndarray:
+    """A table of ``[re, im]`` pairs as a complex array, as ``pair_complex``
+    entry by entry reads it.
+
+    A table numpy reads as one numeric array of shape ``(n, m, 2)`` is
+    reinterpreted as complex in place, with the same bits; anything else
+    (strings, None, ragged rows, bare numbers, integers past float range)
+    takes the entry loop, which raises on what it cannot read.
+    """
+    try:
+        arr = np.array(values)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf" and arr.ndim == 3 and arr.shape[2] == 2:
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return np.array([[pair_complex(v) for v in row] for row in values], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

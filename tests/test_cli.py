@@ -113,19 +113,30 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
                       ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
                                                           "alpha": math.nan})),
                       ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
-                                                          "alpha": math.inf}))):
+                                                          "alpha": math.inf})),
+                      # int() read these seeds as 1, 1 and a bare ValueError
+                      # (exit 1), and probe_size 2.9 as 2.
+                      ("verify", dict(BASE_VERIFY, seed=1.5)),
+                      ("verify", dict(BASE_VERIFY, seed=True)),
+                      ("verify", dict(BASE_VERIFY, seed="abc")),
+                      ("oracle", dict(extremal, M=11, space={
+                          "type": "custom", "probe_size": 2.9,
+                          "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
+                          "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]}))):
         path = write_config(tmp_path / "num.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
         assert rc == 2, (task, cfg)
         assert capsys.readouterr().err.startswith("config error"), (task, cfg)
-    # An integral float is that integer.
+    # An integral float is that integer; a negative seed is accepted (it is
+    # only recorded).
     cfg = write_config(tmp_path / "whole.json",
-                       dict(BASE_VERIFY, name="whole", taylor_degree=300.0, K=10.0))
+                       dict(BASE_VERIFY, name="whole", taylor_degree=300.0, K=10.0,
+                            seed=-3.0))
     for task in ("verify", "construct"):
         assert cli.main([task, "--config", cfg, "--out", str(tmp_path / "w"),
                          "--quiet"]) == 0
     report = json.loads((tmp_path / "w" / "verify-whole.json").read_text())
-    assert report["report"]["inner_report"]["K"] == 10
+    assert report["report"]["inner_report"]["K"] == 10 and report["seed"] == -3
     report = json.loads((tmp_path / "w" / "construct-whole.json").read_text())
     assert report["report"]["construction"]["taylor"]["N"] == 300
 

@@ -580,6 +580,19 @@ def test_taylor_series_adopts_a_complex_array():
     assert real.flags.writeable
 
 
+def test_taylor_series_copies_a_view():
+    base = np.arange(8, dtype=complex)
+    t = kb.TaylorSeries(base[:4])
+    assert t.coefficients.base is None and not np.shares_memory(t.coefficients, base)
+    assert base.flags.writeable and np.array_equal(t.coefficients, base[:4])
+    # The closed forms' last convolution is twice as long as the series; only
+    # the series' own N + 1 coefficients stay alive.
+    _, taylor, _ = kb.classical_blaschke([0.5, 0.3j], 300)
+    assert taylor.coefficients.base is None and len(taylor.coefficients) == 301
+    _, taylor = kb.bergman_rational([0.5], 400)
+    assert taylor.coefficients.base is None and len(taylor.coefficients) == 401
+
+
 def test_combo_json_round_trip():
     combo = kb.KernelCombo(H2, ((K(0.5, 1), 2.0 - 1j), (K(0), 1.0)))
     back = kb.KernelCombo.from_json(H2, combo.to_json())

@@ -7,6 +7,8 @@ import pytest
 from scipy import integrate
 
 import kernelblaschke as kb
+from kernelblaschke import spaces
+from kernelblaschke.jsonio import pair_complex
 
 
 H2 = kb.hardy_space()
@@ -168,6 +170,64 @@ def test_custom_gram_probe_rejects_lopsided_rules():
             kb.CustomGram(rule, (), probe_size=2)
     hermitian = np.array([[2.0, 1.0 - 1j], [1.0 + 1j, 2.0]])
     assert np.array_equal(kb.CustomGram(hermitian, (), probe_size=2).gram(1), hermitian)
+
+
+def _table_outcome(values):
+    """What ``space_from_json`` makes of a custom table: the table's bytes, or
+    the error's type and message."""
+    obj = {"type": "custom", "values": values, "probe_size": 1}
+    try:
+        return kb.space_from_json(obj).gram_rule.tobytes()
+    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
+        return type(exc), str(exc)
+
+
+def _loop_outcome(values):
+    """The same, with the table read entry by entry by ``pair_complex``."""
+    try:
+        table = np.array([[pair_complex(v) for v in row] for row in values], dtype=complex)
+        return kb.CustomGram(table, (), probe_size=1).gram_rule.tobytes()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+def test_custom_table_parse_matches_the_entry_loop():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    H = A @ A.conj().T + 5 * np.eye(5)
+    values = [[[z.real, z.imag] for z in row] for row in H]
+    values[0][0] = [7, -0.0]                    # integers and a signed zero
+    values[1][2] = [2 ** 53 + 1, 5e-324]        # an integer that rounds, a subnormal
+    values[2][1] = [True, 0.5]                  # a boolean among floats
+    fast = spaces._complex_table(values)
+    assert fast.dtype == complex and fast.shape == (5, 5)
+    assert _table_outcome(values) == _loop_outcome(values)
+    assert isinstance(_table_outcome(values), bytes)
+    malformed = (
+        [[["1.5", "0"]]],                       # strings
+        [[["abc", 0]]],
+        [[None]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],   # ragged rows
+        [[2.0, [0.0, 0.0]], [[0.0, 0.0], 2.0]],     # bare numbers
+        [[2.0, 0.0], [0.0, 2.0]],
+        [[[10 ** 400, 0]]],                     # an integer past float range
+        [[[2 ** 64, 0.0]]],
+        [[[1.0, 0.0, 0.0]]],                    # a triple, not a pair
+        [[[True, False]]],
+        [[[1.0, 0.0], [0.0, 0.0]]],             # not square
+        [],
+        "table",
+    )
+    for values in malformed:
+        assert _table_outcome(values) == _loop_outcome(values), values
+
+
+def test_custom_probe_size_is_a_positive_integer():
+    table = np.eye(3, dtype=complex)
+    assert kb.CustomGram(table, (), probe_size=2.0).probe_size == 2
+    for bad in (2.9, True, math.inf, 0, -1):
+        with pytest.raises(ValueError, match="probe_size"):
+            kb.CustomGram(table, (), probe_size=bad)
 
 
 # ---------------------------------------------------------------------------
