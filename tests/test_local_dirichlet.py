@@ -193,8 +193,9 @@ def test_banded_solve_is_as_accurate_as_the_dense_against_mpmath(order, monkeypa
     """p(zeta) = 0 with a zero of each order at zeta: the band drops only
     terms below rounding.  Its solve and the dense closed form's (kept for
     p(zeta) != 0, forced here) are both held to a quarter of kappa(S) u from the
-    40-digit reference; they sit at 1-3% of it.  Which one is nearer is down to
-    rounding: banded over dense ran from 0.08 to 6 over 48 random spans."""
+    40-digit reference; they sit at 0.1-5% of kappa(S) u.  Which one is nearer
+    is down to rounding: banded over dense ran from 0.08 to 6 over 48 random
+    spans."""
     M = 60
     sp = kb.LocalDirichlet(ZETA3)
     a, _, b = (point for point, _ in P3.roots)
