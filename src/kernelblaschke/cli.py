@@ -2,9 +2,11 @@
 
 Each experiment is a single JSON config document; flags only override output
 location, seed, and verbosity, so a report (which embeds its config) fully
-describes the run.  Outputs are written atomically and are byte-identical for
-identical (config, seed).  Exit status is 0 iff every verdict holds and no
-error was raised.
+describes the run.  The embedded config is the one written, except that a
+custom Gram or weight table is cited by ``jsonio.table_digest`` of the array
+the space parsed, not echoed.  Outputs are written atomically and are
+byte-identical for identical (config, seed).  Exit status is 0 iff every
+verdict holds and no error was raised.
 
 Subcommands: construct, verify, subspace, zeros, extremal, oracle, preset,
 batch.  See README for config schemas and the bundled presets.
@@ -25,7 +27,8 @@ import numpy as np
 from . import construct as _construct
 from . import verify as _verify
 from .errors import ConfigError, KernelSpaceError, UnboundedTail
-from .jsonio import atomic_write_text, complex_pair, dumps_canonical, json_number
+from .jsonio import (atomic_write_text, complex_pair, dumps_canonical, json_number,
+                     table_digest)
 from .kernels import TaylorSeries, TruncationPolicy
 from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
                      ReproducibleMultiset, bergman_space, hardy_space,
@@ -126,26 +129,23 @@ def _build(space, Z, cfg, policy):
 # Tasks
 # ---------------------------------------------------------------------------
 
-def _task_construct(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_construct(cfg, space):
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
     return True, {"construction": result.to_json()}
 
 
-def _task_verify(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_verify(cfg, space):
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     result = _build(space, Z, cfg, _parse_policy(cfg))
-    report = _verify.inner_report(space, result.taylor,
+    report = _verify.inner_report(space, result,
                                   K=_positive(cfg, "K", 20),
                                   tol=_positive(cfg, "tolerance", 1e-8))
     return report.verdict, {"construction_route": result.route,
                             "inner_report": report.to_json()}
 
 
-def _task_zeros(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_zeros(cfg, space):
     Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
     policy = _parse_policy(cfg)
     result = _build(space, Z, cfg, policy)
@@ -158,8 +158,7 @@ def _task_zeros(cfg):
                             "zero_report": report.to_json()}
 
 
-def _task_subspace(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_subspace(cfg, space):
     p = _parse(cfg, "p", FactoredPoly.from_json)
     q = _parse(cfg, "q", FactoredPoly.from_json)
     equal, evidence = _verify.subspace_equal(
@@ -171,8 +170,7 @@ def _task_subspace(cfg):
     return ok, {"equal": equal, "evidence": evidence}
 
 
-def _task_extremal(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_extremal(cfg, space):
     p = _parse(cfg, "p", FactoredPoly.from_json)
     if "samples" in cfg:
         raise ConfigError(
@@ -186,8 +184,7 @@ def _task_extremal(cfg):
                             "extremal_report": report.to_json()}
 
 
-def _task_oracle(cfg):
-    space = _parse(cfg, "space", space_from_json)
+def _task_oracle(cfg, space):
     p = _parse(cfg, "p", FactoredPoly.from_json)
     d = _positive(cfg, "d", reproducible_multiset(space, p).origin_multiplicity,
                   zero_ok=True)
@@ -345,6 +342,14 @@ _TASKS = {
 }
 
 
+def _config_echo(cfg: dict, space) -> dict:
+    """``cfg`` as written, with the ``values`` of a custom Gram or weight table
+    replaced by ``jsonio.table_digest`` of the array ``space`` parsed."""
+    if space.table is None:
+        return cfg
+    return dict(cfg, space=dict(cfg["space"], values=table_digest(space.table)))
+
+
 def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
                    quiet: bool = False) -> tuple[bool, str]:
     """Run one experiment; returns (ok, report_path)."""
@@ -358,10 +363,12 @@ def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
         ok, body = _PRESETS[name](out_dir)
         label = f"preset-{name}"
     elif task in _TASKS:
+        space = _parse(cfg, "space", space_from_json)
         try:
-            ok, body = _TASKS[task](cfg)
+            ok, body = _TASKS[task](cfg, space)
         except ValueError as exc:  # the library's argument checks, e.g. M too small
             raise ConfigError(f"{task}: {exc}") from exc
+        cfg = _config_echo(cfg, space)
         label = f"{task}-{cfg.get('name', 'report')}"
     else:
         raise ConfigError(f"unknown task {task!r}")

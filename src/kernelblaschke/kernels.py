@@ -33,7 +33,7 @@ from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
 from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
                      UnsupportedRoute)
-from .jsonio import complex_pair, pair_complex
+from .jsonio import complex_pair, json_number, pair_complex
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
@@ -188,7 +188,8 @@ class KernelCombo:
 
     @classmethod
     def from_json(cls, space: SpaceSpec, obj: dict) -> "KernelCombo":
-        return cls(space, tuple((KernelTerm(pair_complex(e["point"]), int(e["order"])),
+        return cls(space, tuple((KernelTerm(pair_complex(e["point"]),
+                                            json_number(e["order"], int, "kernel order")),
                                  pair_complex(e["coef"])) for e in obj["terms"]))
 
 

@@ -126,6 +126,9 @@ class SpaceSpec:
 
     domain_radius = 1.0
     diagonal = False
+    # The input table as the array the space serves (a custom Gram's complex
+    # array, a weight table's float array), or None for a space given by a rule.
+    table = None
 
     def monomial_inner(self, m: int, n: int) -> complex:
         raise NotImplementedError
@@ -365,6 +368,10 @@ class WeightedHardy(DiagonalSpace):
             )
         return self._table[ks]
 
+    @property
+    def table(self) -> np.ndarray | None:
+        return None if callable(self.weight_rule) else self._table
+
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if self.boundary_order is None:
             return ReproducibleOrder.not_reproducible()
@@ -566,6 +573,10 @@ class CustomGram(SpaceSpec):
         arr = self.gram_rule[: upto + 1, : upto + 1]
         return np.where(np.triu(np.ones(arr.shape, dtype=bool), 1), arr, arr.conj().T)
 
+    @property
+    def table(self) -> np.ndarray | None:
+        return None if callable(self.gram_rule) else self.gram_rule
+
     def _table_limit(self) -> int:
         if callable(self.gram_rule):
             return 1 << 30
@@ -638,7 +649,7 @@ def space_from_json(obj: dict) -> SpaceSpec:
     if kind == "weights":
         if obj.get("rule") != "table":
             raise ValueError(f"unsupported weight rule {obj.get('rule')!r}")
-        return WeightedHardy(tuple(float(v) for v in obj["values"]),
+        return WeightedHardy(_float_table(obj["values"]),
                              boundary_order=obj.get("boundary_order"))
     if kind == "local_dirichlet":
         return LocalDirichlet(pair_complex(obj["zeta"]))
@@ -668,6 +679,22 @@ def _complex_table(values) -> np.ndarray:
     if arr is not None and arr.dtype.kind in "iuf" and arr.ndim == 3 and arr.shape[2] == 2:
         return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     return np.array([[pair_complex(v) for v in row] for row in values], dtype=complex)
+
+
+def _float_table(values) -> tuple:
+    """A weight table with each entry read as ``json_number`` reads a float:
+    a boolean, a string or a non-finite entry raises ValueError naming its
+    index.  A list of finite ints and floats, the usual table, is read in one
+    step; anything else takes the entry loop.
+    """
+    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
+        try:
+            table = tuple(map(float, values))
+        except OverflowError:  # an integer past float range
+            table = ()
+        if table and math.isfinite(sum(table)):
+            return table
+    return tuple(json_number(v, float, f"weight values[{i}]") for i, v in enumerate(values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Numerical verification: innerness, zero structure, subspace laws, extremality.
 
 Verdicts are computed from explicitly stated residuals and tolerances, and all
-reports serialize to JSON with the exact configuration embedded so runs are
-reproducible.  No check draws random numbers: extremal optimality is decided
-against the exact supremum over a truncated span, so a report depends on its
-inputs alone.
+reports serialize to JSON.  The CLI embeds the configuration in each report so
+runs are reproducible; a custom Gram or weight table is cited there by the
+digest of the parsed array (``jsonio.table_digest``), not echoed.  No check
+draws random numbers: extremal optimality is decided against the exact
+supremum over a truncated span, so a report depends on its inputs alone.
 """
 
 from __future__ import annotations
@@ -49,9 +50,14 @@ class InnerReport:
         }
 
 
-def inner_report(space: SpaceSpec, B: TaylorSeries, K: int,
+def inner_report(space: SpaceSpec, B: TaylorSeries | ConstructionResult, K: int,
                  tol: float = 1e-8) -> InnerReport:
-    """Check ``<z^k B, B> = 0`` for k = 1..K relative to ``norm_sq = <B, B>``."""
+    """Check ``<z^k B, B> = 0`` for k = 1..K relative to ``norm_sq = <B, B>``.
+
+    ``B`` is a series, or a ``ConstructionResult`` whose ``taylor`` is read.
+    """
+    if isinstance(B, ConstructionResult):
+        B = B.taylor
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     (value0, err0), *products = shift_inner_products(space, B, range(K + 1))

@@ -13,7 +13,9 @@ the others five; the held-out pair and the traced pair run on it too.  The
 output holds the environment, each metric's runs, median, quartiles
 (inclusive method) and wins per pair, every task kind's p50, the per-layer
 numbers of the traced runs (each ``*_ms`` figure also divided by its run's
-host slowness) and every run record.  Standard library only.
+host slowness) and every run record.  Its ``suite`` key holds each CLI
+preset's median wall time per side over ``SUITE_RUNS`` runs, as
+``SUITE_PROTOCOL`` says.  Standard library only.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,6 +44,25 @@ SECONDS = 30
 WORKLOADS = ("crosscheck", "scan", "series")
 CLAIM_SEEDS = list(range(1, 11))  # the claimed workload: ten pairs
 OTHER_SEEDS = list(range(1, 6))
+SUITE_RUNS = 5  # runs per side of each CLI preset
+SUITE_PROTOCOL = (
+    "Each run is one fresh process per side, from the side's copy, with one "
+    "BLAS thread; it imports the package, then times cli.main on each preset "
+    "once, in PRESET_NAMES order, writing to a temporary directory. {runs} "
+    "runs per side, the parent first on even runs and the change first on odd "
+    "ones; each figure is the median over the runs in ms, wall clock, not "
+    "normalized to host slowness.")
+SUITE_TIMER = """
+import json, tempfile, time
+from kernelblaschke import cli
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name in cli.PRESET_NAMES:
+        start = time.perf_counter()
+        cli.main(["preset", name, "--out", tmp, "--quiet"])
+        out[name] = (time.perf_counter() - start) * 1e3
+print(json.dumps(out))
+"""
 END_TO_END = {"tasks_per_s": "higher", "task_p50_ms": "lower",
               "task_tail_ms": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 
@@ -100,6 +122,25 @@ def pair(trees: dict, workload: str, seed: int, trace: int = 0) -> dict:
               f"{out[side]['attempted']} tasks, {out[side]['failed']} failed",
               flush=True)
     return out
+
+
+def suite(trees: dict) -> dict:
+    """Each preset's median wall time per side over ``SUITE_RUNS`` runs."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    runs = {"parent": [], "change": []}
+    for r in range(SUITE_RUNS):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            env["PYTHONPATH"] = str(trees[side] / "src")
+            done = subprocess.run([sys.executable, "-c", SUITE_TIMER], cwd=trees[side],
+                                  env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                raise SystemExit(f"preset timing failed in {trees[side]}:\n{done.stderr}")
+            runs[side].append(json.loads(done.stdout))
+    print(f"  suite: {SUITE_RUNS} preset runs per side", flush=True)
+    return {"protocol": SUITE_PROTOCOL.format(runs=SUITE_RUNS),
+            "preset_ms": {name: {side: spread([run[name] for run in runs[side]])
+                                 for side in runs} for name in runs["parent"][0]}}
 
 
 def spread(runs: list[float]) -> dict:
@@ -209,6 +250,7 @@ def main(argv=None) -> int:
         result["holdout"] = {"workload": target, "seed": args.holdout,
                              **{m: {s: held[s][m] for s in ("parent", "change")}
                                 for m in END_TO_END}}
+    result["suite"] = suite(trees)
     traced = pair(trees, target, 1, trace=1)
     records += [{"side": s, "workload": target, "seed": 1, "trace": 1,
                  "record": r} for s, r in traced.items()]
