@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import cli
+from kernelblaschke import cli, jsonio
 
 
 def write_config(path, payload):
@@ -401,3 +401,168 @@ def test_emit_circle_profile_validation(tmp_path):
 def test_unknown_preset_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["preset", "nope", "--out", str(tmp_path)])
+
+
+def _cli_exit(tmp_path, task, cfg):
+    path = write_config(tmp_path / "cfg.json", cfg)
+    return cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
+
+
+def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
+    # json_number converted by kind(value) and pair_complex by float(): each of
+    # these ran on the number its string spells and exited 0.
+    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    oracle = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    point = {"origin": 0, "points": [{"point": [0.5, 0.0], "mult": 1}]}
+    cg = _custom_4x4()
+    weights = {"type": "weights", "rule": "table",
+               "values": [(k + 1.0) ** 0.5 for k in range(1024)]}
+    for task, cfg in (
+            ("verify", dict(BASE_VERIFY, seed="7")),
+            ("verify", dict(BASE_VERIFY, K="10")),
+            ("verify", dict(BASE_VERIFY, taylor_degree="300")),
+            ("verify", dict(BASE_VERIFY, tolerance="1e-8")),
+            ("verify", dict(BASE_VERIFY, policy={"max_terms": "100000"})),
+            ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": "0"})),
+            ("verify", dict(BASE_VERIFY, space=dict(weights, boundary_order="1"))),
+            ("verify", dict(BASE_VERIFY, multiset=dict(point, origin="0"))),
+            ("verify", dict(BASE_VERIFY, multiset={
+                "origin": 0, "points": [{"point": [0.5, 0.0], "mult": "1"}]})),
+            ("verify", dict(BASE_VERIFY, multiset={
+                "origin": 0, "points": [{"point": ["0.5", "0"], "mult": 1}]})),
+            ("verify", dict(BASE_VERIFY, multiset={
+                "origin": 0, "points": [{"point": [0.5, "0"], "mult": 1}]})),
+            ("zeros", dict(BASE_VERIFY, radius="0.99")),
+            ("subspace", dict(oracle, q=poly, M="300")),
+            ("oracle", dict(oracle, d="0")),
+            ("oracle", dict(oracle, p=dict(poly, leading=["1", "0"]))),
+            ("oracle", dict(oracle, p=dict(poly, roots=[{"point": [0.5, 0], "mult": "1"}]))),
+            ("oracle", dict(oracle, space={"type": "local_dirichlet", "zeta": ["1", "0"]})),
+            ("oracle", dict(oracle, M=3, space=dict(cg, probe_size="3"))),
+            ("oracle", dict(oracle, M=3, space=dict(cg, values=[
+                [["1", "0"]] + row[1:] if m == 0 else row
+                for m, row in enumerate(cg["values"])]))),
+            ("oracle", dict(oracle, M=3, space=dict(cg, reproducibility=[
+                {"point": ["0.5", "0"], "order": "infinite"}]))),
+            ("oracle", dict(oracle, M=3, space=dict(cg, reproducibility=[
+                {"point": [0.5, 0], "order": "2"}])))):
+        assert _cli_exit(tmp_path, task, cfg) == 2, (task, cfg)
+        assert capsys.readouterr().err.startswith("config error"), (task, cfg)
+
+
+def test_weight_table_entries_read_as_json_numbers(tmp_path, capsys):
+    # float(v) per entry read "4.0" and true as weights and took inf at an
+    # index the positivity probe skips (exit 0); 10**400 ended in a bare
+    # OverflowError.  Each now exits 2 naming the entry.
+    values = [(k + 1.0) ** 0.5 for k in range(1024)]
+    for index, bad in ((3, "4.0"), (0, True), (7, False), (10, math.inf),
+                       (10, math.nan), (10, 10 ** 400), (10, None), (10, [1.0])):
+        table = list(values)
+        table[index] = bad
+        space = {"type": "weights", "rule": "table", "values": table}
+        assert _cli_exit(tmp_path, "verify", dict(BASE_VERIFY, space=space)) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"weight values[{index}]" in err, bad
+    assert kb.space_from_json({"type": "weights", "rule": "table",
+                               "values": [1, 2.5, 3]}).table.tolist() == [1.0, 2.5, 3.0]
+
+
+def _dumps_spelled(obj, spell) -> str:
+    """JSON text of ``obj`` with every float written by ``spell``."""
+    if isinstance(obj, float):
+        return spell(obj)
+    if isinstance(obj, list):
+        return "[" + ",".join(_dumps_spelled(v, spell) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps_spelled(v, spell)}"
+                              for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+# Three spellings of one float: 1.0, 1 and 1e0 (0.25 as 0.25, 0.25, 2.5e-01).
+_SPELLINGS = (repr,
+              lambda v: str(int(v)) if v.is_integer() else repr(v),
+              lambda v: f"{int(v)}e0" if v.is_integer() else f"{v:e}")
+
+
+def _table_configs():
+    """An oracle config on a 64 x 64 custom Gram and a construct config on a
+    1024-entry weight table, every entry an integer or a quarter."""
+    gram = [[[float(m + 1) if m == n else 0.25 * (abs(m - n) == 1), 0.0]
+             for n in range(64)] for m in range(64)]
+    custom = {"name": "cg", "M": 50,
+              "space": {"type": "custom", "gram": "table", "values": gram,
+                        "reproducibility": [{"point": [0.5, 0.0], "order": "infinite"}]},
+              "p": {"leading": [1.0, 0.0], "roots": [{"point": [0.5, 0.0], "mult": 1}]}}
+    weights = dict(BASE_VERIFY, name="wt", space={
+        "type": "weights", "rule": "table",
+        "values": [float(k + 1) + 0.25 * (k % 4 == 1) for k in range(1024)]})
+    return (("oracle", custom), ("construct", weights))
+
+
+def _report(tmp_path, task, text, out):
+    path = tmp_path / "spelled.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([task, "--config", str(path), "--out", str(tmp_path / out),
+                     "--quiet"]) == 0
+    name = json.loads(text)["name"]
+    return (tmp_path / out / f"{task}-{name}.json").read_bytes()
+
+
+def test_report_cites_tables_by_digest_of_the_parsed_array(tmp_path):
+    for task, cfg in _table_configs():
+        digests = set()
+        for i, spell in enumerate(_SPELLINGS):
+            report = json.loads(_report(tmp_path, task, _dumps_spelled(cfg, spell), f"s{i}"))
+            cited = report["config"]["space"]["values"]
+            assert set(cited) == {"sha256", "shape"}
+            digests.add(cited["sha256"])
+            # Every other key is echoed as written.
+            assert {k: v for k, v in report["config"]["space"].items() if k != "values"} \
+                == {k: v for k, v in cfg["space"].items() if k != "values"}
+            assert {k: v for k, v in report["config"].items() if k != "space"} \
+                == {k: v for k, v in cfg.items() if k != "space"}
+        assert len(digests) == 1, task
+        # One entry moved by one ulp is another table.
+        moved = json.loads(json.dumps(cfg))
+        if task == "oracle":
+            moved["space"]["values"][2][2][0] = float(np.nextafter(3.0, 4.0))
+        else:
+            moved["space"]["values"][5] = float(np.nextafter(6.0, 7.0))
+        report = json.loads(_report(tmp_path, task, json.dumps(moved), "ulp"))
+        assert report["config"]["space"]["values"]["sha256"] not in digests, task
+
+
+def test_config_table_checks_against_report_digest(tmp_path):
+    # The README's recipe: parse the config's space and digest its table.
+    (task, custom), (_, weights) = _table_configs()
+    report = json.loads(_report(tmp_path, task, json.dumps(custom), "cg"))
+    space = kb.space_from_json(custom["space"])
+    assert space.table is space.gram_rule
+    assert jsonio.table_digest(space.table) == report["config"]["space"]["values"]
+    assert report["config"]["space"]["values"]["shape"] == [64, 64]
+    report = json.loads(_report(tmp_path, "construct", json.dumps(weights), "wt"))
+    space = kb.space_from_json(weights["space"])
+    assert jsonio.table_digest(space.table) == report["config"]["space"]["values"]
+    assert report["config"]["space"]["values"]["shape"] == [1024]
+
+
+def test_table_reports_byte_identical_across_runs(tmp_path):
+    for task, cfg in _table_configs():
+        text = json.dumps(cfg)
+        assert _report(tmp_path, task, text, "a") == _report(tmp_path, task, text, "b")
+
+
+def test_report_without_a_table_keeps_its_bytes(tmp_path):
+    # Only a table is cited by digest: a dirichlet report echoes its config
+    # as written, byte for byte.
+    cfg = {"name": "pin", "space": {"type": "dirichlet", "alpha": 0},
+           "multiset": {"origin": 1, "points": []}, "taylor_degree": 4, "seed": 3}
+    assert _report(tmp_path, "construct", json.dumps(cfg), "pin") == (
+        b'{"config":{"multiset":{"origin":1,"points":[]},"name":"pin","seed":3,'
+        b'"space":{"alpha":0,"type":"dirichlet"},"taylor_degree":4},"ok":true,'
+        b'"report":{"construction":{"combo":{"terms":[{"coef":[1.0,0.0],"order":1,'
+        b'"point":[0.0,0.0]},{"coef":[-0.0,0.0],"order":0,"point":[0.0,0.0]}]},'
+        b'"normalization":[1.0,0.0],"pairing_error":0.0,"route":"determinant",'
+        b'"taylor":{"N":4,"coeffs":[[0.0,0.0],[1.0,0.0],[0.0,0.0],[0.0,0.0],'
+        b'[0.0,0.0]],"tail":0.0}}},"seed":3,"task":"construct"}\n')

@@ -55,6 +55,14 @@ def test_inner_report_boundary_case():
     assert rep.norm_sq == pytest.approx(z4 / (z4 - 1), rel=1e-6)
 
 
+def test_inner_report_takes_a_construction_result():
+    # A ConstructionResult raised a bare AttributeError ('coefficients').
+    res = kb.shapiro_shields(D4, Z_of((1.0, 1)), taylor_degree=20_000)
+    by_result = kb.inner_report(D4, res, 10, 1e-6)
+    assert dumps_canonical(by_result.to_json()) == dumps_canonical(
+        kb.inner_report(D4, res.taylor, 10, 1e-6).to_json())
+
+
 def test_inner_report_rejects_zero_function():
     with pytest.raises(kb.ZeroFunction):
         kb.inner_report(H2, kb.TaylorSeries([0.0], 0.0), 3)
