@@ -27,7 +27,7 @@ import numpy as np
 from . import construct as _construct
 from . import verify as _verify
 from .errors import ConfigError, KernelSpaceError, UnboundedTail
-from .jsonio import (atomic_write_text, complex_pair, dumps_canonical, json_number,
+from .jsonio import (Field, atomic_write_text, complex_pair, dumps_canonical,
                      table_digest)
 from .kernels import TaylorSeries, TruncationPolicy
 from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
@@ -39,76 +39,35 @@ from .spaces import (DirichletType, FactoredPoly, LocalDirichlet,
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            return json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: a config must be a JSON object, got {type(cfg).__name__}")
-    return cfg
 
 
-def _field(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required config field '{key}'")
-    return default
-
-
-def _parse(cfg: dict, key: str, from_json):
-    obj = _field(cfg, key, required=True)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{key}' must be an object, got {obj!r}")
-    try:
-        return from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad '{key}' object: {exc}")
-
-
-def _parse_policy(cfg: dict) -> TruncationPolicy:
-    """The policy's keys, each read by ``_positive``; any other key is an error."""
-    obj = _field(cfg, "policy", default={})
+def _parse_policy(cfg: Field) -> TruncationPolicy:
+    """The policy's keys, each a positive number; any other key is an error."""
+    obj = cfg.get("policy", {})
     fields = {f.name: f.default for f in dataclasses.fields(TruncationPolicy)}
-    if not isinstance(obj, dict) or not set(obj) <= set(fields):
-        raise ConfigError(f"'policy' must be an object with keys among {sorted(fields)}, "
-                          f"got {obj!r}")
-    try:
-        return TruncationPolicy(**{k: _positive(obj, k, v) for k, v in fields.items()})
-    except ValueError as exc:
-        raise ConfigError(f"bad 'policy' object: {exc}")
+    if not obj.object().keys() <= fields.keys():
+        raise obj.error(f"an object with keys among {sorted(fields)}")
+    return TruncationPolicy(**{k: obj.get(k, v).number(type(v), "positive")
+                               for k, v in fields.items()})
 
 
-def _number(cfg: dict, key: str, default):
-    """``cfg[key]`` read as ``type(default)`` by ``jsonio.json_number``; a value
-    it refuses is a config error."""
-    try:
-        return json_number(cfg.get(key, default), type(default), f"config field '{key}'")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _positive(cfg: dict, key: str, default, zero_ok: bool = False):
-    """``_number``, where a negative value (or 0 unless zero_ok) is a config
-    error too."""
-    number = _number(cfg, key, default)
-    if number < 0 or (number == 0 and not zero_ok):
-        sign = "non-negative" if zero_ok else "positive"
-        raise ConfigError(f"config field '{key}' must be {sign}, got {number}")
-    return number
-
-
-def _flag(cfg: dict, key: str, default: bool) -> bool:
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field '{key}' must be true or false, got {value!r}")
-    return value
+def _report_name(cfg: Field) -> str:
+    """The config's ``name``, a string that names a file inside ``--out``."""
+    name = cfg.get("name", "report")
+    if name.string() in ("", ".", "..") or any(
+            sep and sep in name.value for sep in ("/", os.sep, os.altsep, "\0")):
+        raise name.error("a file name: not empty, '.' or '..', and no path separator")
+    return name.value
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +75,13 @@ def _flag(cfg: dict, key: str, default: bool) -> bool:
 # ---------------------------------------------------------------------------
 
 def _build(space, Z, cfg, policy):
-    route = str(cfg.get("route", "determinant"))
+    route = cfg.get("route", "determinant").string()
     if route == "oracle":
-        return _construct.oracle_result(space, Z,
-                                         M=_positive(cfg, "oracle_degree", 400))
+        return _construct.oracle_result(
+            space, Z, M=cfg.get("oracle_degree", 400).number(int, "positive"))
     return _construct.shapiro_shields(
         space, Z, route=route, policy=policy,
-        taylor_degree=_positive(cfg, "taylor_degree", 256, zero_ok=True))
+        taylor_degree=cfg.get("taylor_degree", 256).number(int, "non-negative"))
 
 
 # ---------------------------------------------------------------------------
@@ -130,48 +89,48 @@ def _build(space, Z, cfg, policy):
 # ---------------------------------------------------------------------------
 
 def _task_construct(cfg, space):
-    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
+    Z = ReproducibleMultiset.from_json(cfg["multiset"])
     result = _build(space, Z, cfg, _parse_policy(cfg))
     return True, {"construction": result.to_json()}
 
 
 def _task_verify(cfg, space):
-    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
+    Z = ReproducibleMultiset.from_json(cfg["multiset"])
     result = _build(space, Z, cfg, _parse_policy(cfg))
     report = _verify.inner_report(space, result,
-                                  K=_positive(cfg, "K", 20),
-                                  tol=_positive(cfg, "tolerance", 1e-8))
+                                  K=cfg.get("K", 20).number(int, "positive"),
+                                  tol=cfg.get("tolerance", 1e-8).number(float, "positive"))
     return report.verdict, {"construction_route": result.route,
                             "inner_report": report.to_json()}
 
 
 def _task_zeros(cfg, space):
-    Z = _parse(cfg, "multiset", ReproducibleMultiset.from_json)
+    Z = ReproducibleMultiset.from_json(cfg["multiset"])
     policy = _parse_policy(cfg)
     result = _build(space, Z, cfg, policy)
     report = _verify.zero_report(space, result, Z,
-                                 radius=_positive(cfg, "radius", 0.99),
-                                 tol=_positive(cfg, "tolerance", 1e-8),
-                                 scan=_flag(cfg, "scan", True),
+                                 radius=cfg.get("radius", 0.99).number(float, "positive"),
+                                 tol=cfg.get("tolerance", 1e-8).number(float, "positive"),
+                                 scan=cfg.get("scan", True).flag(),
                                  policy=policy)
     return report.verdict, {"construction_route": result.route,
                             "zero_report": report.to_json()}
 
 
 def _task_subspace(cfg, space):
-    p = _parse(cfg, "p", FactoredPoly.from_json)
-    q = _parse(cfg, "q", FactoredPoly.from_json)
+    p = FactoredPoly.from_json(cfg["p"])
+    q = FactoredPoly.from_json(cfg["q"])
     equal, evidence = _verify.subspace_equal(
-        space, p, q, M=_positive(cfg, "M", 400),
-        tol=_positive(cfg, "tolerance", 1e-8))
+        space, p, q, M=cfg.get("M", 400).number(int, "positive"),
+        tol=cfg.get("tolerance", 1e-8).number(float, "positive"))
     ok = True
     if "expect" in cfg:
-        ok = _flag(cfg, "expect", True) == equal
+        ok = cfg["expect"].flag() == equal
     return ok, {"equal": equal, "evidence": evidence}
 
 
 def _task_extremal(cfg, space):
-    p = _parse(cfg, "p", FactoredPoly.from_json)
+    p = FactoredPoly.from_json(cfg["p"])
     if "samples" in cfg:
         raise ConfigError(
             "config field 'samples' is no longer read: extremal optimality is "
@@ -179,17 +138,18 @@ def _task_extremal(cfg, space):
             "remove the field")
     Z = reproducible_multiset(space, p)
     result = _build(space, Z, cfg, _parse_policy(cfg))
-    report = _verify.extremal_check(space, p, result, M=_positive(cfg, "M", 400))
+    report = _verify.extremal_check(space, p, result,
+                                    M=cfg.get("M", 400).number(int, "positive"))
     return report.verdict, {"construction_route": result.route,
                             "extremal_report": report.to_json()}
 
 
 def _task_oracle(cfg, space):
-    p = _parse(cfg, "p", FactoredPoly.from_json)
-    d = _positive(cfg, "d", reproducible_multiset(space, p).origin_multiplicity,
-                  zero_ok=True)
+    p = FactoredPoly.from_json(cfg["p"])
+    d = cfg.get("d", reproducible_multiset(space, p).origin_multiplicity).number(
+        int, "non-negative")
     taylor = _construct.project_kernel_fd(space, p, d,
-                                          M=_positive(cfg, "M", 400))
+                                          M=cfg.get("M", 400).number(int, "positive"))
     return True, {"d": d, "taylor": taylor.to_json()}
 
 
@@ -350,31 +310,33 @@ def _config_echo(cfg: dict, space) -> dict:
     return dict(cfg, space=dict(cfg["space"], values=table_digest(space.table)))
 
 
-def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
+def run_experiment(task: str, cfg, out_dir: str, seed: int | None,
                    quiet: bool = False) -> tuple[bool, str]:
-    """Run one experiment; returns (ok, report_path)."""
+    """Run one experiment; returns (ok, report_path).  ``cfg`` is the config
+    object, or a ``jsonio.Field`` of it."""
+    cfg = Field.of(cfg)
     # Any integer, negative ones included: the seed is only recorded.
-    effective_seed = seed if seed is not None else _number(cfg, "seed", 0)
+    effective_seed = seed if seed is not None else cfg.get("seed", 0).number(int)
     if task == "preset":
-        name = cfg.get("preset")
-        if name not in _PRESETS:
-            raise ConfigError(
-                f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-        ok, body = _PRESETS[name](out_dir)
-        label = f"preset-{name}"
+        name = cfg["preset"]
+        if name.value not in PRESET_NAMES:
+            raise name.error(f"one of {', '.join(PRESET_NAMES)}")
+        ok, body = _PRESETS[name.value](out_dir)
+        label = f"preset-{name.value}"
+        echo = cfg.value
     elif task in _TASKS:
-        space = _parse(cfg, "space", space_from_json)
+        label = f"{task}-{_report_name(cfg)}"
         try:
+            space = space_from_json(cfg["space"])
             ok, body = _TASKS[task](cfg, space)
         except ValueError as exc:  # the library's argument checks, e.g. M too small
             raise ConfigError(f"{task}: {exc}") from exc
-        cfg = _config_echo(cfg, space)
-        label = f"{task}-{cfg.get('name', 'report')}"
+        echo = _config_echo(cfg.value, space)
     else:
         raise ConfigError(f"unknown task {task!r}")
     report = {
         "task": task,
-        "config": cfg,
+        "config": echo,
         "seed": effective_seed,
         "ok": ok,
         "report": body,
@@ -387,23 +349,21 @@ def run_experiment(task: str, cfg: dict, out_dir: str, seed: int | None,
     return ok, path
 
 
-def _run_batch(cfg: dict, out_dir: str, seed: int | None, quiet: bool) -> bool:
-    experiments = _field(cfg, "experiments", required=True)
-    if not isinstance(experiments, list) or not experiments:
-        raise ConfigError("'experiments' must be a nonempty list")
+def _run_batch(cfg: Field, out_dir: str, seed: int | None, quiet: bool) -> bool:
+    """Run each entry of ``experiments``: a config object with a ``task``, or
+    the path of a config file that has one."""
+    experiments = cfg["experiments"]
+    entries = experiments.items()
+    if not entries:
+        raise experiments.error("a nonempty list")
     all_ok = True
-    for i, entry in enumerate(experiments):
-        if isinstance(entry, str):
-            sub = load_config(entry)
-        elif isinstance(entry, dict):
-            sub = dict(entry)
-        else:
-            raise ConfigError(f"experiments[{i}] must be a path or an object")
-        sub_task = sub.pop("task", None)
-        if sub_task is None:
-            raise ConfigError(f"experiments[{i}] is missing 'task'")
+    for i, entry in enumerate(entries):
+        if isinstance(entry.value, str):
+            entry = Field(load_config(entry.value), entry.path)
+        task = entry["task"].string()
+        sub = {k: v for k, v in entry.value.items() if k != "task"}
         sub.setdefault("name", f"batch-{i}")
-        ok, _ = run_experiment(sub_task, sub, out_dir, seed, quiet)
+        ok, _ = run_experiment(task, Field(sub, entry.path), out_dir, seed, quiet)
         all_ok = all_ok and ok
     return all_ok
 
@@ -435,7 +395,7 @@ def main(argv=None) -> int:
             ok, _ = run_experiment("preset", {"preset": args.name}, args.out,
                                    args.seed, args.quiet)
         elif args.command == "batch":
-            ok = _run_batch(load_config(args.config), args.out, args.seed,
+            ok = _run_batch(Field(load_config(args.config)), args.out, args.seed,
                             args.quiet)
         else:
             cfg = load_config(args.config)

@@ -33,7 +33,7 @@ from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
 from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
                      UnsupportedRoute)
-from .jsonio import complex_pair, json_number, pair_complex
+from .jsonio import Field, complex_pair
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
@@ -140,9 +140,10 @@ class TaylorSeries:
                 "N": self.truncation_degree, "tail": self.tail_bound}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TaylorSeries":
-        return cls(np.array([pair_complex(c) for c in obj["coeffs"]], dtype=complex),
-                   float(obj.get("tail", 0.0)))
+    def from_json(cls, obj) -> "TaylorSeries":
+        obj = Field.of(obj)
+        return cls(obj["coeffs"].table(1, pairs=True),
+                   obj.get("tail", 0.0).number(float, "non-negative", finite=False))
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,11 @@ class KernelCombo:
                           for t, c in self.terms]}
 
     @classmethod
-    def from_json(cls, space: SpaceSpec, obj: dict) -> "KernelCombo":
-        return cls(space, tuple((KernelTerm(pair_complex(e["point"]),
-                                            json_number(e["order"], int, "kernel order")),
-                                 pair_complex(e["coef"])) for e in obj["terms"]))
+    def from_json(cls, space: SpaceSpec, obj) -> "KernelCombo":
+        obj = Field.of(obj)
+        return cls(space, tuple(
+            (KernelTerm(e["point"].complex(), e["order"].number(int, "non-negative")),
+             e["coef"].complex()) for e in obj["terms"].items()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (InadmissibleMultiset, MissingReproducibility,
                      ToleranceUnreachable)
-from .jsonio import complex_pair, json_number, pair_complex
+from .jsonio import Field, complex_pair, json_number
 
 ORIGIN_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
@@ -102,11 +102,10 @@ class ReproducibleOrder:
 
     @classmethod
     def from_json(cls, obj) -> "ReproducibleOrder":
-        if obj == "infinite":
-            return cls.infinite()
-        if obj == "none":
-            return cls.not_reproducible()
-        return cls.finite(json_number(obj, int, "reproducible order"))
+        obj = Field.of(obj)
+        if obj.value in ("infinite", "none"):
+            return cls(obj.value)
+        return cls.finite(obj.number(int, "non-negative"))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,8 @@ class WeightedHardy(DiagonalSpace):
     warns, it does not raise).  ``boundary_order`` optionally declares the
     reproducible order of unimodular points; by default they are treated as not
     reproducible, since boundedness cannot be decided numerically from a bare
-    rule.
+    rule.  Every entry of a table is checked finite and positive; a callable
+    rule is spot-checked at a few indices.
     """
 
     weight_rule: object
@@ -338,9 +338,9 @@ class WeightedHardy(DiagonalSpace):
             object.__setattr__(self, "_table", table)
             object.__setattr__(self, "_served", len(table))
         probe = min(1000, self._served - 2)
-        for k in (0, 1, 2, probe // 2, probe):
-            if not 0 <= k < self._served:
-                continue
+        spots = ((0, 1, 2, probe // 2, probe) if callable(self.weight_rule) else
+                 np.flatnonzero(~((self._table > 0.0) & np.isfinite(self._table)))[:1])
+        for k in spots:
             w = self.weight(k)
             if not (w > 0.0) or not math.isfinite(w):
                 raise ValueError(f"weight w_{k} = {w!r} is not strictly positive")
@@ -527,10 +527,8 @@ class CustomGram(SpaceSpec):
     diagonal = False
 
     def __post_init__(self):
-        probe_size = json_number(self.probe_size, int, "probe_size")
-        if probe_size < 1:
-            raise ValueError(f"probe_size must be at least 1, got {probe_size}")
-        object.__setattr__(self, "probe_size", probe_size)
+        object.__setattr__(self, "probe_size",
+                           json_number(self.probe_size, int, "probe_size", "positive"))
         table = tuple(
             (complex(point), order if isinstance(order, ReproducibleOrder)
              else ReproducibleOrder.from_json(order))
@@ -642,59 +640,27 @@ def _rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...n->...", F, np.conjugate(G))
 
 
-def space_from_json(obj: dict) -> SpaceSpec:
-    kind = obj.get("type")
-    if kind == "dirichlet":
-        return DirichletType(json_number(obj["alpha"], float, "alpha"))
-    if kind == "weights":
-        if obj.get("rule") != "table":
-            raise ValueError(f"unsupported weight rule {obj.get('rule')!r}")
-        return WeightedHardy(_float_table(obj["values"]),
-                             boundary_order=obj.get("boundary_order"))
-    if kind == "local_dirichlet":
-        return LocalDirichlet(pair_complex(obj["zeta"]))
-    if kind == "custom":
-        values = _complex_table(obj["values"])
-        table = tuple(
-            (pair_complex(e["point"]), ReproducibleOrder.from_json(e["order"]))
-            for e in obj.get("reproducibility", ())
-        )
-        return CustomGram(values, table, probe_size=obj.get("probe_size", 8))
-    raise ValueError(f"unknown space type {kind!r}")
-
-
-def _complex_table(values) -> np.ndarray:
-    """A table of ``[re, im]`` pairs as a complex array, as ``pair_complex``
-    entry by entry reads it.
-
-    A table numpy reads as one numeric array of shape ``(n, m, 2)`` is
-    reinterpreted as complex in place, with the same bits; anything else
-    (strings, None, ragged rows, bare numbers, integers past float range)
-    takes the entry loop, which raises on what it cannot read.
-    """
-    try:
-        arr = np.array(values)
-    except (ValueError, TypeError, OverflowError):
-        arr = None
-    if arr is not None and arr.dtype.kind in "iuf" and arr.ndim == 3 and arr.shape[2] == 2:
-        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
-    return np.array([[pair_complex(v) for v in row] for row in values], dtype=complex)
-
-
-def _float_table(values) -> tuple:
-    """A weight table with each entry read as ``json_number`` reads a float:
-    a boolean, a string or a non-finite entry raises ValueError naming its
-    index.  A list of finite ints and floats, the usual table, is read in one
-    step; anything else takes the entry loop.
-    """
-    if isinstance(values, list) and set(map(type, values)) <= {int, float}:
-        try:
-            table = tuple(map(float, values))
-        except OverflowError:  # an integer past float range
-            table = ()
-        if table and math.isfinite(sum(table)):
-            return table
-    return tuple(json_number(v, float, f"weight values[{i}]") for i, v in enumerate(values))
+def space_from_json(obj) -> SpaceSpec:
+    obj = Field.of(obj)
+    kind = obj["type"]
+    if kind.value == "dirichlet":
+        return DirichletType(obj["alpha"].number())
+    if kind.value == "weights":
+        if obj["rule"].value != "table":
+            raise obj["rule"].error('"table"')
+        boundary_order = (obj["boundary_order"].number(int, "non-negative")
+                          if "boundary_order" in obj else None)
+        # As a tuple the table keeps the space comparable and hashable.
+        values = tuple(obj["values"].table(1, sign="positive").tolist())
+        return WeightedHardy(values, boundary_order=boundary_order)
+    if kind.value == "local_dirichlet":
+        return LocalDirichlet(obj["zeta"].complex())
+    if kind.value == "custom":
+        table = tuple((e["point"].complex(), ReproducibleOrder.from_json(e["order"]))
+                      for e in obj.get("reproducibility", []).items())
+        return CustomGram(obj["values"].table(2, pairs=True), table,
+                          probe_size=obj.get("probe_size", 8).number(int, "positive"))
+    raise kind.error('one of "dirichlet", "weights", "local_dirichlet", "custom"')
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +742,11 @@ class FactoredPoly:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FactoredPoly":
-        return cls(
-            pair_complex(obj["leading"]),
-            tuple((pair_complex(r["point"]), json_number(r["mult"], int, "root multiplicity"))
-                  for r in obj.get("roots", ())),
-        )
+    def from_json(cls, obj) -> "FactoredPoly":
+        obj = Field.of(obj)
+        return cls(obj["leading"].complex(),
+                   tuple((r["point"].complex(), r["mult"].number(int, "positive"))
+                         for r in obj.get("roots", []).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +830,11 @@ class ReproducibleMultiset:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ReproducibleMultiset":
-        return cls(
-            json_number(obj.get("origin", 0), int, "origin multiplicity"),
-            tuple((pair_complex(e["point"]), json_number(e["mult"], int, "multiplicity"))
-                  for e in obj.get("points", ())),
-        )
+    def from_json(cls, obj) -> "ReproducibleMultiset":
+        obj = Field.of(obj)
+        return cls(obj.get("origin", 0).number(int, "non-negative"),
+                   tuple((e["point"].complex(), e["mult"].number(int, "positive"))
+                         for e in obj.get("points", []).items()))
 
 
 # ---------------------------------------------------------------------------

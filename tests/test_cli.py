@@ -122,6 +122,15 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
                       ("oracle", dict(extremal, M=11, space={
                           "type": "custom", "probe_size": 2.9,
                           "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
+                          "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]})),
+                      # pair_complex and the one-step table parse read true as
+                      # 1.0 in a complex value (exit 0).
+                      ("oracle", dict(extremal, p=dict(poly, leading=[True, 0]))),
+                      ("oracle", dict(extremal, p=dict(poly, leading=True))),
+                      ("oracle", dict(extremal, M=11, space={
+                          "type": "custom",
+                          "values": [[[True if i == j == 0 else float(i == j), 0]
+                                      for j in range(12)] for i in range(12)],
                           "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]}))):
         path = write_config(tmp_path / "num.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
@@ -453,16 +462,18 @@ def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
 def test_weight_table_entries_read_as_json_numbers(tmp_path, capsys):
     # float(v) per entry read "4.0" and true as weights and took inf at an
     # index the positivity probe skips (exit 0); 10**400 ended in a bare
-    # OverflowError.  Each now exits 2 naming the entry.
+    # OverflowError; -1 and 0 at an index the probe skips passed verify.  Each
+    # now exits 2 naming the entry.
     values = [(k + 1.0) ** 0.5 for k in range(1024)]
     for index, bad in ((3, "4.0"), (0, True), (7, False), (10, math.inf),
-                       (10, math.nan), (10, 10 ** 400), (10, None), (10, [1.0])):
+                       (10, math.nan), (10, 10 ** 400), (10, None), (10, [1.0]),
+                       (10, -1), (10, 0)):
         table = list(values)
         table[index] = bad
         space = {"type": "weights", "rule": "table", "values": table}
         assert _cli_exit(tmp_path, "verify", dict(BASE_VERIFY, space=space)) == 2, bad
         err = capsys.readouterr().err
-        assert err.startswith("config error") and f"weight values[{index}]" in err, bad
+        assert err.startswith("config error") and f"space.values[{index}]" in err, bad
     assert kb.space_from_json({"type": "weights", "rule": "table",
                                "values": [1, 2.5, 3]}).table.tolist() == [1.0, 2.5, 3.0]
 
@@ -566,3 +577,103 @@ def test_report_without_a_table_keeps_its_bytes(tmp_path):
         b'"normalization":[1.0,0.0],"pairing_error":0.0,"route":"determinant",'
         b'"taylor":{"N":4,"coeffs":[[0.0,0.0],[1.0,0.0],[0.0,0.0],[0.0,0.0],'
         b'[0.0,0.0]],"tail":0.0}}},"seed":3,"task":"construct"}\n')
+
+
+def test_report_name_names_a_file_inside_out(tmp_path, capsys):
+    # The report path joined the name unchecked: "x/../../escaped" wrote
+    # escaped.json above --out, and ["x"] wrote construct-['x'].json.
+    out = str(tmp_path / "a" / "r")
+    for name in ("x/y", "x/../../escaped", "", ".", "..", ["x"], 5):
+        batch = write_config(tmp_path / "batch.json", {"experiments": [
+            dict(BASE_VERIFY, task="construct", name=name)]})
+        assert cli.main(["batch", "--config", batch, "--out", out, "--quiet"]) == 2, name
+        assert capsys.readouterr().err.startswith(
+            "config error: experiments[0].name must be"), name
+    path = write_config(tmp_path / "cfg.json", dict(BASE_VERIFY, name="../escaped"))
+    assert cli.main(["construct", "--config", path, "--out", out, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: name must be")
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "batch.json", "cfg.json"]
+
+
+def _replace(cfg, path, value):
+    """A deep copy of ``cfg`` with the entry at ``path`` (keys and indices)
+    set to ``value``, or deleted when ``value`` is ``_DELETE``."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+_DELETE = object()
+
+
+def test_malformed_objects_name_their_path(tmp_path, capsys):
+    # Each reader, fed a missing required key, a list where an object belongs
+    # (or the reverse) and a scalar of the wrong type, exits 2 naming the
+    # field; before one reader several of these ended in Python's own text
+    # ("'alpha'", "list indices must be integers or slices, not str").
+    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    oracle = {"name": "o", "space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    subspace = dict(oracle, q=poly)
+    weights = dict(BASE_VERIFY, space={"type": "weights", "rule": "table",
+                                       "values": [(k + 1.0) ** 0.5 for k in range(1024)]})
+    local = dict(oracle, space={"type": "local_dirichlet", "zeta": [1.0, 0.0]})
+    custom = dict(oracle, M=3, space=_custom_4x4())
+    cases = (
+        # space, each type
+        ("verify", BASE_VERIFY, ("space", "alpha"), _DELETE, "missing required field space.alpha"),
+        ("verify", BASE_VERIFY, ("space",), [{"type": "dirichlet", "alpha": 0}],
+         "space must be an object"),
+        ("verify", BASE_VERIFY, ("space", "alpha"), "0", "space.alpha must be a finite number"),
+        ("verify", weights, ("space", "values"), _DELETE, "missing required field space.values"),
+        ("verify", weights, ("space", "values"), {"0": 1.0}, "space.values must be a list"),
+        ("verify", weights, ("space", "values", 5), "2", "space.values[5] must be"),
+        ("oracle", local, ("space", "zeta"), _DELETE, "missing required field space.zeta"),
+        ("oracle", local, ("space", "zeta"), {"re": 1, "im": 0}, "space.zeta must be"),
+        ("oracle", local, ("space", "zeta"), [1, "0"], "space.zeta must be"),
+        ("oracle", custom, ("space", "values"), _DELETE, "missing required field space.values"),
+        ("oracle", custom, ("space", "values"), {"0": [[1.0, 0.0]]}, "space.values must be a list"),
+        ("oracle", custom, ("space", "values", 1, 2), [0, "0"], "space.values[1][2][1] must be"),
+        ("oracle", custom, ("space", "probe_size"), "3", "space.probe_size must be"),
+        # a reproducibility entry
+        ("oracle", custom, ("space", "reproducibility", 0, "order"), _DELETE,
+         "missing required field space.reproducibility[0].order"),
+        ("oracle", custom, ("space", "reproducibility", 0), [0.5, 0],
+         "space.reproducibility[0] must be an object"),
+        ("oracle", custom, ("space", "reproducibility"), {"point": [0.5, 0], "order": 1},
+         "space.reproducibility must be a list"),
+        ("oracle", custom, ("space", "reproducibility", 0, "order"), "2",
+         "space.reproducibility[0].order must be"),
+        # multiset
+        ("verify", BASE_VERIFY, ("multiset", "points", 0, "mult"), _DELETE,
+         "missing required field multiset.points[0].mult"),
+        ("verify", BASE_VERIFY, ("multiset",), [[0.5, 0]], "multiset must be an object"),
+        ("verify", BASE_VERIFY, ("multiset", "points"), {"point": [0.5, 0], "mult": 1},
+         "multiset.points must be a list"),
+        ("verify", BASE_VERIFY, ("multiset", "points", 0, "point"), "0.5",
+         "multiset.points[0].point must be"),
+        # polynomials p and q
+        ("oracle", oracle, ("p", "leading"), _DELETE, "missing required field p.leading"),
+        ("oracle", oracle, ("p", "roots", 0), [0.5, 0], "p.roots[0] must be an object"),
+        ("oracle", oracle, ("p", "roots"), {"point": [0.5, 0], "mult": 1},
+         "p.roots must be a list"),
+        ("oracle", oracle, ("p", "roots", 0, "mult"), "1", "p.roots[0].mult must be"),
+        ("subspace", subspace, ("q",), _DELETE, "missing required field q"),
+        ("subspace", subspace, ("q",), [poly], "q must be an object"),
+        ("subspace", subspace, ("q", "leading"), True, "q.leading must be"),
+        # policy
+        ("verify", BASE_VERIFY, ("policy",), {"max_term": 100}, "policy must be an object"),
+        ("verify", BASE_VERIFY, ("policy",), [1e-3], "policy must be an object"),
+        ("verify", BASE_VERIFY, ("policy",), {"max_terms": "100000"},
+         "policy.max_terms must be a positive integer"),
+    )
+    for task, cfg, path, value, message in cases:
+        assert _cli_exit(tmp_path, task, _replace(cfg, path, value)) == 2, (task, path, value)
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), (task, path)

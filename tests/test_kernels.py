@@ -1,6 +1,7 @@
 """Kernel algebra: pairings, expansions, derivatives, shift inner products."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelblaschke as kb
+from kernelblaschke.jsonio import dumps_canonical
 from kernelblaschke.kernels import DEFAULT_POLICY
 
 H2 = kb.hardy_space()
@@ -561,6 +563,18 @@ def test_taylor_series_mechanics():
         kb.TaylorSeries([], 0.0)
     back = kb.TaylorSeries.from_json(t.to_json())
     assert np.allclose(back.coefficients, t.coefficients)
+
+
+def test_taylor_series_json_tail_is_a_non_negative_number_or_infinity():
+    # from_json read the tail by float(), so "0.5" and true were tails; to_json
+    # writes an infinite tail as Infinity, which reads back.
+    for tail in (0.25, math.inf):
+        t = kb.TaylorSeries([1, 2.5, -3j], tail)
+        back = kb.TaylorSeries.from_json(json.loads(dumps_canonical(t.to_json())))
+        assert back.tail_bound == tail and np.array_equal(back.coefficients, t.coefficients)
+    for bad in ("0.5", True, -1, math.nan):
+        with pytest.raises(kb.ConfigError, match=r"^tail must be"):
+            kb.TaylorSeries.from_json({"coeffs": [[1.0, 0.0]], "tail": bad})
 
 
 def test_taylor_series_adopts_a_complex_array():

@@ -8,7 +8,7 @@ from scipy import integrate
 
 import kernelblaschke as kb
 from kernelblaschke import spaces
-from kernelblaschke.jsonio import pair_complex
+from kernelblaschke.jsonio import Field
 
 
 H2 = kb.hardy_space()
@@ -172,54 +172,48 @@ def test_custom_gram_probe_rejects_lopsided_rules():
     assert np.array_equal(kb.CustomGram(hermitian, (), probe_size=2).gram(1), hermitian)
 
 
-def _table_outcome(values):
-    """What ``space_from_json`` makes of a custom table: the table's bytes, or
-    the error's type and message."""
-    obj = {"type": "custom", "values": values, "probe_size": 1}
-    try:
-        return kb.space_from_json(obj).gram_rule.tobytes()
-    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
-        return type(exc), str(exc)
+def _custom_space(values):
+    return kb.space_from_json(Field({"type": "custom", "values": values, "probe_size": 1},
+                                    "space"))
 
 
-def _loop_outcome(values):
-    """The same, with the table read entry by entry by ``pair_complex``."""
-    try:
-        table = np.array([[pair_complex(v) for v in row] for row in values], dtype=complex)
-        return kb.CustomGram(table, (), probe_size=1).gram_rule.tobytes()
-    except Exception as exc:  # noqa: BLE001
-        return type(exc), str(exc)
-
-
-def test_custom_table_parse_matches_the_entry_loop():
+def test_custom_table_reads_in_one_validated_pass():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     H = A @ A.conj().T + 5 * np.eye(5)
     values = [[[z.real, z.imag] for z in row] for row in H]
     values[0][0] = [7, -0.0]                    # integers and a signed zero
     values[1][2] = [2 ** 53 + 1, 5e-324]        # an integer that rounds, a subnormal
-    values[2][1] = [True, 0.5]                  # a boolean among floats
-    fast = spaces._complex_table(values)
-    assert fast.dtype == complex and fast.shape == (5, 5)
-    assert _table_outcome(values) == _loop_outcome(values)
-    assert isinstance(_table_outcome(values), bytes)
+    values[3][3] = [2 ** 64, 0.0]               # an integer past int64, in float range
+    table = _custom_space(values).gram_rule
+    explicit = np.array([[complex(re, im) for re, im in row] for row in values],
+                        dtype=np.complex128)
+    assert table.dtype == np.complex128 and table.shape == (5, 5)
+    assert table.tobytes() == explicit.tobytes()
+    boolean = [row[:] for row in values]
+    boolean[2][1] = [True, 0.5]                 # a boolean among floats
     malformed = (
-        [[["1.5", "0"]]],                       # strings
-        [[["abc", 0]]],
-        [[None]],
-        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],   # ragged rows
-        [[2.0, [0.0, 0.0]], [[0.0, 0.0], 2.0]],     # bare numbers
-        [[2.0, 0.0], [0.0, 2.0]],
-        [[[10 ** 400, 0]]],                     # an integer past float range
-        [[[2 ** 64, 0.0]]],
-        [[[1.0, 0.0, 0.0]]],                    # a triple, not a pair
-        [[[True, False]]],
-        [[[1.0, 0.0], [0.0, 0.0]]],             # not square
-        [],
-        "table",
+        (boolean, "space.values[2][1][0] must be"),
+        ([[["1.5", "0"]]], "space.values[0][0][0] must be"),     # strings
+        ([[["abc", 0]]], "space.values[0][0][0] must be"),
+        ([[[1.0, math.nan]]], "space.values[0][0][1] must be"),
+        ([[None]], "space.values[0][0] must be"),
+        ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "space.values must be"),  # ragged
+        ([[2.0, [0.0, 0.0]], [[0.0, 0.0], 2.0]], "space.values[0][0] must be"),  # bare numbers
+        ([[2.0, 0.0], [0.0, 2.0]], "space.values[0][0] must be"),
+        ([[[10 ** 400, 0]]], "space.values[0][0][0] must be"),  # past float range
+        ([[[1.0, 0.0, 0.0]]], "space.values must be"),   # a triple, not a pair
+        ([[[True, False]]], "space.values[0][0][0] must be"),
+        ([], "space.values must be"),
+        ([[]], "space.values must be"),
+        ("table", "space.values must be"),
     )
-    for values in malformed:
-        assert _table_outcome(values) == _loop_outcome(values), values
+    for bad, message in malformed:
+        with pytest.raises(kb.ConfigError) as info:
+            _custom_space(bad)
+        assert str(info.value).startswith(message), (bad, str(info.value))
+    with pytest.raises(ValueError, match="gram table must be square"):  # the constructor's check
+        _custom_space([[[1.0, 0.0], [0.0, 0.0]]])
 
 
 def test_custom_probe_size_is_a_positive_integer():
