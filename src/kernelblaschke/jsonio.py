@@ -148,7 +148,7 @@ class Field:
         ``float64`` array, or of ``[re, im]`` pairs as one ``complex128`` array.
 
         One pass checks each level's types and lengths, converts the flat
-        numbers in one ``np.array`` and checks them all finite (and of the
+        numbers in one ``np.fromiter`` and checks them all finite (and of the
         ``sign`` asked for).  Only when it fails does a walk look for the first
         entry that is not a list or not a number, so that the error names it.
         """
@@ -161,7 +161,7 @@ class Field:
         if (len(shape) == depth and all(shape) and (not pairs or shape[-1] == 2)
                 and all(map(_is_number, set(map(type, level))))):
             try:
-                arr = np.array(level, dtype=float).reshape(shape)
+                arr = np.fromiter(level, float, len(level)).reshape(shape)
             except OverflowError:  # an integer past float range
                 arr = np.array([np.nan])
             if np.isfinite(arr).all() and (
