@@ -17,7 +17,7 @@ naming that path:
 * a complex value is a number or an ``[re, im]`` pair of numbers;
 * a flag is ``true`` or ``false``, a string is a JSON string;
 * a table is a nonempty rectangular nested list of numbers (or of ``[re, im]``
-  pairs), read into one ``float64`` (or ``complex128``) array in one pass.
+  pairs), read in one pass into one read-only ``float64`` (or ``complex128``) array.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class Field:
         return self.value
 
     def table(self, ndim: int, pairs: bool = False, sign: str | None = None) -> np.ndarray:
-        """An ``ndim``-dimensional rectangular table of numbers as one
+        """An ``ndim``-dimensional rectangular table of numbers as one read-only
         ``float64`` array, or of ``[re, im]`` pairs as one ``complex128`` array.
 
         One pass checks each level's types and lengths, converts the flat
@@ -166,6 +166,7 @@ class Field:
                 arr = np.array([np.nan])
             if np.isfinite(arr).all() and (
                     sign is None or (arr > 0 if sign == "positive" else arr >= 0).all()):
+                arr.setflags(write=False)  # no other reference: a space adopts it
                 return arr.view(complex)[..., 0] if pairs else arr
         self._locate(depth, sign)
         kind = "[re, im] pairs" if pairs else "numbers"

@@ -33,7 +33,7 @@ from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
 from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
                      UnsupportedRoute)
-from .jsonio import Field, complex_pair
+from .jsonio import Field, complex_pair, json_number
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
@@ -57,9 +57,8 @@ class KernelTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "point", complex(self.point))
-        object.__setattr__(self, "order", int(self.order))
-        if self.order < 0:
-            raise ValueError("kernel order must be nonnegative")
+        object.__setattr__(self, "order",
+                           json_number(self.order, int, "kernel order", "non-negative"))
 
     def to_json(self) -> dict:
         return {"point": complex_pair(self.point), "order": self.order}

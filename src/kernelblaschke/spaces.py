@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -61,8 +61,8 @@ class ReproducibleOrder:
         if self.kind not in ("infinite", "finite", "none"):
             raise ValueError(f"bad reproducible-order kind {self.kind!r}")
         if self.kind == "finite":
-            if self.order is None or self.order < 0:
-                raise ValueError("finite reproducible order needs order >= 0")
+            object.__setattr__(self, "order", json_number(
+                self.order, int, "finite reproducible order", "non-negative"))
         elif self.order is not None:
             raise ValueError("order is only meaningful for kind='finite'")
 
@@ -72,7 +72,7 @@ class ReproducibleOrder:
 
     @classmethod
     def finite(cls, r: int) -> "ReproducibleOrder":
-        return cls("finite", int(r))
+        return cls("finite", r)
 
     @classmethod
     def not_reproducible(cls) -> "ReproducibleOrder":
@@ -117,10 +117,10 @@ class SpaceSpec:
 
     All variants live on the unit disk (``domain_radius = 1``), are immutable,
     and every method is pure, so instances are safe to share across threads.
-    One cache is the exception: a CustomGram with a callable rule keeps its
-    largest tabulated Gram (read-only), so the form does not re-run the rule
-    per call.  Threads racing on it may each tabulate and overwrite it, which
-    wastes work but serves the same values.
+    One cache is the exception: a WeightedHardy or CustomGram given by a
+    callable rule keeps the values it has tabulated so far in one read-only
+    array, so the rule runs once per index.  Threads racing on it may each
+    tabulate and overwrite it, which wastes work but serves the same values.
     """
 
     domain_radius = 1.0
@@ -128,6 +128,7 @@ class SpaceSpec:
     # The input table as the array the space serves (a custom Gram's complex
     # array, a weight table's float array), or None for a space given by a rule.
     table = None
+    _served = math.inf  # how many indices the space can serve: a table's length
 
     def monomial_inner(self, m: int, n: int) -> complex:
         raise NotImplementedError
@@ -198,7 +199,6 @@ class DiagonalSpace(SpaceSpec):
     # alpha when w_n = (n+1)^alpha exactly; only then are boundary-point
     # series certified.
     decay_exponent: float | None = None
-    _served = math.inf  # how many weights the rule can serve
 
     def weight(self, k: int) -> float:
         """The weight w_k: ``weights_at`` at one index."""
@@ -236,19 +236,17 @@ class DiagonalSpace(SpaceSpec):
         Probes a window and pads; rests on the precondition that the ratio
         drifts to 1.
         """
-        try:
-            w = self.weights_at(np.arange(j0, j0 + 130))
-        except ToleranceUnreachable:  # a table that ends inside the window
-            w = self.weights_at(np.arange(j0, j0 + 3))
+        # A table that ends inside the window is probed at w_j0..w_(j0+2).
+        w = self.weights_at(np.arange(j0, j0 + (130 if j0 + 130 <= self._served else 3)))
         return float(np.max(w[:-1] / w[1:])) * 1.0001
 
     def shift_norm_bound(self, k: int) -> float:
         """Upper bound for the norm of multiplication by z^k.
 
         Probes sup sqrt(w_(n+k) / w_n) over the first 4097 + k weights (or the
-        whole table); heuristic for generic rules.
+        whole table, which needs at least k + 1); heuristic for generic rules.
         """
-        w = self.weights(min(4096 + k, self._served - 1))
+        w = self.weights(max(k, min(4096 + k, self._served - 1)))
         return float(np.sqrt(np.max(w[k:] / w[: len(w) - k]))) * 1.0001
 
 
@@ -313,43 +311,37 @@ def dirichlet_space() -> DirichletType:
 class WeightedHardy(DiagonalSpace):
     """Diagonal space with a user-supplied weight rule ``k -> w_k > 0``.
 
-    ``weight_rule`` may be a callable or a sequence (a table).  A table must be
-    long enough for every sum it serves: a series that needs an index past its
-    end raises ``ToleranceUnreachable``.  The rule is assumed to satisfy
-    ``lim w_k / w_{k+1} = 1``; this is a documented precondition, spot-checked on
-    the first 10^3 indices (a drift beyond 10^-3 at the end of that window only
-    warns, it does not raise).  ``boundary_order`` optionally declares the
-    reproducible order of unimodular points; by default they are treated as not
-    reproducible, since boundedness cannot be decided numerically from a bare
-    rule.  Every entry of a table is checked finite and positive; a callable
-    rule is spot-checked at a few indices.
+    ``weight_rule`` is a callable or a nonempty 1-D table.  Every weight is
+    served from one read-only array: the table, or the rule's values as far as
+    the largest index asked so far (8 bytes a weight: at most 16 MB at the
+    default ``max_terms``), each checked finite and positive as it enters.  A
+    series that needs an index past a table's end raises ``ToleranceUnreachable``.
+    The rule is assumed to satisfy ``lim w_k / w_{k+1} = 1``; this is a
+    documented precondition, spot-checked on the first 10^3 indices (a drift
+    beyond 10^-3 at the end of that window only warns, it does not raise).
+    ``boundary_order`` optionally declares the reproducible order of unimodular
+    points; by default they are treated as not reproducible, since boundedness
+    cannot be decided numerically from a bare rule.
     """
 
-    weight_rule: object
+    weight_rule: object = field(compare=False)
     boundary_order: int | None = None
+    _key: object = field(init=False, repr=False)  # compared in place of the rule
 
     def __post_init__(self):
         if self.boundary_order is not None:
             object.__setattr__(self, "boundary_order",
                                json_number(self.boundary_order, int, "boundary_order"))
-        if not callable(self.weight_rule):
-            table = np.array(self.weight_rule, dtype=float)
-            table.setflags(write=False)
-            object.__setattr__(self, "_table", table)
-            object.__setattr__(self, "_served", len(table))
-        probe = min(1000, self._served - 2)
-        spots = ((0, 1, 2, probe // 2, probe) if callable(self.weight_rule) else
-                 np.flatnonzero(~((self._table > 0.0) & np.isfinite(self._table)))[:1])
-        for k in spots:
-            w = self.weight(k)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValueError(f"weight w_{k} = {w!r} is not strictly positive")
+        _adopt(self, "weight_rule", float, 1)
+        self._admit(self._values)
+        # lim w_k/w_{k+1} = 1 is a documented precondition; warn when the
+        # deviation at the end of the probe window exceeds 1e-3 and is not
+        # shrinking across the window (a 1/k-type drift passes).
+        w = self.weights(min(1001, self._served - 1))
+        probe = len(w) - 2
         if probe >= 16:
-            # lim w_k/w_{k+1} = 1 is a documented precondition; warn when the
-            # deviation at the end of the probe window exceeds 1e-3 and is not
-            # shrinking across the window (a 1/k-type drift passes).
-            half = abs(self.weight(probe // 2) / self.weight(probe // 2 + 1) - 1.0)
-            drift = abs(self.weight(probe) / self.weight(probe + 1) - 1.0)
+            half = abs(w[probe // 2] / w[probe // 2 + 1] - 1.0)
+            drift = abs(w[probe] / w[probe + 1] - 1.0)
             if drift > 1e-3 and drift > 0.7 * half:
                 warnings.warn(
                     f"weight ratio w_k/w_(k+1) is {1 + drift:.6g} at k={probe} "
@@ -358,19 +350,28 @@ class WeightedHardy(DiagonalSpace):
                 )
 
     def weights_at(self, ks: np.ndarray) -> np.ndarray:
-        if callable(self.weight_rule):
-            return np.array([float(self.weight_rule(k)) for k in ks.tolist()])
-        if ks[-1] >= self._served:
+        top = int(ks[-1])
+        if top >= self._served:
             raise ToleranceUnreachable(
                 f"weight table of length {self._served} cannot serve indices "
-                f"up to {ks[-1]}; supply a table of length at least {ks[-1] + 1} "
+                f"up to {top}; supply a table of length at least {top + 1} "
                 "or a callable rule"
             )
-        return self._table[ks]
+        weights = self._values
+        if top >= len(weights):  # a callable rule, tabulated as far as top
+            weights = self._admit(np.concatenate((weights, [
+                float(self.weight_rule(k)) for k in range(len(weights), top + 1)])))
+        return weights[ks]
 
-    @property
-    def table(self) -> np.ndarray | None:
-        return None if callable(self.weight_rule) else self._table
+    def _admit(self, weights: np.ndarray) -> np.ndarray:
+        """Serve ``weights`` from now on, once each is checked finite and positive."""
+        bad = np.flatnonzero(~((weights > 0.0) & np.isfinite(weights)))
+        if len(bad):
+            raise ValueError(f"weight w_{bad[0]} = {float(weights[bad[0]])!r} "
+                             "is not strictly positive")
+        weights.setflags(write=False)
+        object.__setattr__(self, "_values", weights)
+        return weights
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if self.boundary_order is None:
@@ -378,10 +379,9 @@ class WeightedHardy(DiagonalSpace):
         return ReproducibleOrder.finite(self.boundary_order)
 
     def to_json(self) -> dict:
-        if callable(self.weight_rule):
+        if self.table is None:
             raise TypeError("callable weight rules do not serialize; use a table")
-        out = {"type": "weights", "rule": "table",
-               "values": [float(v) for v in self.weight_rule]}
+        out = {"type": "weights", "rule": "table", "values": self.table.tolist()}
         if self.boundary_order is not None:
             out["boundary_order"] = self.boundary_order
         return out
@@ -510,19 +510,23 @@ class LocalDirichlet(SpaceSpec):
 class CustomGram(SpaceSpec):
     """Arbitrary Hermitian monomial Gram with declared reproducibility.
 
-    ``gram_rule`` is a callable ``(m, n) -> complex`` or a square array.
+    ``gram_rule`` is a callable ``(m, n) -> complex`` or a nonempty square
+    table.  Every entry is served from one read-only array of raw entries: the
+    table, or the rule's entries up to the largest index asked so far.
     Whether a point has bounded derivative functionals cannot be decided
     numerically in general, so every queried point must appear in
     ``reproducibility_table`` -- a sequence of ``(point, ReproducibleOrder)``
     pairs; a missing entry raises ``MissingReproducibility``.
 
-    The leading principal minors up to ``probe_size`` (a positive integer) are
-    checked positive at construction.
+    The raw entries up to ``probe_size`` (a positive integer) are checked
+    Hermitian, and the leading principal minors up to it positive, at
+    construction.
     """
 
-    gram_rule: object
+    gram_rule: object = field(compare=False)
     reproducibility_table: tuple = ()
     probe_size: int = 8
+    _key: object = field(init=False, repr=False)  # compared in place of the rule
 
     diagonal = False
 
@@ -535,17 +539,10 @@ class CustomGram(SpaceSpec):
             for point, order in self.reproducibility_table
         )
         object.__setattr__(self, "reproducibility_table", table)
-        if callable(self.gram_rule):
-            object.__setattr__(self, "_tabulated", np.empty((0, 0), dtype=complex))
-        else:
-            arr = np.asarray(self.gram_rule, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("gram table must be square")
-            object.__setattr__(self, "gram_rule", arr)
-        size = min(self.probe_size, self._table_limit())
-        # gram() mirrors the upper triangle, so the symmetry is read off the rule.
-        raw = np.array([[self.monomial_inner(m, n) for n in range(size)]
-                        for m in range(size)], dtype=complex)
+        _adopt(self, "gram_rule", complex, 2)
+        size = min(self.probe_size, self._served)
+        # gram() mirrors the upper triangle, so the symmetry is read off the raw entries.
+        raw = self._entries_upto(size - 1)[:size, :size]
         if not np.allclose(raw, raw.conj().T, atol=1e-10):
             raise ValueError("gram rule is not Hermitian on the probe window")
         probe = self.gram(size - 1)
@@ -554,39 +551,28 @@ class CustomGram(SpaceSpec):
         except np.linalg.LinAlgError as exc:
             raise ValueError("gram probe has a nonpositive leading minor") from exc
 
+    def _entries_upto(self, top: int) -> np.ndarray:
+        """The raw entries through index ``top`` at least; a rule is tabulated that far."""
+        if top >= self._served:
+            raise ToleranceUnreachable(
+                f"gram table of size {self._served} cannot serve monomial index {top}; "
+                f"supply a table of size at least {top + 1} (M + 1 for a span up to "
+                "degree M) or a callable rule")
+        entries = self._values
+        if top >= len(entries):
+            entries = np.array([[complex(self.gram_rule(m, n)) for n in range(top + 1)]
+                                for m in range(top + 1)], dtype=complex)
+            entries.setflags(write=False)
+            object.__setattr__(self, "_values", entries)
+        return entries
+
     def gram(self, upto: int) -> np.ndarray:
-        """The table's upper triangle with its conjugate mirrored below (what
-        ``monomial_inner`` entry by entry gives).  A callable rule is tabulated
-        once, to the largest size asked so far, and served read-only."""
-        if callable(self.gram_rule):
-            table = self._tabulated
-            if len(table) <= upto:
-                table = super().gram(upto)
-                table.setflags(write=False)
-                object.__setattr__(self, "_tabulated", table)
-            return table[: upto + 1, : upto + 1]
-        size = self.gram_rule.shape[0]
-        if upto >= size:
-            raise _short_table(size, upto)
-        arr = self.gram_rule[: upto + 1, : upto + 1]
+        """The raw entries' upper triangle with its conjugate mirrored below."""
+        arr = self._entries_upto(upto)[: upto + 1, : upto + 1]
         return np.where(np.triu(np.ones(arr.shape, dtype=bool), 1), arr, arr.conj().T)
 
-    @property
-    def table(self) -> np.ndarray | None:
-        return None if callable(self.gram_rule) else self.gram_rule
-
-    def _table_limit(self) -> int:
-        if callable(self.gram_rule):
-            return 1 << 30
-        return self.gram_rule.shape[0]
-
     def monomial_inner(self, m: int, n: int) -> complex:
-        if callable(self.gram_rule):
-            return complex(self.gram_rule(m, n))
-        arr = self.gram_rule
-        if max(m, n) >= arr.shape[0]:
-            raise _short_table(arr.shape[0], max(m, n))
-        return complex(arr[m, n])
+        return complex(self._entries_upto(max(m, n))[m, n])
 
     def reproducible_order(self, beta: complex) -> ReproducibleOrder:
         b = complex(beta)
@@ -598,12 +584,12 @@ class CustomGram(SpaceSpec):
         )
 
     def to_json(self) -> dict:
-        if callable(self.gram_rule):
+        if self.table is None:
             raise TypeError("callable gram rules do not serialize; use a table")
         return {
             "type": "custom",
             "gram": "table",
-            "values": [[complex_pair(v) for v in row] for row in self.gram_rule],
+            "values": [[complex_pair(v) for v in row] for row in self.table],
             "reproducibility": [
                 {"point": complex_pair(p), "order": o.to_json()}
                 for p, o in self.reproducibility_table
@@ -612,11 +598,32 @@ class CustomGram(SpaceSpec):
         }
 
 
-def _short_table(size: int, index: int) -> ToleranceUnreachable:
-    return ToleranceUnreachable(
-        f"gram table of size {size} cannot serve monomial index {index}; "
-        f"supply a table of size at least {index + 1} (M + 1 for a span up to "
-        "degree M) or a callable rule")
+def _adopt(space: SpaceSpec, name: str, dtype, ndim: int) -> None:
+    """Set a WeightedHardy's or CustomGram's ``table``, ``_values`` (the one
+    array served) and ``_key`` (read by equality and hash in place of the rule
+    field ``name``).  A callable rule has no table, an empty ``_values`` and is
+    its own key (a function compares by identity).  A table must be nonempty,
+    1-D or square (``ndim`` 2); a read-only ``dtype`` array (a parsed table) is
+    adopted, else copied, so no caller can change the space.  It replaces the
+    rule, sets ``_served`` and is ``_values``; its key is its shape and bytes.
+    """
+    rule = getattr(space, name)
+    table = None
+    if not callable(rule):
+        table = rule
+        if not (isinstance(rule, np.ndarray) and rule.dtype == dtype
+                and not rule.flags.writeable):
+            table = np.array(rule, dtype=dtype)
+            table.setflags(write=False)
+        if table.ndim != ndim or table.size == 0 or len(set(table.shape)) > 1:
+            raise ValueError(f"{name.removesuffix('_rule')} table must be "
+                             f"{'square' if ndim == 2 else '1-D'} and nonempty, "
+                             f"got shape {table.shape}")
+        object.__setattr__(space, name, table)
+        object.__setattr__(space, "_served", len(table))
+    object.__setattr__(space, "table", table)
+    object.__setattr__(space, "_values", np.empty((0,) * ndim, dtype) if table is None else table)
+    object.__setattr__(space, "_key", rule if table is None else (table.shape, table.tobytes()))
 
 
 def rounding_gamma(n: int) -> float:
@@ -650,9 +657,7 @@ def space_from_json(obj) -> SpaceSpec:
             raise obj["rule"].error('"table"')
         boundary_order = (obj["boundary_order"].number(int, "non-negative")
                           if "boundary_order" in obj else None)
-        # As a tuple the table keeps the space comparable and hashable.
-        values = tuple(obj["values"].table(1, sign="positive").tolist())
-        return WeightedHardy(values, boundary_order=boundary_order)
+        return WeightedHardy(obj["values"].table(1, sign="positive"), boundary_order)
     if kind.value == "local_dirichlet":
         return LocalDirichlet(obj["zeta"].complex())
     if kind.value == "custom":
@@ -696,9 +701,7 @@ class FactoredPoly:
         merged: dict[complex, int] = {}
         for point, mult in self.roots:
             point = complex(point)
-            mult = int(mult)
-            if mult < 1:
-                raise ValueError("root multiplicities must be positive")
+            mult = json_number(mult, int, "root multiplicity", "positive")
             if abs(point) <= ORIGIN_TOL:
                 point = 0j
             merged[point] = merged.get(point, 0) + mult
@@ -766,18 +769,13 @@ class ReproducibleMultiset:
     entries: tuple = ()
 
     def __post_init__(self):
-        m0 = int(self.origin_multiplicity)
-        if m0 < 0:
-            raise ValueError("origin multiplicity must be >= 0")
+        m0 = json_number(self.origin_multiplicity, int, "origin multiplicity", "non-negative")
         normalized = []
         for point, mult in self.entries:
             point = complex(point)
-            mult = int(mult)
             if abs(point) <= ORIGIN_TOL:
                 raise ValueError("the origin is recorded via origin_multiplicity only")
-            if mult < 1:
-                raise ValueError("multiplicities must be >= 1")
-            normalized.append((point, mult))
+            normalized.append((point, json_number(mult, int, "multiplicity", "positive")))
         ordered = tuple(sorted(normalized, key=lambda it: (it[0].real, it[0].imag)))
         for (a, _), (b, _) in zip(ordered, ordered[1:]):
             if a == b:

@@ -404,6 +404,7 @@ def test_short_weight_table_raises_typed_error():
         lambda: kb.shapiro_shields(sp, kb.ReproducibleMultiset(0, ((0.5 + 0j, 1),))),
         lambda: kb.kernel_pairing(sp, K(0, 70), K(0, 70)),
         lambda: kb.kernel_taylor(sp, K(0, 70), 2),
+        lambda: sp.shift_norm_bound(70),
     )
     for call in calls:
         with pytest.raises(kb.ToleranceUnreachable, match="length 64"):

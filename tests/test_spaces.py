@@ -8,7 +8,7 @@ from scipy import integrate
 
 import kernelblaschke as kb
 from kernelblaschke import spaces
-from kernelblaschke.jsonio import Field
+from kernelblaschke.jsonio import Field, dumps_canonical
 
 
 H2 = kb.hardy_space()
@@ -159,6 +159,8 @@ def test_custom_gram_probe_rejects_bad_tables():
                       probe_size=2)
     with pytest.raises(ValueError):
         kb.CustomGram(np.diag([1.0, -1.0]).astype(complex), (), probe_size=2)
+    with pytest.raises(ValueError, match="gram table must be square and nonempty"):
+        kb.CustomGram(np.zeros((0, 0)), ())
 
 
 def test_custom_gram_probe_rejects_lopsided_rules():
@@ -356,6 +358,43 @@ def test_weighted_hardy_weight_rules():
         kb.WeightedHardy(lambda k: -1.0)
     with pytest.warns(UserWarning):
         kb.WeightedHardy(lambda k: math.exp(0.01 * k))
+    # Every weight a rule gives is checked as it is tabulated, not a few spots.
+    for rule, bad in ((lambda k: -1.0 if k == 10 else (k + 1.0) ** 0.5, "w_10 = -1.0"),
+                      (lambda k: math.nan if k == 7 else 1.0, "w_7 = nan")):
+        with pytest.raises(ValueError, match=f"{bad} is not strictly positive"):
+            kb.WeightedHardy(rule)
+    late = kb.WeightedHardy(lambda k: 0.0 if k == 5000 else 1.0)
+    assert late.weights(4999).min() == 1.0
+    with pytest.raises(ValueError, match="w_5000 = 0.0 is not strictly positive"):
+        kb.kernel_pairing(late, kb.KernelTerm(0.999), kb.KernelTerm(0.999))
+    for malformed in ((), [], ((1.0, 2.0), (3.0, 4.0))):
+        with pytest.raises(ValueError, match="weight table must be 1-D and nonempty"):
+            kb.WeightedHardy(malformed)
+
+
+def test_a_rule_and_the_table_of_its_values_serve_the_same_bytes():
+    def weight(k):
+        return (k + 1.0) ** -0.5 * (1.0 + 0.3 / (k + 1.0))
+
+    # The table is long enough for shift_norm_bound's window, which a rule
+    # serves in full.
+    ruled, table = kb.WeightedHardy(weight), kb.WeightedHardy([weight(k) for k in range(6000)])
+    Z = kb.ReproducibleMultiset(1, ((0.5 - 0.2j, 2), (-0.3 + 0.4j, 1)))
+    runs = []
+    for sp in (ruled, table):
+        res = kb.shapiro_shields(sp, Z, taylor_degree=300)
+        runs.append((kb.combo_taylor(sp, res.combo, 300).coefficients.tobytes(),
+                     dumps_canonical(kb.inner_report(sp, res, 10).to_json()),
+                     sp.weights(5999).tobytes()))
+    assert runs[0] == runs[1]
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    gram = A @ A.conj().T + 9 * np.eye(9)
+    ruled, table = kb.CustomGram(lambda m, n: gram[m, n], ()), kb.CustomGram(gram, ())
+    pc = np.array([0.3 - 0.1j, -1.2, 1.0])
+    for count in (3, 7):
+        assert ruled.span_gram(pc, count)[0].tobytes() == table.span_gram(pc, count)[0].tobytes()
+    assert ruled.gram(8).tobytes() == table.gram(8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +413,39 @@ def test_space_json_round_trip():
     back = kb.space_from_json(custom.to_json())
     assert back.monomial_inner(1, 1) == 2.0
     assert back.reproducible_order(0.5).kind == "infinite"
+    # Tables compare and hash by value, whatever sequence type carried them.
+    values = [float(k + 1) for k in range(32)]
+    gram = [[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 3.0]]
+    for sp in (table, kb.WeightedHardy(values, boundary_order=1), custom,
+               kb.CustomGram(gram, ((1 + 0j, 0),), probe_size=2)):
+        back = kb.space_from_json(sp.to_json())
+        assert back == sp and hash(back) == hash(sp)
+    spellings = [kb.WeightedHardy(v) for v in (values, tuple(values), np.array(values))]
+    spellings += [kb.CustomGram(g) for g in (gram, tuple(map(tuple, gram)), np.array(gram))]
+    assert len(set(spellings)) == 2
+    assert spellings[0] != kb.WeightedHardy(values, boundary_order=1)
+    assert spellings[3] != kb.CustomGram(gram, probe_size=1)
+    rule = lambda k: 1.0  # noqa: E731  (a rule compares by identity)
+    assert kb.WeightedHardy(rule) == kb.WeightedHardy(rule) != kb.WeightedHardy(lambda k: 1.0)
+    a, b = kb.WeightedHardy(np.ones(400)), kb.WeightedHardy(np.ones(400))
+    combo = kb.KernelCombo(a, ((kb.KernelTerm(0.5), 1.0),))
+    ta, tb = (kb.combo_taylor(sp, combo, 10) for sp in (a, b))
+    assert (ta.coefficients.tobytes(), ta.tail_bound) == (tb.coefficients.tobytes(), tb.tail_bound)
+
+
+def test_integer_fields_take_integral_numbers_only():
+    builders = (
+        (lambda v: kb.KernelTerm(0.5, v), "kernel order"),
+        (lambda v: kb.ReproducibleMultiset(0, ((0.5, v),)), "multiplicity"),
+        (lambda v: kb.FactoredPoly(1, ((0.5, v),)), "root multiplicity"),
+        (lambda v: kb.ReproducibleMultiset(v, ()), "origin multiplicity"),
+        (kb.ReproducibleOrder.finite, "finite reproducible order"),
+    )
+    for build, what in builders:
+        assert build(2.0) == build(np.int64(2)) == build(2)
+        for bad in (1.5, 1.7, 2.5, True, -1, "2"):
+            with pytest.raises(ValueError, match=f"^{what} must be"):
+                build(bad)
 
 
 def test_poly_and_multiset_json_round_trip():

@@ -13,9 +13,10 @@ the others five; the held-out pair and the traced pair run on it too.  The
 output holds the environment, each metric's runs, median, quartiles
 (inclusive method) and wins per pair, every task kind's p50, the per-layer
 numbers of the traced runs (each ``*_ms`` figure also divided by its run's
-host slowness) and every run record.  Its ``suite`` key holds each CLI
-preset's median wall time per side over ``SUITE_RUNS`` runs, as
-``SUITE_PROTOCOL`` says.  Standard library only.
+host slowness) and every run record.  Its ``suite`` key holds, per side
+over ``SUITE_RUNS`` runs, each CLI preset's wall time, the Tier-1 suite's
+wall time and its time per test file, and each acceptance criterion's time
+against its budget, as ``SUITE_PROTOCOL`` says.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
+import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,14 +48,20 @@ SECONDS = 30
 WORKLOADS = ("crosscheck", "scan", "series")
 CLAIM_SEEDS = list(range(1, 11))  # the claimed workload: ten pairs
 OTHER_SEEDS = list(range(1, 6))
-SUITE_RUNS = 5  # runs per side of each CLI preset
+SUITE_RUNS = 5  # runs per side of the presets and of the Tier-1 suite
 SUITE_PROTOCOL = (
-    "Each run is one fresh process per side, from the side's copy, with one "
-    "BLAS thread; it imports the package, then times cli.main on each preset "
-    "once, in PRESET_NAMES order, writing to a temporary directory. {runs} "
-    "runs per side, the parent first on even runs and the change first on odd "
-    "ones; each figure is the median over the runs in ms, wall clock, not "
-    "normalized to host slowness.")
+    "Each run is two fresh processes per side, from the side's copy, with one "
+    "BLAS thread. The first imports the package, then times cli.main on each "
+    "preset once, in PRESET_NAMES order, writing to a temporary directory "
+    "(preset_ms). The second runs the Tier-1 command, python -m pytest -q "
+    "--continue-on-collection-errors, with --junitxml: tier1_wall_s is its wall "
+    "time; tier1_file_s sums, per test file, the times pytest reports for its "
+    "test cases (set-up, call and tear-down; collection and imports fall "
+    "outside them); criterion_s holds each test_criterion_* test's time, with "
+    "its budget where the test has one (criteria 1, 2 and 9); tier1_failed "
+    "counts the test cases that failed or errored. {runs} runs per side, the "
+    "parent first on even runs and the change first on odd ones; each figure "
+    "is the median over the runs, wall clock, not normalized to host slowness.")
 SUITE_TIMER = """
 import json, tempfile, time
 from kernelblaschke import cli
@@ -125,10 +135,12 @@ def pair(trees: dict, workload: str, seed: int, trace: int = 0) -> dict:
 
 
 def suite(trees: dict) -> dict:
-    """Each preset's median wall time per side over ``SUITE_RUNS`` runs."""
+    """Each preset's and the Tier-1 suite's figures per side over ``SUITE_RUNS``
+    runs, as ``SUITE_PROTOCOL`` says."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    runs = {"parent": [], "change": []}
+    presets = {"parent": [], "change": []}
+    tier1 = {"parent": [], "change": []}
     for r in range(SUITE_RUNS):
         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
             env["PYTHONPATH"] = str(trees[side] / "src")
@@ -136,11 +148,62 @@ def suite(trees: dict) -> dict:
                                   env=env, capture_output=True, text=True)
             if done.returncode != 0:
                 raise SystemExit(f"preset timing failed in {trees[side]}:\n{done.stderr}")
-            runs[side].append(json.loads(done.stdout))
-    print(f"  suite: {SUITE_RUNS} preset runs per side", flush=True)
+            presets[side].append(json.loads(done.stdout))
+            tier1[side].append(tier1_once(trees[side], env))
+    print(f"  suite: {SUITE_RUNS} preset and Tier-1 runs per side", flush=True)
+    runs = [run for side_runs in tier1.values() for run in side_runs]
+    files = sorted(set().union(*(run["files"] for run in runs)))
+    criteria = sorted(set().union(*(run["criteria"] for run in runs)))
+    budgets = {"1": 1.0, "2": 60.0, "9": 300.0}  # the criteria's gates, in seconds
     return {"protocol": SUITE_PROTOCOL.format(runs=SUITE_RUNS),
-            "preset_ms": {name: {side: spread([run[name] for run in runs[side]])
-                                 for side in runs} for name in runs["parent"][0]}}
+            "preset_ms": {name: sides(presets, lambda run: run[name])
+                          for name in presets["parent"][0]},
+            "tier1_wall_s": sides(tier1, lambda run: run["wall_s"]),
+            "tier1_failed": {side: [run["failed"] for run in tier1[side]] for side in tier1},
+            "tier1_file_s": {path: sides(tier1, lambda run: run["files"].get(path))
+                             for path in files},
+            "criterion_s": {name: {"budget_s": budgets.get(name.split("_")[2]),
+                                   **sides(tier1, lambda run: run["criteria"].get(name))}
+                            for name in criteria}}
+
+
+def sides(runs: dict, pick) -> dict:
+    """Per side, the spread of ``pick(run)`` over the runs where it is not None
+    (a test file or criterion that one side lacks), or None."""
+    out = {}
+    for side, side_runs in runs.items():
+        values = [v for v in map(pick, side_runs) if v is not None]
+        out[side] = spread(values) if values else None
+    return out
+
+
+def tier1_once(tree: Path, env: dict) -> dict:
+    """One Tier-1 run from ``tree``: its wall time, each test file's summed case
+    times, each acceptance criterion's time, and the count of failed cases,
+    read from pytest's JUnit XML."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "junit.xml")
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "pytest", "-q",
+                        "--continue-on-collection-errors", f"--junitxml={report}"],
+                       cwd=tree, env=env, capture_output=True, text=True)
+        wall_s = time.perf_counter() - start
+        if not os.path.exists(report):
+            raise SystemExit(f"the Tier-1 run in {tree} wrote no JUnit XML")
+        cases = list(ET.parse(report).getroot().iter("testcase"))
+    out = {"wall_s": wall_s, "files": {}, "criteria": {}, "failed": 0}
+    for case in cases:
+        # classname is the module path, "tests.test_acceptance", for a
+        # function outside a class.
+        parts = case.get("classname", "").split(".")
+        module = next((i for i, p in enumerate(parts) if p.startswith("test_")), len(parts) - 1)
+        path = "/".join(parts[: module + 1]) + ".py"
+        seconds = float(case.get("time", 0.0))
+        out["files"][path] = out["files"].get(path, 0.0) + seconds
+        if case.get("name", "").startswith("test_criterion_"):
+            out["criteria"][case.get("name")] = seconds
+        out["failed"] += any(case.find(tag) is not None for tag in ("failure", "error"))
+    return out
 
 
 def spread(runs: list[float]) -> dict:
