@@ -202,12 +202,9 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
             f'space; {space.label()} is not diagonal, so use route: "oracle"')
     u, vs = multiset_kernel_terms(Z)
     n = len(vs)
-    G, gram_err = pairing_gram(space, vs, policy)
-    b = np.zeros(n, dtype=complex)
-    for i, v in enumerate(vs):
-        val, e = kernel_pairing(space, u, v, policy)
-        b[i] = val
-        gram_err += e
+    # The bordered Gram: row 0 holds <u, v_j>, row i + 1 holds <v_i, v_j>.
+    H, gram_err = pairing_gram(space, [u, *vs], policy)
+    G, b = H[1:, 1:], H[0, 1:]
     cho = _cholesky_or_singular(G)
 
     used = route
@@ -216,16 +213,14 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
         # Literal cofactor expansion along the vector column.  The column
         # kernels are normalized first (the projection, hence the canonical
         # result, is invariant under rescaling them), which keeps the minors
-        # well scaled.  Row 0 holds <u, v_j>, row i holds <v_i, v_j>.
+        # well scaled.
         scales = 1.0 / np.sqrt(np.abs(np.diag(G)))
-        Gs = G * np.outer(scales, scales)
-        delta = complex(np.linalg.det(Gs))
+        bordered = H[:, 1:] * np.outer(np.r_[1.0, scales], scales)
+        delta = complex(np.linalg.det(bordered[1:]))
         if delta.real > DETERMINANT_TRUST_FLOOR:
             # D(u; s v) = (prod s^2) D(u; v), so dividing the equilibrated
             # cofactors by prod s^2 recovers the literal determinant values.
             unscale = 1.0 / float(np.prod(scales ** 2))
-            bs = b * scales
-            bordered = np.vstack([bs[None, :], Gs])
             coeffs = [delta * unscale]  # coefficient of u: det(G)
             for i in range(1, n + 1):
                 minor = np.delete(bordered, i, axis=0)

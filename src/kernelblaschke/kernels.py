@@ -71,15 +71,18 @@ class TruncationPolicy:
     Each sum picks its own certificate (geometric tails inside the disk, the
     polylogarithm expansion near and on the circle of ``D_alpha``, p-series
     kernel tails on it) and raises ``ToleranceUnreachable`` when the budget
-    runs out first.
+    runs out first.  ``target_tolerance`` is a positive finite number and
+    ``max_terms`` an integer of at least 16, each read by ``json_number``'s rule.
     """
 
     target_tolerance: float = 1e-12
     max_terms: int = 2_000_000
 
     def __post_init__(self):
-        if not self.target_tolerance > 0:
-            raise ValueError("target_tolerance must be positive")
+        object.__setattr__(self, "target_tolerance", json_number(
+            self.target_tolerance, float, "target_tolerance", "positive"))
+        object.__setattr__(self, "max_terms", json_number(
+            self.max_terms, int, "max_terms", "positive"))
         if self.max_terms < 16:
             raise ValueError("max_terms must be at least 16")
 
@@ -87,7 +90,7 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorSeries:
     """Truncated power series with a bound on the norm of the discarded tail.
 
@@ -99,7 +102,8 @@ class TaylorSeries:
     array is kept, not copied, and marked read-only, so the caller must not
     write to it through another reference.  A view is copied (so a slice does
     not keep its larger base alive), and any other sequence is converted to a
-    new array.
+    new array.  Series compare and hash by value: the coefficients' shape and
+    bytes, and ``tail_bound``.
     """
 
     coefficients: np.ndarray
@@ -114,6 +118,15 @@ class TaylorSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
+
+    def _key(self) -> tuple:
+        return self.coefficients.shape, self.coefficients.tobytes(), self.tail_bound
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TaylorSeries) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def truncation_degree(self) -> int:

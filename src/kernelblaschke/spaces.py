@@ -449,50 +449,35 @@ class LocalDirichlet(SpaceSpec):
 
         With ``P_r = sum_(m >= r) p_m zeta^m`` (``P_r = p(zeta)`` for r <= 0),
         ``T_k(z^i p) = zeta^i P_(k-i)``, so for ``i - j = s >= 0``
-        ``S[i, j] = h_s + zeta^s (j |p(zeta)|^2 + c_s)`` with the H^2 band
-        ``h_s = sum_n p_(n-s) conj(p_n)`` and ``c_s = sum_(r=1..d) P_(r-s)
-        conj(P_r)``; for s >= d, ``c_s = p(zeta) conj(zeta p'(zeta))``.  When
-        ``p(zeta) = 0`` (the computed ``P_0`` is 0 within its rounding bound
-        ``gamma_(d+1) sum |p_m|``) S is banded, ``S[i + s, i] = h_s + zeta^s c_s``
-        for s <= d, and its lower band is returned: the terms it drops, ``c_s``
-        for s > d and ``j |P_0|^2``, are below the rounding of the dense entries.
+        ``S[i, j] = v_s + zeta^s j |p(zeta)|^2`` with ``v_s = h_s + zeta^s c_s``,
+        the H^2 band ``h_s = sum_n p_(n-s) conj(p_n)`` and ``c_s = sum_(r=1..d)
+        P_(r-s) conj(P_r)``; for s > d, ``h_s = 0`` and ``c_s = P_0 sum_(r=1..d)
+        conj(P_r)``.  Each diagonal holds one value, so an error in it recurs
+        all down the diagonal, coherently, where the dense entries' errors are
+        independent; the values, and the dense entries with ``zeta^(i-j)``
+        from the same powers, are formed in extended precision
+        (``np.clongdouble``, where the platform has one) and rounded once.
+        When ``p(zeta) = 0`` (``P_0`` computed in double precision is 0 within its
+        rounding bound ``gamma_(d+1) sum |p_m|``) S is banded, ``S[i + s, i] = v_s`` for s <= d,
+        and its lower band is returned: the terms it drops, ``c_s`` for s > d
+        and ``j |P_0|^2``, are below the rounding of the dense entries.
         Otherwise S is returned dense.
-        """
-        d = len(pc) - 1
-        P = np.cumsum((pc * self._powers(d))[::-1])[::-1]
-        if _rounds_to_zero(P[0], pc):
-            return self._span_band(pc, count), True
-        # shifted[s, r - 1] = P_(r-s) for r = 1..d, s = 0..d.
-        shifted = P[np.maximum(np.arange(1, d + 1) - np.arange(d + 1)[:, None], 0)]
-        c = np.full(count, shifted[-1] @ P[1:].conj())
-        c[: d + 1] = (shifted @ P[1:].conj())[:count]
-        h = np.zeros(count, dtype=complex)
-        for s in range(min(d, count - 1) + 1):
-            h[s] = pc[: d + 1 - s] @ pc[s:].conj()
-        idx = np.arange(count)
-        pw = self._powers(count - 1)
-        return (scipy.linalg.toeplitz(h, h.conj())
-                + np.outer(pw, pw.conj()) * (np.minimum.outer(idx, idx) * abs(P[0]) ** 2
-                                             + scipy.linalg.toeplitz(c, c.conj()))), False
-
-    def _span_band(self, pc: np.ndarray, count: int) -> np.ndarray:
-        """The lower band ``S[i + s, i] = h_s + zeta^s c_s``, s <= d, for p(zeta) = 0.
-
-        Each diagonal holds one value, so an error in it recurs all down the
-        diagonal, coherently, where the dense entries' errors are independent;
-        the d + 1 values are formed in extended precision (``np.clongdouble``,
-        where the platform has one) and rounded once.
         """
         d = len(pc) - 1
         width = min(d, count - 1) + 1
         q = pc.astype(np.clongdouble)
-        zp = np.cumprod(np.r_[1.0, np.full(d, self.zeta)].astype(np.clongdouble))
-        P = np.cumsum((q * zp)[::-1])[::-1]
-        band = np.zeros((width, count), dtype=complex)
-        for s in range(width):
-            c_s = P[np.maximum(np.arange(1 - s, d + 1 - s), 0)] @ P[1:].conj()
-            band[s, : count - s] = q[: d + 1 - s] @ q[s:].conj() + zp[s] * c_s
-        return band
+        zp = np.cumprod(np.r_[1.0, np.full(max(d, count - 1), self.zeta)].astype(np.clongdouble))
+        P = np.cumsum((q * zp[: d + 1])[::-1])[::-1]
+        v = np.array([q[: d + 1 - s] @ q[s:].conj()
+                      + zp[s] * (P[np.maximum(np.arange(1 - s, d + 1 - s), 0)] @ P[1:].conj())
+                      for s in range(width)])
+        if _rounds_to_zero(np.cumsum((pc * self._powers(d))[::-1])[-1], pc):
+            lower = np.arange(count) < count - np.arange(width)[:, None]
+            return np.where(lower, v.astype(complex)[:, None], 0j), True
+        v = np.r_[v, zp[width:count] * P[0] * np.sum(P[1:].conj())]
+        zp, i = zp[:count], np.arange(count)
+        return (scipy.linalg.toeplitz(v, v.conj()) + scipy.linalg.toeplitz(zp, zp.conj())
+                * np.minimum.outer(i, i) * abs(P[0]) ** 2).astype(complex), False
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
         if abs(beta - self.zeta) <= POINT_MATCH_TOL:
@@ -512,27 +497,24 @@ class CustomGram(SpaceSpec):
 
     ``gram_rule`` is a callable ``(m, n) -> complex`` or a nonempty square
     table.  Every entry is served from one read-only array of raw entries: the
-    table, or the rule's entries up to the largest index asked so far.
+    table, or the rule's entries up to the largest index asked so far.  The
+    whole array is checked as it enters, as the weights of a WeightedHardy
+    are: its raw entries Hermitian and the Gram they serve positive definite
+    (one Cholesky), a table at construction and a rule each time it is
+    tabulated further.
     Whether a point has bounded derivative functionals cannot be decided
     numerically in general, so every queried point must appear in
     ``reproducibility_table`` -- a sequence of ``(point, ReproducibleOrder)``
     pairs; a missing entry raises ``MissingReproducibility``.
-
-    The raw entries up to ``probe_size`` (a positive integer) are checked
-    Hermitian, and the leading principal minors up to it positive, at
-    construction.
     """
 
     gram_rule: object = field(compare=False)
     reproducibility_table: tuple = ()
-    probe_size: int = 8
     _key: object = field(init=False, repr=False)  # compared in place of the rule
 
     diagonal = False
 
     def __post_init__(self):
-        object.__setattr__(self, "probe_size",
-                           json_number(self.probe_size, int, "probe_size", "positive"))
         table = tuple(
             (complex(point), order if isinstance(order, ReproducibleOrder)
              else ReproducibleOrder.from_json(order))
@@ -540,16 +522,8 @@ class CustomGram(SpaceSpec):
         )
         object.__setattr__(self, "reproducibility_table", table)
         _adopt(self, "gram_rule", complex, 2)
-        size = min(self.probe_size, self._served)
-        # gram() mirrors the upper triangle, so the symmetry is read off the raw entries.
-        raw = self._entries_upto(size - 1)[:size, :size]
-        if not np.allclose(raw, raw.conj().T, atol=1e-10):
-            raise ValueError("gram rule is not Hermitian on the probe window")
-        probe = self.gram(size - 1)
-        try:
-            np.linalg.cholesky(probe)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("gram probe has a nonpositive leading minor") from exc
+        if self.table is not None:
+            self._admit(self.table)
 
     def _entries_upto(self, top: int) -> np.ndarray:
         """The raw entries through index ``top`` at least; a rule is tabulated that far."""
@@ -560,16 +534,28 @@ class CustomGram(SpaceSpec):
                 "degree M) or a callable rule")
         entries = self._values
         if top >= len(entries):
-            entries = np.array([[complex(self.gram_rule(m, n)) for n in range(top + 1)]
-                                for m in range(top + 1)], dtype=complex)
-            entries.setflags(write=False)
-            object.__setattr__(self, "_values", entries)
+            entries = self._admit(np.array([[complex(self.gram_rule(m, n))
+                                             for n in range(top + 1)]
+                                            for m in range(top + 1)], dtype=complex))
+        return entries
+
+    def _admit(self, entries: np.ndarray) -> np.ndarray:
+        """Serve ``entries`` from now on, once they are checked Hermitian and the
+        Gram ``_mirrored`` from them positive definite."""
+        # The Gram mirrors the upper triangle, so the symmetry is read off the raw entries.
+        top = len(entries) - 1
+        if not np.allclose(entries, entries.conj().T, atol=1e-10):
+            raise ValueError(f"gram rule is not Hermitian on indices 0..{top}")
+        try:
+            np.linalg.cholesky(_mirrored(entries))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"gram rule is not positive definite on indices 0..{top}") from exc
+        entries.setflags(write=False)
+        object.__setattr__(self, "_values", entries)
         return entries
 
     def gram(self, upto: int) -> np.ndarray:
-        """The raw entries' upper triangle with its conjugate mirrored below."""
-        arr = self._entries_upto(upto)[: upto + 1, : upto + 1]
-        return np.where(np.triu(np.ones(arr.shape, dtype=bool), 1), arr, arr.conj().T)
+        return _mirrored(self._entries_upto(upto)[: upto + 1, : upto + 1])
 
     def monomial_inner(self, m: int, n: int) -> complex:
         return complex(self._entries_upto(max(m, n))[m, n])
@@ -594,7 +580,6 @@ class CustomGram(SpaceSpec):
                 {"point": complex_pair(p), "order": o.to_json()}
                 for p, o in self.reproducibility_table
             ],
-            "probe_size": self.probe_size,
         }
 
 
@@ -624,6 +609,11 @@ def _adopt(space: SpaceSpec, name: str, dtype, ndim: int) -> None:
     object.__setattr__(space, "table", table)
     object.__setattr__(space, "_values", np.empty((0,) * ndim, dtype) if table is None else table)
     object.__setattr__(space, "_key", rule if table is None else (table.shape, table.tobytes()))
+
+
+def _mirrored(entries: np.ndarray) -> np.ndarray:
+    """A square array's upper triangle with its conjugate mirrored below."""
+    return np.where(np.triu(np.ones(entries.shape, dtype=bool), 1), entries, entries.conj().T)
 
 
 def rounding_gamma(n: int) -> float:
@@ -663,8 +653,7 @@ def space_from_json(obj) -> SpaceSpec:
     if kind.value == "custom":
         table = tuple((e["point"].complex(), ReproducibleOrder.from_json(e["order"]))
                       for e in obj.get("reproducibility", []).items())
-        return CustomGram(obj["values"].table(2, pairs=True), table,
-                          probe_size=obj.get("probe_size", 8).number(int, "positive"))
+        return CustomGram(obj["values"].table(2, pairs=True), table)
     raise kind.error('one of "dirichlet", "weights", "local_dirichlet", "custom"')
 
 

@@ -115,14 +115,10 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
                       ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
                                                           "alpha": math.inf})),
                       # int() read these seeds as 1, 1 and a bare ValueError
-                      # (exit 1), and probe_size 2.9 as 2.
+                      # (exit 1).
                       ("verify", dict(BASE_VERIFY, seed=1.5)),
                       ("verify", dict(BASE_VERIFY, seed=True)),
                       ("verify", dict(BASE_VERIFY, seed="abc")),
-                      ("oracle", dict(extremal, M=11, space={
-                          "type": "custom", "probe_size": 2.9,
-                          "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
-                          "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]})),
                       # pair_complex and the one-step table parse read true as
                       # 1.0 in a complex value (exit 0).
                       ("oracle", dict(extremal, p=dict(poly, leading=[True, 0]))),
@@ -265,6 +261,22 @@ def test_short_custom_table_exits_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error [ToleranceUnreachable]" in err and "at least 41" in err
+
+
+def test_custom_table_checked_past_the_first_rows_exits_two(tmp_path, capsys):
+    # Only the first 8 rows were checked: the lopsided table ran (exit 0) on
+    # the upper entry its mirrored Gram serves, and the indefinite one failed
+    # later, in the span (IllConditioned).
+    for (m, n), value in (((20, 3), 5.0), ((30, 30), -1.0)):
+        space = dict(_custom_4x4(), values=[[[float(i == j), 0.0] for j in range(41)]
+                                            for i in range(41)])
+        space["values"][m][n] = [value, 0.0]
+        cfg = write_config(tmp_path / "cfg.json", {
+            "name": "cg", "space": space, "M": 40,
+            "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}})
+        rc = cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert rc == 2, (m, n)
+        assert capsys.readouterr().err.startswith("config error: oracle: gram rule is not")
 
 
 def test_kernel_route_on_a_non_diagonal_space_exits_two(tmp_path, capsys):
@@ -447,7 +459,6 @@ def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
             ("oracle", dict(oracle, p=dict(poly, leading=["1", "0"]))),
             ("oracle", dict(oracle, p=dict(poly, roots=[{"point": [0.5, 0], "mult": "1"}]))),
             ("oracle", dict(oracle, space={"type": "local_dirichlet", "zeta": ["1", "0"]})),
-            ("oracle", dict(oracle, M=3, space=dict(cg, probe_size="3"))),
             ("oracle", dict(oracle, M=3, space=dict(cg, values=[
                 [["1", "0"]] + row[1:] if m == 0 else row
                 for m, row in enumerate(cg["values"])]))),
@@ -641,7 +652,6 @@ def test_malformed_objects_name_their_path(tmp_path, capsys):
         ("oracle", custom, ("space", "values"), _DELETE, "missing required field space.values"),
         ("oracle", custom, ("space", "values"), {"0": [[1.0, 0.0]]}, "space.values must be a list"),
         ("oracle", custom, ("space", "values", 1, 2), [0, "0"], "space.values[1][2][1] must be"),
-        ("oracle", custom, ("space", "probe_size"), "3", "space.probe_size must be"),
         # a reproducibility entry
         ("oracle", custom, ("space", "reproducibility", 0, "order"), _DELETE,
          "missing required field space.reproducibility[0].order"),

@@ -552,6 +552,17 @@ def test_policy_validation():
     with pytest.raises(TypeError):
         kb.TruncationPolicy(bound_kind="none")
     assert DEFAULT_POLICY == kb.TruncationPolicy(1e-12, 2_000_000)
+    # Each field by json_number's rule, as the CLI reads it: 100000.5 ran as a
+    # budget and "abc" ended in a bare TypeError.
+    policy = kb.TruncationPolicy(np.float64(1e-8), 100000.0)
+    assert (policy.target_tolerance, policy.max_terms) == (1e-8, 100000)
+    assert type(policy.max_terms) is int
+    for bad in (100000.5, "abc", "100000", True, math.inf, -20):
+        with pytest.raises(ValueError, match="^max_terms must be a positive integer"):
+            kb.TruncationPolicy(max_terms=bad)
+    for bad in (math.inf, math.nan, "1e-8", True, -1e-8):
+        with pytest.raises(ValueError, match="^target_tolerance must be a positive finite"):
+            kb.TruncationPolicy(target_tolerance=bad)
 
 
 def test_taylor_series_mechanics():
@@ -564,6 +575,19 @@ def test_taylor_series_mechanics():
         kb.TaylorSeries([], 0.0)
     back = kb.TaylorSeries.from_json(t.to_json())
     assert np.allclose(back.coefficients, t.coefficients)
+
+
+def test_taylor_series_compare_and_hash_by_value():
+    # The generated == compared arrays (numpy's ambiguous truth value), and
+    # the series did not hash.
+    a, b = kb.TaylorSeries(np.ones(3)), kb.TaylorSeries(np.ones(3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != kb.TaylorSeries(np.ones(3), 1e-3) and a != kb.TaylorSeries(np.ones(4))
+    assert a != kb.TaylorSeries([1, 1, 1 + 1e-15]) and a != (a.coefficients, 0.0)
+    # So do the construction results that hold them.
+    Z = kb.ReproducibleMultiset(1, ((0.5 + 0.2j, 1),))
+    built = [kb.shapiro_shields(kb.bergman_space(), Z) for _ in range(2)]
+    assert built[0] == built[1] and hash(built[0]) == hash(built[1])
 
 
 def test_taylor_series_json_tail_is_a_non_negative_number_or_infinity():

@@ -146,7 +146,7 @@ def test_weighted_hardy_boundary_needs_declaration():
 
 def test_custom_gram_requires_table_entry():
     table = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    sp = kb.CustomGram(table, ((0.5 + 0j, "infinite"), (1 + 0j, 0)), probe_size=4)
+    sp = kb.CustomGram(table, ((0.5 + 0j, "infinite"), (1 + 0j, 0)))
     assert kb.reproducible_order(sp, 0.5).kind == "infinite"
     assert kb.reproducible_order(sp, 1.0) == kb.ReproducibleOrder.finite(0)
     with pytest.raises(kb.MissingReproducibility):
@@ -154,13 +154,20 @@ def test_custom_gram_requires_table_entry():
 
 
 def test_custom_gram_probe_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        kb.CustomGram(np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex), (),
-                      probe_size=2)
-    with pytest.raises(ValueError):
-        kb.CustomGram(np.diag([1.0, -1.0]).astype(complex), (), probe_size=2)
+    with pytest.raises(ValueError, match="not Hermitian on indices 0..1"):
+        kb.CustomGram(np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex), ())
+    with pytest.raises(ValueError, match="not positive definite on indices 0..1"):
+        kb.CustomGram(np.diag([1.0, -1.0]).astype(complex), ())
     with pytest.raises(ValueError, match="gram table must be square and nonempty"):
         kb.CustomGram(np.zeros((0, 0)), ())
+    # Past the first 8 rows, which were all that was checked once: a lopsided
+    # entry that the mirrored Gram never served, and a negative diagonal entry.
+    for (m, n), value, message in (((20, 3), 5.0, "not Hermitian on indices 0..40"),
+                                   ((30, 30), -1.0, "not positive definite on indices 0..40")):
+        table = np.eye(41, dtype=complex)
+        table[m, n] = value
+        with pytest.raises(ValueError, match=message):
+            kb.CustomGram(table, ())
 
 
 def test_custom_gram_probe_rejects_lopsided_rules():
@@ -168,15 +175,21 @@ def test_custom_gram_probe_rejects_lopsided_rules():
     lopsided = np.array([[2.0, 1.0], [0.5, 2.0]], dtype=complex)
     rules = (lopsided, lambda m, n: lopsided[m, n] if max(m, n) < 2 else float(m == n))
     for rule in rules:
-        with pytest.raises(ValueError, match="not Hermitian on the probe window"):
-            kb.CustomGram(rule, (), probe_size=2)
+        with pytest.raises(ValueError, match="not Hermitian on indices 0..1"):
+            kb.CustomGram(rule, ()).gram(1)
     hermitian = np.array([[2.0, 1.0 - 1j], [1.0 + 1j, 2.0]])
-    assert np.array_equal(kb.CustomGram(hermitian, (), probe_size=2).gram(1), hermitian)
+    assert np.array_equal(kb.CustomGram(hermitian, ()).gram(1), hermitian)
+    # A rule is checked whole each time it is tabulated further; a refused
+    # tabulation leaves the array checked before it.
+    sp = kb.CustomGram(lambda m, n: 5.0 if (m, n) == (20, 3) else float(m == n), ())
+    assert np.array_equal(sp.gram(10), np.eye(11))
+    with pytest.raises(ValueError, match="not Hermitian on indices 0..25"):
+        sp.gram(25)
+    assert np.array_equal(sp.gram(10), np.eye(11))
 
 
 def _custom_space(values):
-    return kb.space_from_json(Field({"type": "custom", "values": values, "probe_size": 1},
-                                    "space"))
+    return kb.space_from_json(Field({"type": "custom", "values": values}, "space"))
 
 
 def test_custom_table_reads_in_one_validated_pass():
@@ -185,7 +198,9 @@ def test_custom_table_reads_in_one_validated_pass():
     H = A @ A.conj().T + 5 * np.eye(5)
     values = [[[z.real, z.imag] for z in row] for row in H]
     values[0][0] = [7, -0.0]                    # integers and a signed zero
-    values[1][2] = [2 ** 53 + 1, 5e-324]        # an integer that rounds, a subnormal
+    values[1][1] = [2 ** 53 + 1, 0]             # an integer that rounds
+    values[1][2][1] = 5e-324                    # a subnormal, mirrored: the table
+    values[2][1][1] = -5e-324                   # stays Hermitian and positive definite
     values[3][3] = [2 ** 64, 0.0]               # an integer past int64, in float range
     table = _custom_space(values).gram_rule
     explicit = np.array([[complex(re, im) for re, im in row] for row in values],
@@ -218,12 +233,14 @@ def test_custom_table_reads_in_one_validated_pass():
         _custom_space([[[1.0, 0.0], [0.0, 0.0]]])
 
 
-def test_custom_probe_size_is_a_positive_integer():
-    table = np.eye(3, dtype=complex)
-    assert kb.CustomGram(table, (), probe_size=2.0).probe_size == 2
-    for bad in (2.9, True, math.inf, 0, -1):
-        with pytest.raises(ValueError, match="probe_size"):
-            kb.CustomGram(table, (), probe_size=bad)
+def test_custom_config_ignores_probe_size():
+    # probe_size set how many leading rows were checked.  Every entry is
+    # checked now, so a config's probe_size is read no more, like any other
+    # key a space does not read.
+    values = [[[float(m == n), 0.0] for n in range(3)] for m in range(3)]
+    for stale in (2, 2.9, "3", None):
+        sp = kb.space_from_json({"type": "custom", "values": values, "probe_size": stale})
+        assert sp == kb.CustomGram(np.eye(3)) and "probe_size" not in sp.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +426,7 @@ def test_space_json_round_trip():
     back = kb.space_from_json(table.to_json())
     assert back.weight(5) == table.weight(5)
     custom = kb.CustomGram(np.diag([1.0, 2.0, 3.0]).astype(complex),
-                           ((0.5 + 0j, "infinite"),), probe_size=3)
+                           ((0.5 + 0j, "infinite"),))
     back = kb.space_from_json(custom.to_json())
     assert back.monomial_inner(1, 1) == 2.0
     assert back.reproducible_order(0.5).kind == "infinite"
@@ -417,14 +434,14 @@ def test_space_json_round_trip():
     values = [float(k + 1) for k in range(32)]
     gram = [[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 3.0]]
     for sp in (table, kb.WeightedHardy(values, boundary_order=1), custom,
-               kb.CustomGram(gram, ((1 + 0j, 0),), probe_size=2)):
+               kb.CustomGram(gram, ((1 + 0j, 0),))):
         back = kb.space_from_json(sp.to_json())
         assert back == sp and hash(back) == hash(sp)
     spellings = [kb.WeightedHardy(v) for v in (values, tuple(values), np.array(values))]
     spellings += [kb.CustomGram(g) for g in (gram, tuple(map(tuple, gram)), np.array(gram))]
     assert len(set(spellings)) == 2
     assert spellings[0] != kb.WeightedHardy(values, boundary_order=1)
-    assert spellings[3] != kb.CustomGram(gram, probe_size=1)
+    assert spellings[3] != kb.CustomGram(gram, ((1 + 0j, 0),))
     rule = lambda k: 1.0  # noqa: E731  (a rule compares by identity)
     assert kb.WeightedHardy(rule) == kb.WeightedHardy(rule) != kb.WeightedHardy(lambda k: 1.0)
     a, b = kb.WeightedHardy(np.ones(400)), kb.WeightedHardy(np.ones(400))

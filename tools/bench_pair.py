@@ -91,7 +91,15 @@ def parse_args(argv):
     parser.add_argument("--work", type=Path, default=REPO / ".bench_build" / "pair")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default BENCH_<n>.json at the repo root)")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # Checked before the first run: the claim is read only once every pair has run.
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in WORKLOADS or metric not in END_TO_END:
+            parser.error(f"--claim must be WORKLOAD:METRIC with WORKLOAD one of "
+                         f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(END_TO_END)}; "
+                         f"got {args.claim!r}")
+    return args
 
 
 def git(*args) -> str:
@@ -261,8 +269,6 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     # The claimed workload runs ten pairs, the held-out pair and the traced pair.
     target = args.claim.split(":")[0] if args.claim else "crosscheck"
-    if target not in WORKLOADS:
-        raise SystemExit(f"unknown workload {target!r} in --claim")
     plan = [(w, CLAIM_SEEDS if w == target else OTHER_SEEDS) for w in WORKLOADS]
     args.work.mkdir(parents=True, exist_ok=True)
     trees, commits = {}, {}
