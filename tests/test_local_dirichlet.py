@@ -104,9 +104,9 @@ def test_a_root_off_zeta_keeps_the_dense_layout():
 def test_dense_span_gram_against_mpmath():
     """p(zeta) != 0: every entry within a few units of roundoff of max |S| of
     the 40-digit closed form at the unimodular point nearest the stored zeta.
-    Formed in double precision, S was 5.9 units off here; it is 2.6."""
+    Formed in double precision, S was 4.1 units off here; it is 1.6."""
     mpmath = pytest.importorskip("mpmath")
-    M = 60
+    M = 40
     span = construct.shift_span(LD, P_OFF, M)
     assert not span.banded
     ref = np.empty_like(span.gram)
@@ -123,7 +123,7 @@ def test_dense_span_gram_against_mpmath():
                 v = mpmath.fsum(c * ((i + m == j + k) + min(i + m, j + k) * zpow[i + m - j - k])
                                 for m, k, c in terms)
                 ref[i, j], ref[j, i] = complex(v), complex(mpmath.conj(v))
-    assert np.max(np.abs(span.gram - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(span.gram - ref)) <= 3 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 def test_span_narrower_than_its_band():
