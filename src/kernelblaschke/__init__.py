@@ -17,8 +17,8 @@ from .spaces import (CustomGram, DirichletType, FactoredPoly, LocalDirichlet,
                      reproducible_order, space_from_json)
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
                       TruncationPolicy, combo_derivative_at, combo_taylor,
-                      kernel_pairing, kernel_taylor, shift_inner_product,
-                      shift_inner_products)
+                      kernel_pairing, kernel_taylor, pairing_row,
+                      shift_inner_product, shift_inner_products)
 from .construct import (ConstructionResult, RationalRep, bergman_rational,
                         classical_blaschke, inner_projection_of,
                         multiset_from_combo, oracle_result, project_kernel_fd,

@@ -37,8 +37,8 @@ from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      UnsupportedRoute, ZeroFunction)
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
-                      TruncationPolicy, combo_taylor, derivative_functional,
-                      kernel_pairing)
+                      TruncationPolicy, _gram_pairings, combo_taylor,
+                      derivative_functional)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      polyval_derivative, rounding_gamma)
 
@@ -133,16 +133,17 @@ def _reject_clusters(Z: ReproducibleMultiset) -> None:
 
 def pairing_gram(space: SpaceSpec, terms: list[KernelTerm],
                  policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
-    """Hermitian matrix ``G[i, j] = <v_i, v_j>`` with accumulated pairing error."""
+    """Hermitian matrix ``G[i, j] = <v_i, v_j>`` with accumulated pairing error.
+
+    The pairings are summed a column at a time, as pairing rows.
+    """
     n = len(terms)
     G = np.zeros((n, n), dtype=complex)
     err = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            v, e = kernel_pairing(space, terms[i], terms[j], policy)
-            G[i, j] = v
-            G[j, i] = np.conjugate(v)
-            err += e if i == j else 2 * e
+    for (i, j), (v, e) in sorted(_gram_pairings(space, terms, policy).items()):
+        G[i, j] = v
+        G[j, i] = np.conjugate(v)
+        err += e if i == j else 2 * e
     return G, err
 
 

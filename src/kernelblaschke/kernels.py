@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
-from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
-                     UnsupportedRoute)
+from .errors import (DivergentSeries, KernelSpaceError, ToleranceUnreachable,
+                     UnboundedTail, UnsupportedRoute)
 from .jsonio import Field, complex_pair, json_number
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
@@ -42,6 +42,9 @@ _EPS = float(np.finfo(float).eps)
 # polylogarithm expansion's first K + ceil|s| terms (see _pair_polylog).
 _POLYLOG_SWITCH = 0.9
 _POLYLOG_K = 80
+# What a pairing raises for its input (a weight rule's bad value is a
+# ValueError); a row keeps each for its pair, to raise the first pair's.
+_PAIR_ERRORS = (KernelSpaceError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +216,10 @@ class KernelCombo:
 
 def _falling(n: np.ndarray, m: int) -> np.ndarray:
     """n! / (n-m)! elementwise (valid for n >= m)."""
-    out = np.ones_like(n, dtype=float)
-    for i in range(m):
+    if m == 0:
+        return np.ones(len(n))
+    out = n.astype(float)
+    for i in range(1, m):
         out *= n - i
     return out
 
@@ -226,12 +231,20 @@ def _require_diagonal(space: SpaceSpec, what: str) -> None:
                                "dimensional projection routines instead")
 
 
-def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
+def _refusal(space: SpaceSpec, term: KernelTerm) -> DivergentSeries | None:
+    """The error a kernel outside the space is refused with, or None."""
     ro = space.reproducible_order(term.point)
-    if not ro.admits(term.order):
-        raise DivergentSeries(
-            f"kernel k_{term.point}^({term.order}) does not lie in the space: "
-            f"point has reproducible order {ro.to_json()!r}")
+    if ro.admits(term.order):
+        return None
+    return DivergentSeries(
+        f"kernel k_{term.point}^({term.order}) does not lie in the space: "
+        f"point has reproducible order {ro.to_json()!r}")
+
+
+def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
+    refusal = _refusal(space, term)
+    if refusal is not None:
+        raise refusal
 
 
 def _blocks(start: int, max_terms: int, width: int, cap: int):
@@ -256,42 +269,120 @@ def _alpha_of(space: SpaceSpec) -> float:
     return space.decay_exponent
 
 
+def _times_powers(t: np.ndarray, a: KernelTerm, ns: np.ndarray,
+                  pb: np.ndarray) -> np.ndarray:
+    """``t conj(a)^(n-p) pb`` at the indices ns, multiplied in that order."""
+    out = _powers(a.point.conjugate(), ns - a.order, np.empty(len(ns), dtype=complex))
+    np.multiply(t, out, out=out)
+    out *= pb
+    return out
+
+
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                 ns: np.ndarray) -> np.ndarray:
+    """Terms n in ns (each at least both orders) of the pairing series:
+    ``[F_p(n) F_q(n) / w_n] conj(a)^(n-p) b^(n-q)``, ``F_m(n) = n!/(n-m)!``."""
     t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
-    return t.astype(complex) * np.conjugate(a.point) ** (ns - a.order) \
-        * b.point ** (ns - b.order)
+    return _times_powers(t, a, ns, _powers(b.point, ns - b.order,
+                                           np.empty(len(ns), dtype=complex)))
 
 
-def _pair_geometric(space, a, b, policy):
-    """The pairing series summed in blocks until its geometric tail is below tol.
-
-    err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
-    ``L = |log a| + |log b|``.  numpy forms ``z^n`` as ``exp(n log z)`` from
-    n = 100 on, with relative error about ``(7 n |log z| + 4) u``
-    (``u = eps/2``), and by repeated squaring below; the constant covers those
-    products, the falling factors, the weight and the blocked sum.  The loop
-    stops on the tail alone, so the rounding term never blocks a tolerance.
-    """
+def _pair_direct(space, a, b, policy):
+    """``kernel_pairing``'s value for a pair with an origin kernel or in the
+    polylogarithm regime; None for a pair that the geometric row sums."""
+    # A kernel at the origin leaves one term of the series: n = its order.
+    origin = [t.order for t in (a, b) if t.point == 0]
+    if origin:
+        n = min(origin)
+        if n < max(a.order, b.order):
+            return 0j, 0.0
+        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
     rho = abs(a.point) * abs(b.point)
+    if rho > 1.0 + BOUNDARY_TOL:
+        raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
+    if rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None):
+        return None
+    return _pair_polylog(space, a, b, policy)
+
+
+@dataclass(slots=True)
+class _Running:
+    """One geometric pair's state in ``_geometric_row``: its index in the row,
+    its term, ``|a||b|``, ``|log a| + |log b|``, and its running sums."""
+
+    k: int
+    a: KernelTerm
+    rho: float
+    logs: float
+    total: complex = 0j
+    size: float = 0.0
+    last: float = 0.0  # |t| at the block's last index
+
+
+def _geometric_row(space, pairs, b, start, policy) -> dict:
+    """The geometric pairings ``<k_a, k_b>`` of ``pairs``, ``(k, a)`` each with
+    ``max(p, q) = start``, summed over one block schedule from ``start``.
+
+    Per block the row forms the weights, ``F_q`` and ``b``'s powers once, and
+    ``F_p F_q / w`` once per order p.  Each pair keeps its own terms, in the
+    order ``(t conj(a)^(n-p)) b^(n-q)``, its own running total and size, and
+    its own tail test, and leaves the row when that test closes, so its value
+    and err are those of the pair summed alone.
+
+    A pair's err is its geometric tail plus a rounding bound
+    ``eps sum_n (64 + 4 n L)|t_n|``, ``L = |log a| + |log b|``.  ``_powers``
+    forms ``z^n`` as ``exp(n log z)`` from n = 100 on, the formula and the
+    bytes of numpy's own complex power, with relative error about
+    ``(7 n |log z| + 4) u`` (``u = eps/2``), and by repeated squaring below;
+    the constant covers those products, the falling factors, the weight and
+    the blocked sum.  The loop stops on the tail alone, so the rounding term
+    never blocks a tolerance.
+
+    Returns ``{k: (value, err)}``, or for a pair that does not close the error
+    it would raise alone: ``ToleranceUnreachable`` when the term budget runs
+    out, or whatever the weights raised at a block it still needed.
+    """
     tol = policy.target_tolerance
-    logs = abs(cmath.log(a.point)) + abs(cmath.log(b.point))
-    total = 0j
-    size = 0.0
-    for ns in _blocks(max(a.order, b.order), policy.max_terms, 256, 1 << 16):
-        t = _pair_terms(space, a, b, ns)
-        total += t.sum()
-        size += float(np.abs(t) @ (64.0 + 4.0 * logs * ns))
-        j0 = int(ns[-1])
-        ratio = rho * ((j0 + 1.0) / (j0 + 1.0 - a.order)) \
-                    * ((j0 + 1.0) / (j0 + 1.0 - b.order)) \
-                    * space.weight_ratio_sup(j0)
-        if ratio < 1.0:
-            bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
-            if bound <= tol:
-                return total, float(bound + _EPS * size * _FLOAT_SLACK)
-    raise ToleranceUnreachable(
-        f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
+    q = b.order
+    active = [_Running(k, a, abs(a.point) * abs(b.point),
+                       abs(cmath.log(a.point)) + abs(cmath.log(b.point)))
+              for k, a in pairs]
+    out = {}
+    try:
+        for ns in _blocks(start, policy.max_terms, 256, 1 << 16):
+            w = space.weights_at(ns)
+            fq = _falling(ns, q)
+            pb = _powers(b.point, ns - q, np.empty(len(ns), dtype=complex))
+            scaled = {}
+            for run in active:
+                p = run.a.order
+                if p not in scaled:
+                    scaled[p] = _falling(ns, p) * fq / w
+                t = _times_powers(scaled[p], run.a, ns, pb)
+                run.total += t.sum()
+                run.size += float(np.abs(t) @ (64.0 + 4.0 * run.logs * ns))
+                run.last = abs(t[-1])
+            j0 = int(ns[-1])
+            sup = space.weight_ratio_sup(j0)
+            still = []
+            for run in active:
+                ratio = run.rho * ((j0 + 1.0) / (j0 + 1.0 - run.a.order)) \
+                    * ((j0 + 1.0) / (j0 + 1.0 - q)) * sup
+                if ratio < 1.0:
+                    bound = run.last * ratio / (1.0 - ratio) * _FLOAT_SLACK
+                    if bound <= tol:
+                        out[run.k] = run.total, float(bound + _EPS * run.size * _FLOAT_SLACK)
+                        continue
+                still.append(run)
+            active = still
+            if not active:
+                return out
+        failure = ToleranceUnreachable(
+            f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
+    except _PAIR_ERRORS as exc:  # raised by the caller, for the first pair it ends
+        failure = exc
+    out.update((run.k, failure) for run in active)
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -372,25 +463,90 @@ def _pair_polylog(space, a, b, policy):
 # Operations
 # ---------------------------------------------------------------------------
 
+def _row(space, terms, target, policy, refusals, target_refusal) -> tuple:
+    """The pairings ``<k_a, k_target>``, a in terms, as far as the first that fails.
+
+    ``refusals`` holds each term's ``_refusal`` and ``target_refusal`` the
+    target's.  Returns ``(values, failure)``: the ``(value, err)`` of each pair
+    before the first one, in term order, that would raise alone, and that
+    pair's ``(index, error)``, or None.  Origin and polylogarithm pairs are
+    taken one at a time up to that pair; the geometric pairs before it share a
+    ``_geometric_row`` per start index ``max(p, q)``.
+    """
+    out = [None] * len(terms)
+    groups: dict[int, list] = {}
+    first, error = len(terms), None
+    for k, a in enumerate(terms):
+        error = refusals[k] or target_refusal
+        if error is None:
+            try:
+                out[k] = _pair_direct(space, a, target, policy)
+            except _PAIR_ERRORS as exc:  # raised by the caller, if no earlier pair fails
+                error = exc
+        if error is not None:
+            first = k
+            break
+        if out[k] is None:
+            groups.setdefault(max(a.order, target.order), []).append((k, a))
+    for start, pairs in groups.items():
+        for k, result in _geometric_row(space, pairs, target, start, policy).items():
+            if isinstance(result, _PAIR_ERRORS):
+                if k < first:
+                    first, error = k, result
+            else:
+                out[k] = result
+    return out[:first], None if error is None else (first, error)
+
+
+def pairing_row(space: SpaceSpec, terms, target: KernelTerm,
+                policy: TruncationPolicy = DEFAULT_POLICY) -> list[tuple[complex, float]]:
+    """``[kernel_pairing(space, a, target, policy) for a in terms]`` in one pass.
+
+    Each kernel's admissibility is checked once.  Geometric pairs with the same
+    start index ``max(p, q)`` are summed over one block schedule that forms the
+    weights and the target's powers once per block (``_geometric_row``); each
+    keeps the bytes of its value and err, and its own stopping point.  Origin
+    and polylogarithm pairs are taken one at a time.  When pairs fail, the
+    first of them in term order raises its error, as the list would.
+    """
+    _require_diagonal(space, "kernel_pairing")
+    values, failure = _row(space, terms, target, policy,
+                           [_refusal(space, a) for a in terms], _refusal(space, target))
+    if failure is not None:
+        raise failure[1]
+    return values
+
+
+def _gram_pairings(space: SpaceSpec, terms, policy: TruncationPolicy) -> dict:
+    """``{(i, j): kernel_pairing(space, terms[i], terms[j], policy)}`` for i <= j.
+
+    Column j is the row of ``terms[:j + 1]`` against ``terms[j]``, with each
+    term's admissibility checked once.  When pairs fail, the first in
+    row-major ``(i, j)`` order raises its error, so the columns after a
+    failure are summed only above its row.
+    """
+    if terms:
+        _require_diagonal(space, "kernel_pairing")
+    refusals = [_refusal(space, t) for t in terms]
+    out = {}
+    first = None  # (i, error) of the failing pair first in row-major order
+    for j, target in enumerate(terms):
+        rows = j + 1 if first is None else min(j + 1, first[0])
+        values, failure = _row(space, terms[:rows], target, policy,
+                               refusals[:rows], refusals[j])
+        if failure is not None:
+            first = failure
+        out.update(((i, j), pair) for i, pair in enumerate(values))
+    if first is not None:
+        raise first[1]
+    return out
+
+
 def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
-    """``<k_a^(ma), k_b^(mb)>`` with an error bound (see the module docstring)."""
-    _require_diagonal(space, "kernel_pairing")
-    _require_admissible(space, a)
-    _require_admissible(space, b)
-    # A kernel at the origin leaves one term of the series: n = its order.
-    origin = [t.order for t in (a, b) if t.point == 0]
-    if origin:
-        n = min(origin)
-        if n < max(a.order, b.order):
-            return 0j, 0.0
-        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
-    rho = abs(a.point) * abs(b.point)
-    if rho > 1.0 + BOUNDARY_TOL:
-        raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
-    if rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None):
-        return _pair_geometric(space, a, b, policy)
-    return _pair_polylog(space, a, b, policy)
+    """``<k_a^(ma), k_b^(mb)>`` with an error bound (see the module docstring):
+    the one-term ``pairing_row``."""
+    return pairing_row(space, [a], b, policy)[0]
 
 
 def _powers(t: complex, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -512,12 +668,13 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
 
 def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: int,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
-    """``B^(ell)(beta)`` evaluated as a sum of kernel pairings."""
+    """``B^(ell)(beta)`` evaluated as a sum of kernel pairings: one row against
+    ``k_beta^(ell)``."""
     target = KernelTerm(beta, ell)
     _require_admissible(space, target)
+    values = pairing_row(space, [term for term, _ in B.terms], target, policy)
     value, err = 0j, 0.0
-    for term, coef in B.terms:
-        v, e = kernel_pairing(space, term, target, policy)
+    for (_, coef), (v, e) in zip(B.terms, values):
         value += coef * v
         err += abs(coef) * e
     return value, err

@@ -499,9 +499,9 @@ class CustomGram(SpaceSpec):
     table.  Every entry is served from one read-only array of raw entries: the
     table, or the rule's entries up to the largest index asked so far.  The
     whole array is checked as it enters, as the weights of a WeightedHardy
-    are: its raw entries Hermitian and the Gram they serve positive definite
-    (one Cholesky), a table at construction and a rule each time it is
-    tabulated further.
+    are: its raw entries finite and Hermitian and the Gram they serve positive
+    definite (one Cholesky), a table at construction and a rule each time it
+    is tabulated further.
     Whether a point has bounded derivative functionals cannot be decided
     numerically in general, so every queried point must appear in
     ``reproducibility_table`` -- a sequence of ``(point, ReproducibleOrder)``
@@ -540,8 +540,13 @@ class CustomGram(SpaceSpec):
         return entries
 
     def _admit(self, entries: np.ndarray) -> np.ndarray:
-        """Serve ``entries`` from now on, once they are checked Hermitian and the
-        Gram ``_mirrored`` from them positive definite."""
+        """Serve ``entries`` from now on, once they are checked finite and
+        Hermitian and the Gram ``_mirrored`` from them positive definite."""
+        bad = np.argwhere(~np.isfinite(entries))
+        if len(bad):
+            m, n = bad[0]
+            raise ValueError(f"gram entry G[{m}, {n}] = {complex(entries[m, n])!r} "
+                             "is not finite")
         # The Gram mirrors the upper triangle, so the symmetry is read off the raw entries.
         top = len(entries) - 1
         if not np.allclose(entries, entries.conj().T, atol=1e-10):

@@ -170,6 +170,17 @@ def test_custom_gram_probe_rejects_bad_tables():
             kb.CustomGram(table, ())
 
 
+def test_custom_gram_refuses_non_finite_entries():
+    # inf == inf passed the Hermitian check, and a Cholesky with inf on its
+    # diagonal did not fail, so these Grams were served with inf in them.
+    with pytest.raises(ValueError, match=r"gram entry G\[1, 1\] = \(inf\+0j\) is not finite"):
+        kb.CustomGram(np.diag([1.0, np.inf]), ())
+    sp = kb.CustomGram(lambda m, n: math.inf if (m, n) == (3, 3) else float(m == n), ())
+    assert np.array_equal(sp.gram(2), np.eye(3))
+    with pytest.raises(ValueError, match=r"gram entry G\[3, 3\] = \(inf\+0j\) is not finite"):
+        sp.gram(5)
+
+
 def test_custom_gram_probe_rejects_lopsided_rules():
     # Positive definite once the upper triangle is mirrored, but not Hermitian.
     lopsided = np.array([[2.0, 1.0], [0.5, 2.0]], dtype=complex)
