@@ -430,6 +430,14 @@ def _polylog(s: float, mu: complex) -> tuple[complex, float]:
     return complex(value), float(bound) * _FLOAT_SLACK
 
 
+@functools.lru_cache(maxsize=64)
+def _falling_poly(p: int, q: int) -> np.ndarray:
+    """Ascending coefficients of ``P(u) = prod_(m = p, q) (u-1)...(u-m)``."""
+    poly = np.atleast_1d(np.poly(np.r_[1:p + 1, 1:q + 1]))[::-1]
+    poly.setflags(write=False)  # the cache hands this array to every caller
+    return poly
+
+
 def _pair_polylog(space, a, b, policy):
     """``sum_j c_j Li_(alpha-j)(x) / (x conj(a)^p b^q)`` with ``x = conj(a) b = e^mu``.
 
@@ -438,7 +446,7 @@ def _pair_polylog(space, a, b, policy):
     (``Re mu = 0`` if both are on the circle).  err covers each ``_polylog`` bound, the
     rounding of the sum and, to first order by ``d/dmu Li_s = Li_(s-1)``, that of mu."""
     alpha = _alpha_of(space)
-    poly = np.atleast_1d(np.poly(np.r_[1:a.order + 1, 1:b.order + 1]))[::-1]
+    poly = _falling_poly(a.order, b.order)
     la, lb = np.log(a.point), np.log(b.point)  # cmath.log loses Re mu near |z| = 1
     im = math.remainder(lb.imag - la.imag, 2 * math.pi)
     on_circle = max(abs(abs(a.point) - 1.0), abs(abs(b.point) - 1.0)) <= BOUNDARY_TOL
@@ -558,8 +566,11 @@ def _powers(t: complex, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``log t`` taken once, where ``np.power`` takes a ``clog`` per element.  A real
     ``t`` keeps ``np.power`` throughout.
     """
-    cut = int(np.searchsorted(ns, 100)) if isinstance(t, complex) else len(ns)
-    np.power(t, ns[:cut], out=out[:cut])
+    cut = len(ns)
+    if isinstance(t, complex) and cut and ns[-1] >= 100:
+        cut = int(np.searchsorted(ns, 100)) if ns[0] < 100 else 0
+    if cut:
+        np.power(t, ns[:cut], out=out[:cut])
     if cut == len(ns):
         return out
     if t == 0:
