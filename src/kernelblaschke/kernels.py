@@ -316,7 +316,6 @@ class _Running:
     logs: float
     total: complex = 0j
     size: float = 0.0
-    last: float = 0.0  # |t| at the block's last index
 
 
 def _geometric_row(space, pairs, b, start, policy) -> dict:
@@ -351,9 +350,12 @@ def _geometric_row(space, pairs, b, start, policy) -> dict:
     try:
         for ns in _blocks(start, policy.max_terms, 256, 1 << 16):
             w = space.weights_at(ns)
+            j0 = int(ns[-1])
+            sup = space.weight_ratio_sup(j0)
             fq = _falling(ns, q)
             pb = _powers(b.point, ns - q, np.empty(len(ns), dtype=complex))
             scaled = {}
+            still = []
             for run in active:
                 p = run.a.order
                 if p not in scaled:
@@ -361,15 +363,10 @@ def _geometric_row(space, pairs, b, start, policy) -> dict:
                 t = _times_powers(scaled[p], run.a, ns, pb)
                 run.total += t.sum()
                 run.size += float(np.abs(t) @ (64.0 + 4.0 * run.logs * ns))
-                run.last = abs(t[-1])
-            j0 = int(ns[-1])
-            sup = space.weight_ratio_sup(j0)
-            still = []
-            for run in active:
-                ratio = run.rho * ((j0 + 1.0) / (j0 + 1.0 - run.a.order)) \
+                ratio = run.rho * ((j0 + 1.0) / (j0 + 1.0 - p)) \
                     * ((j0 + 1.0) / (j0 + 1.0 - q)) * sup
                 if ratio < 1.0:
-                    bound = run.last * ratio / (1.0 - ratio) * _FLOAT_SLACK
+                    bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
                     if bound <= tol:
                         out[run.k] = run.total, float(bound + _EPS * run.size * _FLOAT_SLACK)
                         continue
