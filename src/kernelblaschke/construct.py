@@ -37,8 +37,8 @@ from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      UnsupportedRoute, ZeroFunction)
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
-                      TruncationPolicy, _gram_pairings, combo_taylor,
-                      derivative_functional)
+                      TruncationPolicy, combo_taylor, derivative_functional,
+                      pairing_gram)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      polyval_derivative, rounding_gamma)
 
@@ -129,22 +129,6 @@ def _reject_clusters(Z: ReproducibleMultiset) -> None:
                     f"points {a} and {b} are closer than {CLUSTER_TOL}; "
                     "merge them explicitly or separate them"
                 )
-
-
-def pairing_gram(space: SpaceSpec, terms: list[KernelTerm],
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
-    """Hermitian matrix ``G[i, j] = <v_i, v_j>`` with accumulated pairing error.
-
-    The pairings are summed a column at a time, as pairing rows.
-    """
-    n = len(terms)
-    G = np.zeros((n, n), dtype=complex)
-    err = 0.0
-    for (i, j), (v, e) in sorted(_gram_pairings(space, terms, policy).items()):
-        G[i, j] = v
-        G[j, i] = np.conjugate(v)
-        err += e if i == j else 2 * e
-    return G, err
 
 
 def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,

@@ -42,10 +42,6 @@ _EPS = float(np.finfo(float).eps)
 # polylogarithm expansion's first K + ceil|s| terms (see _pair_polylog).
 _POLYLOG_SWITCH = 0.9
 _POLYLOG_K = 80
-# What a pairing raises for its input (a weight rule's bad value is a
-# ValueError); a row keeps each for its pair, to raise the first pair's.
-_PAIR_ERRORS = (KernelSpaceError, ValueError)
-
 
 # ---------------------------------------------------------------------------
 # Types
@@ -269,116 +265,15 @@ def _alpha_of(space: SpaceSpec) -> float:
     return space.decay_exponent
 
 
-def _times_powers(t: np.ndarray, a: KernelTerm, ns: np.ndarray,
-                  pb: np.ndarray) -> np.ndarray:
-    """``t conj(a)^(n-p) pb`` at the indices ns, multiplied in that order."""
-    out = _powers(a.point.conjugate(), ns - a.order, np.empty(len(ns), dtype=complex))
-    np.multiply(t, out, out=out)
-    out *= pb
-    return out
-
-
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                 ns: np.ndarray) -> np.ndarray:
     """Terms n in ns (each at least both orders) of the pairing series:
-    ``[F_p(n) F_q(n) / w_n] conj(a)^(n-p) b^(n-q)``, ``F_m(n) = n!/(n-m)!``."""
+    ``[F_p(n) F_q(n) / w_n] conj(a)^(n-p) b^(n-q)``, ``F_m(n) = n!/(n-m)!``,
+    multiplied in the order ``(t conj(a)^(n-p)) b^(n-q)``."""
     t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
-    return _times_powers(t, a, ns, _powers(b.point, ns - b.order,
-                                           np.empty(len(ns), dtype=complex)))
-
-
-def _pair_direct(space, a, b, policy):
-    """``kernel_pairing``'s value for a pair with an origin kernel or in the
-    polylogarithm regime; None for a pair that the geometric row sums."""
-    # A kernel at the origin leaves one term of the series: n = its order.
-    origin = [t.order for t in (a, b) if t.point == 0]
-    if origin:
-        n = min(origin)
-        if n < max(a.order, b.order):
-            return 0j, 0.0
-        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
-    rho = abs(a.point) * abs(b.point)
-    if rho > 1.0 + BOUNDARY_TOL:
-        raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
-    if rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None):
-        return None
-    return _pair_polylog(space, a, b, policy)
-
-
-@dataclass(slots=True)
-class _Running:
-    """One geometric pair's state in ``_geometric_row``: its index in the row,
-    its term, ``|a||b|``, ``|log a| + |log b|``, and its running sums."""
-
-    k: int
-    a: KernelTerm
-    rho: float
-    logs: float
-    total: complex = 0j
-    size: float = 0.0
-
-
-def _geometric_row(space, pairs, b, start, policy) -> dict:
-    """The geometric pairings ``<k_a, k_b>`` of ``pairs``, ``(k, a)`` each with
-    ``max(p, q) = start``, summed over one block schedule from ``start``.
-
-    Per block the row forms the weights, ``F_q`` and ``b``'s powers once, and
-    ``F_p F_q / w`` once per order p.  Each pair keeps its own terms, in the
-    order ``(t conj(a)^(n-p)) b^(n-q)``, its own running total and size, and
-    its own tail test, and leaves the row when that test closes, so its value
-    and err are those of the pair summed alone.
-
-    A pair's err is its geometric tail plus a rounding bound
-    ``eps sum_n (64 + 4 n L)|t_n|``, ``L = |log a| + |log b|``.  ``_powers``
-    forms ``z^n`` as ``exp(n log z)`` from n = 100 on, the formula and the
-    bytes of numpy's own complex power, with relative error about
-    ``(7 n |log z| + 4) u`` (``u = eps/2``), and by repeated squaring below;
-    the constant covers those products, the falling factors, the weight and
-    the blocked sum.  The loop stops on the tail alone, so the rounding term
-    never blocks a tolerance.
-
-    Returns ``{k: (value, err)}``, or for a pair that does not close the error
-    it would raise alone: ``ToleranceUnreachable`` when the term budget runs
-    out, or whatever the weights raised at a block it still needed.
-    """
-    tol = policy.target_tolerance
-    q = b.order
-    active = [_Running(k, a, abs(a.point) * abs(b.point),
-                       abs(cmath.log(a.point)) + abs(cmath.log(b.point)))
-              for k, a in pairs]
-    out = {}
-    try:
-        for ns in _blocks(start, policy.max_terms, 256, 1 << 16):
-            w = space.weights_at(ns)
-            j0 = int(ns[-1])
-            sup = space.weight_ratio_sup(j0)
-            fq = _falling(ns, q)
-            pb = _powers(b.point, ns - q, np.empty(len(ns), dtype=complex))
-            scaled = {}
-            still = []
-            for run in active:
-                p = run.a.order
-                if p not in scaled:
-                    scaled[p] = _falling(ns, p) * fq / w
-                t = _times_powers(scaled[p], run.a, ns, pb)
-                run.total += t.sum()
-                run.size += float(np.abs(t) @ (64.0 + 4.0 * run.logs * ns))
-                ratio = run.rho * ((j0 + 1.0) / (j0 + 1.0 - p)) \
-                    * ((j0 + 1.0) / (j0 + 1.0 - q)) * sup
-                if ratio < 1.0:
-                    bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
-                    if bound <= tol:
-                        out[run.k] = run.total, float(bound + _EPS * run.size * _FLOAT_SLACK)
-                        continue
-                still.append(run)
-            active = still
-            if not active:
-                return out
-        failure = ToleranceUnreachable(
-            f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
-    except _PAIR_ERRORS as exc:  # raised by the caller, for the first pair it ends
-        failure = exc
-    out.update((run.k, failure) for run in active)
+    out = _powers(a.point.conjugate(), ns - a.order, np.empty(len(ns), dtype=complex))
+    np.multiply(t, out, out=out)
+    out *= _powers(b.point, ns - b.order, np.empty(len(ns), dtype=complex))
     return out
 
 
@@ -468,83 +363,92 @@ def _pair_polylog(space, a, b, policy):
 # Operations
 # ---------------------------------------------------------------------------
 
-def _row(space, terms, target, policy, refusals, target_refusal) -> tuple:
-    """The pairings ``<k_a, k_target>``, a in terms, as far as the first that fails.
+def _pair(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
+          policy: TruncationPolicy) -> tuple[complex, float]:
+    """``<k_a, k_b>`` for two admissible kernels of a diagonal space.
 
-    ``refusals`` holds each term's ``_refusal`` and ``target_refusal`` the
-    target's.  Returns ``(values, failure)``: the ``(value, err)`` of each pair
-    before the first one, in term order, that would raise alone, and that
-    pair's ``(index, error)``, or None.  Origin and polylogarithm pairs are
-    taken one at a time up to that pair; the geometric pairs before it share a
-    ``_geometric_row`` per start index ``max(p, q)``.
+    A kernel at the origin leaves one term of the series, n = its order.
+    ``|ab| > 1`` diverges, and the polylogarithm regime goes to
+    ``_pair_polylog``.  Any other pair is summed over the ``_blocks`` from
+    ``max(p, q)`` until its geometric tail closes below the tolerance.
+
+    Its err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
+    ``L = |log a| + |log b|``.  ``_powers`` forms ``z^n`` as ``exp(n log z)``
+    from n = 100 on, the formula and the bytes of numpy's own complex power,
+    with relative error about ``(7 n |log z| + 4) u`` (``u = eps/2``), and by
+    repeated squaring below; the constant covers those products, the falling
+    factors, the weight and the blocked sum.  The loop stops on the tail
+    alone, so the rounding term never blocks a tolerance.
     """
-    out = [None] * len(terms)
-    groups: dict[int, list] = {}
-    first, error = len(terms), None
-    for k, a in enumerate(terms):
-        error = refusals[k] or target_refusal
-        if error is None:
-            try:
-                out[k] = _pair_direct(space, a, target, policy)
-            except _PAIR_ERRORS as exc:  # raised by the caller, if no earlier pair fails
-                error = exc
-        if error is not None:
-            first = k
-            break
-        if out[k] is None:
-            groups.setdefault(max(a.order, target.order), []).append((k, a))
-    for start, pairs in groups.items():
-        for k, result in _geometric_row(space, pairs, target, start, policy).items():
-            if isinstance(result, _PAIR_ERRORS):
-                if k < first:
-                    first, error = k, result
-            else:
-                out[k] = result
-    return out[:first], None if error is None else (first, error)
+    p, q = a.order, b.order
+    origin = [t.order for t in (a, b) if t.point == 0]
+    if origin:
+        n = min(origin)
+        if n < max(p, q):
+            return 0j, 0.0
+        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
+    rho = abs(a.point) * abs(b.point)
+    if rho > 1.0 + BOUNDARY_TOL:
+        raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
+    if not (rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None)):
+        return _pair_polylog(space, a, b, policy)
+    tol = policy.target_tolerance
+    logs = abs(cmath.log(a.point)) + abs(cmath.log(b.point))
+    total, size = 0j, 0.0
+    for ns in _blocks(max(p, q), policy.max_terms, 256, 1 << 16):
+        t = _pair_terms(space, a, b, ns)
+        total += t.sum()
+        size += float(np.abs(t) @ (64.0 + 4.0 * logs * ns))
+        j0 = int(ns[-1])
+        ratio = rho * ((j0 + 1.0) / (j0 + 1.0 - p)) * ((j0 + 1.0) / (j0 + 1.0 - q)) \
+            * space.weight_ratio_sup(j0)
+        if ratio < 1.0:
+            bound = abs(t[-1]) * ratio / (1.0 - ratio) * _FLOAT_SLACK
+            if bound <= tol:
+                return total, float(bound + _EPS * size * _FLOAT_SLACK)
+    raise ToleranceUnreachable(
+        f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
 
 
 def pairing_row(space: SpaceSpec, terms, target: KernelTerm,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> list[tuple[complex, float]]:
-    """``[kernel_pairing(space, a, target, policy) for a in terms]`` in one pass.
-
-    Each kernel's admissibility is checked once.  Geometric pairs with the same
-    start index ``max(p, q)`` are summed over one block schedule that forms the
-    weights and the target's powers once per block (``_geometric_row``); each
-    keeps the bytes of its value and err, and its own stopping point.  Origin
-    and polylogarithm pairs are taken one at a time.  When pairs fail, the
-    first of them in term order raises its error, as the list would.
-    """
+    """``[kernel_pairing(space, a, target, policy) for a in terms]``, with each
+    kernel's admissibility checked once.  The pairs are summed in term order,
+    so the first that fails raises its error."""
     _require_diagonal(space, "kernel_pairing")
-    values, failure = _row(space, terms, target, policy,
-                           [_refusal(space, a) for a in terms], _refusal(space, target))
-    if failure is not None:
-        raise failure[1]
-    return values
+    target_refusal = _refusal(space, target)
+    out = []
+    for a in terms:
+        refusal = _refusal(space, a) or target_refusal
+        if refusal is not None:
+            raise refusal
+        out.append(_pair(space, a, target, policy))
+    return out
 
 
-def _gram_pairings(space: SpaceSpec, terms, policy: TruncationPolicy) -> dict:
-    """``{(i, j): kernel_pairing(space, terms[i], terms[j], policy)}`` for i <= j.
+def pairing_gram(space: SpaceSpec, terms: list[KernelTerm],
+                 policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
+    """Hermitian matrix ``G[i, j] = <v_i, v_j>`` with accumulated pairing error.
 
-    Column j is the row of ``terms[:j + 1]`` against ``terms[j]``, with each
-    term's admissibility checked once.  When pairs fail, the first in
-    row-major ``(i, j)`` order raises its error, so the columns after a
-    failure are summed only above its row.
+    Each kernel's admissibility is checked once.  The pairs ``i <= j`` are
+    summed in row-major order, so the first that fails raises its error.
     """
-    if terms:
+    n = len(terms)
+    if n:
         _require_diagonal(space, "kernel_pairing")
     refusals = [_refusal(space, t) for t in terms]
-    out = {}
-    first = None  # (i, error) of the failing pair first in row-major order
-    for j, target in enumerate(terms):
-        rows = j + 1 if first is None else min(j + 1, first[0])
-        values, failure = _row(space, terms[:rows], target, policy,
-                               refusals[:rows], refusals[j])
-        if failure is not None:
-            first = failure
-        out.update(((i, j), pair) for i, pair in enumerate(values))
-    if first is not None:
-        raise first[1]
-    return out
+    G = np.zeros((n, n), dtype=complex)
+    err = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            refusal = refusals[i] or refusals[j]
+            if refusal is not None:
+                raise refusal
+            v, e = _pair(space, terms[i], terms[j], policy)
+            G[i, j] = v
+            G[j, i] = np.conjugate(v)
+            err += e if i == j else 2 * e
+    return G, err
 
 
 def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
