@@ -526,17 +526,22 @@ class CustomGram(SpaceSpec):
             self._admit(self.table)
 
     def _entries_upto(self, top: int) -> np.ndarray:
-        """The raw entries through index ``top`` at least; a rule is tabulated that far."""
+        """The raw entries through index ``top`` at least; a rule is tabulated
+        that far, called only for the entries past the array already held."""
         if top >= self._served:
             raise ToleranceUnreachable(
                 f"gram table of size {self._served} cannot serve monomial index {top}; "
                 f"supply a table of size at least {top + 1} (M + 1 for a span up to "
                 "degree M) or a callable rule")
         entries = self._values
-        if top >= len(entries):
-            entries = self._admit(np.array([[complex(self.gram_rule(m, n))
-                                             for n in range(top + 1)]
-                                            for m in range(top + 1)], dtype=complex))
+        held = len(entries)
+        if top >= held:
+            grown = np.empty((top + 1, top + 1), dtype=complex)
+            grown[:held, :held] = entries
+            for m in range(top + 1):
+                start = held if m < held else 0
+                grown[m, start:] = [complex(self.gram_rule(m, n)) for n in range(start, top + 1)]
+            entries = self._admit(grown)
         return entries
 
     def _admit(self, entries: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Space model: monomial Grams, reproducible orders, capped zero multisets."""
 
+import cmath
 import math
 
 import numpy as np
@@ -179,6 +180,24 @@ def test_custom_gram_refuses_non_finite_entries():
     assert np.array_equal(sp.gram(2), np.eye(3))
     with pytest.raises(ValueError, match=r"gram entry G\[3, 3\] = \(inf\+0j\) is not finite"):
         sp.gram(5)
+
+
+def test_custom_gram_calls_a_rule_once_per_entry():
+    calls = []
+
+    def rule(m, n):
+        calls.append((m, n))
+        return cmath.exp(0.3j * (m - n)) / (1.0 + (m - n) ** 2) + (m == n)
+
+    sp = kb.CustomGram(rule, ())
+    table = kb.CustomGram(np.array([[rule(m, n) for n in range(61)] for m in range(61)]), ())
+    calls.clear()
+    for upto in (10, 25, 60):
+        assert sp.gram(upto).tobytes() == table.gram(upto).tobytes()
+    # Growing 11 -> 26 -> 61 rows tabulates each of the 61^2 entries once;
+    # tabulating from index 0 each time called the rule 121 + 676 + 3721 times.
+    assert len(calls) == 61 * 61 == len(set(calls))
+    assert sp.gram(10).tobytes() == table.gram(10).tobytes() and len(calls) == 61 * 61
 
 
 def test_custom_gram_probe_rejects_lopsided_rules():
