@@ -23,7 +23,7 @@ from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy
                       combo_derivative_at, kernel_pairing, shift_inner_product,
                       shift_inner_products)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
-                     reproducible_multiset)
+                     polyval_derivative, reproducible_multiset, rounding_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +148,27 @@ def _tail_bound_at(space: SpaceSpec, tail: float, point: complex, order: int,
 
 def _derivative(space, result: ConstructionResult, point: complex, order: int,
                 policy: TruncationPolicy) -> tuple[complex, float]:
-    """B^(order)(point), certified via pairings when a combo is available."""
+    """B^(order)(point), certified via pairings when a combo is available.
+
+    Otherwise it is ``B_N^(l)(z)``, l = order, from the Taylor array ``c_0..c_N``:
+    ``polyder`` scales each ``c_n`` by ``F_l(n) = n!/(n-l)!`` in l real products,
+    and Horner's rule takes n = N - l complex steps.  A complex product errs by
+    at most ``sqrt(2) gamma_2 <= 3u`` relative and a sum by u (Higham, *Accuracy
+    and Stability*, 2nd ed., Lemma 3.5 and Section 5.1), so the computed value
+    is ``sum_k d_k z^k (1 + theta_k)`` with ``|theta_k| <= gamma_(4n + l)``, and
+    its error is at most ``gamma_(4n + l) S``, ``S = sum_n F_l(n) |c_n| |z|^(n-l)``.
+    S is taken by the same rule at ``|c_n|`` and ``|z|``, in real arithmetic,
+    within ``gamma_(2n + l)``; with that and the last product,
+    ``gamma_(8(N + 1)) S_computed`` covers the rounding.  The err is that plus
+    the tail bound at the point.
+    """
     if result.combo is not None:
         return combo_derivative_at(space, result.combo, point, order, policy)
+    coeffs = result.taylor.coefficients
+    size = float(polyval_derivative(np.abs(coeffs), abs(point), order))
     return (complex(result.taylor.derivative_at(point, order)),
-            _tail_bound_at(space, result.taylor.tail_bound, point, order, policy))
+            _tail_bound_at(space, result.taylor.tail_bound, point, order, policy)
+            + rounding_gamma(8 * len(coeffs)) * size)
 
 
 _COUNT_MAX_SAMPLES = 1 << 16

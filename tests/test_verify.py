@@ -222,6 +222,26 @@ def test_zero_report_planted_zero_beside_prescribed_triple_zero():
     assert extra.estimated_multiplicity == 1
 
 
+def test_taylor_path_err_covers_evaluation_rounding():
+    # Closed forms have no combo, so a prescribed row is B_N(a) from the Taylor
+    # array. Its tail at the point is about 1e-50 here; the value is rounding,
+    # of order N eps sum |c_n| |a|^n, and was above an err of the tail alone
+    # in 31 of these 32 rows.
+    rng = np.random.default_rng(22)
+    rows = []
+    while len(rows) < 32:
+        a, c = (r * np.exp(1j * t) for r, t in zip(rng.uniform(0.3, 0.7, 2),
+                                                   rng.uniform(0, 2 * np.pi, 2)))
+        if abs(a - c) <= 0.2:
+            continue
+        _, taylor, _ = kb.classical_blaschke([a, c], 300)
+        result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+        rep = kb.zero_report(H2, result, Z_of((a, 1), (c, 1)), tol=1e-8, scan=False)
+        rows += [row for check in rep.prescribed[1:] for row in check.residuals]
+    assert len(rows) == 32
+    assert all(value <= err for _, value, err in rows), rows
+
+
 def test_roots_fallback_keeps_split_double_zeros(monkeypatch):
     monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
     Z = Z_of((0.3 - 0.2j, 2), origin=2)
