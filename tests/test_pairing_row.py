@@ -1,11 +1,13 @@
 """The pairing layer keeps its bytes: ``_pair_terms`` against ``np.power``, and
 ``pairing_row``, ``pairing_gram``, ``combo_derivative_at`` and
-``kernel_pairing`` against a copy of the per-pair loop they replace."""
+``kernel_pairing`` against a per-pair reference, errors included."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernelblaschke as kb
 from kernelblaschke import kernels
@@ -275,3 +277,34 @@ def test_non_diagonal_space_is_refused_before_any_term():
         with pytest.raises(kb.UnsupportedRoute, match="kernel_pairing needs a diagonal"):
             call()
     assert pairing_gram(LD, [])[0].shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz against the reference
+# ---------------------------------------------------------------------------
+
+def _fuzz_point(where, r, theta):
+    return {"inside": cmath.rect(r, theta), "origin": 0j, "circle": cmath.rect(1.0, theta)}[where]
+
+
+# Inside the disk three times in five, the origin and the circle once each.
+_TERM = st.builds(K, st.builds(_fuzz_point,
+                               st.sampled_from(("inside",) * 3 + ("origin", "circle")),
+                               st.floats(0.05, 0.97), st.floats(-math.pi, math.pi)),
+                  st.integers(0, 3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([A2, H2, D4, kb.DirichletType(-2.5), RULE]),
+       st.lists(_TERM, min_size=1, max_size=6, unique_by=lambda t: (t.point, t.order)),
+       _TERM, st.sampled_from([kb.DEFAULT_POLICY, kb.TruncationPolicy(max_terms=64)]))
+def test_rows_grams_and_combos_match_the_reference(space, terms, target, policy):
+    _same(_outcome(lambda: kb.pairing_row(space, terms, target, policy)),
+          _outcome(lambda: [_pairing_ref(space, a, target, policy) for a in terms]))
+    _same(_outcome(lambda: [pairing_gram(space, terms, policy)]),
+          _outcome(lambda: [_gram_ref(space, terms, policy)]))
+    combo = kb.KernelCombo(space, tuple((t, complex(1 + k, -0.5 * k))
+                                        for k, t in enumerate(terms)))
+    _same(_outcome(lambda: [kb.combo_derivative_at(space, combo, target.point,
+                                                   target.order, policy)]),
+          _outcome(lambda: [_combo_ref(space, combo, target.point, target.order, policy)]))
