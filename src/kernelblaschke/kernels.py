@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 
-from .errors import (DivergentSeries, KernelSpaceError, ToleranceUnreachable,
-                     UnboundedTail, UnsupportedRoute)
+from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
+                     UnsupportedRoute)
 from .jsonio import Field, complex_pair, json_number
 from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
 
@@ -42,6 +42,7 @@ _EPS = float(np.finfo(float).eps)
 # polylogarithm expansion's first K + ceil|s| terms (see _pair_polylog).
 _POLYLOG_SWITCH = 0.9
 _POLYLOG_K = 80
+
 
 # ---------------------------------------------------------------------------
 # Types
