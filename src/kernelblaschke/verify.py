@@ -23,7 +23,7 @@ from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy
                       combo_derivative_at, kernel_pairing, shift_inner_product,
                       shift_inner_products)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
-                     polyval_derivative, reproducible_multiset, rounding_gamma)
+                     reproducible_multiset, rounding_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +157,21 @@ def _derivative(space, result: ConstructionResult, point: complex, order: int,
     and Stability*, 2nd ed., Lemma 3.5 and Section 5.1), so the computed value
     is ``sum_k d_k z^k (1 + theta_k)`` with ``|theta_k| <= gamma_(4n + l)``, and
     its error is at most ``gamma_(4n + l) S``, ``S = sum_n F_l(n) |c_n| |z|^(n-l)``.
-    S is taken by the same rule at ``|c_n|`` and ``|z|``, in real arithmetic,
-    within ``gamma_(2n + l)``; with that and the last product,
-    ``gamma_(8(N + 1)) S_computed`` covers the rounding.  The err is that plus
-    the tail bound at the point.
+    S is summed from terms of at most N + 2 roundings each (the powers by
+    repeated products), so within ``gamma_(2N + 2)``; with that, the division
+    it implies and the last product, ``gamma_(8(N + 1))`` times the computed S
+    covers the rounding.  The err is that plus the tail bound at the point.
     """
     if result.combo is not None:
         return combo_derivative_at(space, result.combo, point, order, policy)
     coeffs = result.taylor.coefficients
-    size = float(polyval_derivative(np.abs(coeffs), abs(point), order))
+    terms = np.abs(coeffs[order:])  # F_l(n) |c_n| |z|^(n-l) for n >= l
+    terms *= np.cumprod(np.r_[1.0, np.full(max(len(terms) - 1, 0), abs(point))])[:len(terms)]
+    for i in range(order):
+        terms *= np.arange(order - i, len(coeffs) - i)
     return (complex(result.taylor.derivative_at(point, order)),
             _tail_bound_at(space, result.taylor.tail_bound, point, order, policy)
-            + rounding_gamma(8 * len(coeffs)) * size)
+            + rounding_gamma(8 * len(coeffs)) * float(terms.sum()))
 
 
 _COUNT_MAX_SAMPLES = 1 << 16
