@@ -166,7 +166,7 @@ def _derivative(space, result: ConstructionResult, point: complex, order: int,
         return combo_derivative_at(space, result.combo, point, order, policy)
     coeffs = result.taylor.coefficients
     terms = np.abs(coeffs[order:])  # F_l(n) |c_n| |z|^(n-l) for n >= l
-    terms *= np.cumprod(np.r_[1.0, np.full(max(len(terms) - 1, 0), abs(point))])[:len(terms)]
+    terms[1:] *= np.cumprod(np.full(len(terms[1:]), abs(point)))
     for i in range(order):
         terms *= np.arange(order - i, len(coeffs) - i)
     return (complex(result.taylor.derivative_at(point, order)),
