@@ -17,7 +17,7 @@ from .spaces import (CustomGram, DirichletType, FactoredPoly, LocalDirichlet,
                      reproducible_order, space_from_json)
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
                       TruncationPolicy, combo_derivative_at, combo_taylor,
-                      kernel_pairing, kernel_taylor, pairing_row,
+                      kernel_pairing, kernel_taylor,
                       shift_inner_product, shift_inner_products)
 from .construct import (ConstructionResult, RationalRep, bergman_rational,
                         classical_blaschke, inner_projection_of,

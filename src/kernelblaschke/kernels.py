@@ -228,20 +228,12 @@ def _require_diagonal(space: SpaceSpec, what: str) -> None:
                                "dimensional projection routines instead")
 
 
-def _refusal(space: SpaceSpec, term: KernelTerm) -> DivergentSeries | None:
-    """The error a kernel outside the space is refused with, or None."""
-    ro = space.reproducible_order(term.point)
-    if ro.admits(term.order):
-        return None
-    return DivergentSeries(
-        f"kernel k_{term.point}^({term.order}) does not lie in the space: "
-        f"point has reproducible order {ro.to_json()!r}")
-
-
 def _require_admissible(space: SpaceSpec, term: KernelTerm) -> None:
-    refusal = _refusal(space, term)
-    if refusal is not None:
-        raise refusal
+    ro = space.reproducible_order(term.point)
+    if not ro.admits(term.order):
+        raise DivergentSeries(
+            f"kernel k_{term.point}^({term.order}) does not lie in the space: "
+            f"point has reproducible order {ro.to_json()!r}")
 
 
 def _blocks(start: int, max_terms: int, width: int, cap: int):
@@ -331,7 +323,7 @@ def _falling_poly(p: int, q: int) -> np.ndarray:
     return poly
 
 
-def _pair_polylog(space, a, b, policy):
+def _pair_polylog(space, a, b):
     """``sum_j c_j Li_(alpha-j)(x) / (x conj(a)^p b^q)`` with ``x = conj(a) b = e^mu``.
 
     In ``D_alpha`` the pairing is ``sum_n P(n+1) x^n/(n+1)^alpha``, ``P(u) = sum_j c_j u^j
@@ -364,14 +356,14 @@ def _pair_polylog(space, a, b, policy):
 # Operations
 # ---------------------------------------------------------------------------
 
-def _pair(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
-          policy: TruncationPolicy) -> tuple[complex, float]:
-    """``<k_a, k_b>`` for two admissible kernels of a diagonal space.
-
-    A kernel at the origin leaves one term of the series, n = its order.
-    ``|ab| > 1`` diverges, and the polylogarithm regime goes to
-    ``_pair_polylog``.  Any other pair is summed over the ``_blocks`` from
-    ``max(p, q)`` until its geometric tail closes below the tolerance.
+def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
+                   policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
+    """``<k_a^(p), k_b^(q)>`` with an error bound, once the space is checked
+    diagonal and a, then b, admissible.  A kernel at the origin leaves one term
+    of the series, n = its order.  ``|ab| > 1`` diverges, and the
+    polylogarithm regime goes to ``_pair_polylog``.  Any other pair is summed
+    over the ``_blocks`` from ``max(p, q)`` until its geometric tail closes
+    below the tolerance.
 
     Its err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
     ``L = |log a| + |log b|``.  ``_powers`` forms ``z^n`` as ``exp(n log z)``
@@ -381,6 +373,9 @@ def _pair(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     factors, the weight and the blocked sum.  The loop stops on the tail
     alone, so the rounding term never blocks a tolerance.
     """
+    _require_diagonal(space, "kernel_pairing")
+    _require_admissible(space, a)
+    _require_admissible(space, b)
     p, q = a.order, b.order
     origin = [t.order for t in (a, b) if t.point == 0]
     if origin:
@@ -392,7 +387,7 @@ def _pair(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     if rho > 1.0 + BOUNDARY_TOL:
         raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
     if not (rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None)):
-        return _pair_polylog(space, a, b, policy)
+        return _pair_polylog(space, a, b)
     tol = policy.target_tolerance
     logs = abs(cmath.log(a.point)) + abs(cmath.log(b.point))
     total, size = 0j, 0.0
@@ -411,52 +406,23 @@ def _pair(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
         f"geometric pairing did not close below {tol} within {policy.max_terms} terms")
 
 
-def pairing_row(space: SpaceSpec, terms, target: KernelTerm,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> list[tuple[complex, float]]:
-    """``[kernel_pairing(space, a, target, policy) for a in terms]``, with each
-    kernel's admissibility checked once.  The pairs are summed in term order,
-    so the first that fails raises its error."""
-    _require_diagonal(space, "kernel_pairing")
-    target_refusal = _refusal(space, target)
-    out = []
-    for a in terms:
-        refusal = _refusal(space, a) or target_refusal
-        if refusal is not None:
-            raise refusal
-        out.append(_pair(space, a, target, policy))
-    return out
-
-
 def pairing_gram(space: SpaceSpec, terms: list[KernelTerm],
                  policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
     """Hermitian matrix ``G[i, j] = <v_i, v_j>`` with accumulated pairing error.
 
-    Each kernel's admissibility is checked once.  The pairs ``i <= j`` are
-    summed in row-major order, so the first that fails raises its error.
+    The ``kernel_pairing`` of each pair ``i <= j``, in row-major order, so the
+    first that fails raises its error.
     """
     n = len(terms)
-    if n:
-        _require_diagonal(space, "kernel_pairing")
-    refusals = [_refusal(space, t) for t in terms]
     G = np.zeros((n, n), dtype=complex)
     err = 0.0
     for i in range(n):
         for j in range(i, n):
-            refusal = refusals[i] or refusals[j]
-            if refusal is not None:
-                raise refusal
-            v, e = _pair(space, terms[i], terms[j], policy)
+            v, e = kernel_pairing(space, terms[i], terms[j], policy)
             G[i, j] = v
             G[j, i] = np.conjugate(v)
             err += e if i == j else 2 * e
     return G, err
-
-
-def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
-    """``<k_a^(ma), k_b^(mb)>`` with an error bound (see the module docstring):
-    the one-term ``pairing_row``."""
-    return pairing_row(space, [a], b, policy)[0]
 
 
 def _powers(t: complex, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -581,13 +547,13 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
 
 def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: int,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
-    """``B^(ell)(beta)`` evaluated as a sum of kernel pairings: one row against
-    ``k_beta^(ell)``."""
+    """``B^(ell)(beta)`` evaluated as a sum of kernel pairings against
+    ``k_beta^(ell)``, in term order."""
     target = KernelTerm(beta, ell)
     _require_admissible(space, target)
-    values = pairing_row(space, [term for term, _ in B.terms], target, policy)
     value, err = 0j, 0.0
-    for (_, coef), (v, e) in zip(B.terms, values):
+    for term, coef in B.terms:
+        v, e = kernel_pairing(space, term, target, policy)
         value += coef * v
         err += abs(coef) * e
     return value, err
@@ -616,6 +582,10 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     in block order.
     """
     shifts = [int(k) for k in shifts]
+    if not shifts:
+        raise ValueError("shift_inner_products needs at least one shift")
+    if min(shifts) < 0:
+        raise ValueError(f"shift {min(shifts)} is negative; shifts must be non-negative")
     top = max(shifts)
     b = B.coefficients
     N = len(b) - 1

@@ -207,6 +207,7 @@ def test_config_error_diagnostics(tmp_path, capsys):
                       ("construct", dict(BASE_VERIFY, taylor_degree=[3])),
                       ("construct", dict(BASE_VERIFY, taylor_degree=-5)),
                       ("zeros", dict(BASE_VERIFY, scan="no")),
+                      ("zeros", dict(BASE_VERIFY, radius=1.5)),
                       ("zeros", dict(BASE_VERIFY, scan=0)),
                       ("subspace", dict(extremal, q=poly, expect="no")),
                       # A field or a whole config that is not an object.

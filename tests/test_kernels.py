@@ -422,6 +422,21 @@ def test_shift_errors():
     assert e > 0
 
 
+def test_negative_or_no_shift_is_refused():
+    # A negative shift read (0j, 0.0) for an exact series and failed in a bare
+    # numpy shape error with a tail or in a non-diagonal space; no shifts at
+    # all failed in max().
+    for space in (H2, kb.LocalDirichlet(1.0)):
+        for tail in (0.0, 1e-3):
+            B = kb.TaylorSeries([1, 0.5, 0.25], tail)
+            with pytest.raises(ValueError, match="shift -1 is negative"):
+                kb.shift_inner_product(space, B, -1)
+            with pytest.raises(ValueError, match="shift -2 is negative"):
+                kb.shift_inner_products(space, B, [0, 3, -2])
+            with pytest.raises(ValueError, match="at least one shift"):
+                kb.shift_inner_products(space, B, [])
+
+
 def _shift_reference(space, B, k):
     """``<z^k B, B>``, its err and the size ``sum |terms|``, one shift at a time:
     whole-array dot products in a diagonal space, one dense form per shift

@@ -1,6 +1,6 @@
 """The pairing layer keeps its bytes: ``_pair_terms`` against ``np.power``, and
-``pairing_row``, ``pairing_gram``, ``combo_derivative_at`` and
-``kernel_pairing`` against a per-pair reference, errors included."""
+``kernel_pairing``, ``pairing_gram`` and ``combo_derivative_at`` against a
+per-pair reference, errors included."""
 
 import cmath
 import math
@@ -89,7 +89,7 @@ def _pairing_ref(space, a, b, policy=kb.DEFAULT_POLICY):
     if rho < kernels._POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL
                                          and space.decay_exponent is None):
         return _geometric_ref(space, a, b, policy)
-    return kernels._pair_polylog(space, a, b, policy)
+    return kernels._pair_polylog(space, a, b)
 
 
 def _gram_ref(space, terms, policy=kb.DEFAULT_POLICY):
@@ -114,6 +114,11 @@ def _combo_ref(space, combo, beta, ell, policy=kb.DEFAULT_POLICY):
         value += coef * v
         err += abs(coef) * e
     return value, err
+
+
+def _row(space, terms, target, policy):
+    """The library's pairings of each term with the target, in term order."""
+    return [kb.kernel_pairing(space, a, target, policy) for a in terms]
 
 
 def _bytes(pairs):
@@ -191,13 +196,9 @@ def test_pairing_row_matches_the_per_pair_loop(space):
     if space is not D4:  # no boundary kernels, no polylogarithm regime
         terms = [t for t in terms if abs(t.point) < 0.9]
     for target in terms:
-        ref = [_outcome(lambda a=a: _pairing_ref(space, a, target)) for a in terms]
-        if all(kind == "ok" for kind, _ in ref):
-            got = kb.pairing_row(space, terms, target)
-            assert _bytes(got) == _bytes([v for _, v in ref]), target
-        for a, want in zip(terms, ref):
-            got = _outcome(lambda a=a: [kb.kernel_pairing(space, a, target)])
-            _same(got, (want[0], [want[1]]) if want[0] == "ok" else want)
+        for a in terms:
+            _same(_outcome(lambda: [kb.kernel_pairing(space, a, target)]),
+                  _outcome(lambda: [_pairing_ref(space, a, target)]))
 
 
 @pytest.mark.parametrize("space", [D4, A2, RULE], ids=["D4", "A2", "rule"])
@@ -240,7 +241,7 @@ def test_row_and_gram_errors_are_the_per_pair_loop_errors():
         (SHORT, [K(0.97), K(0.97j, 2), K(0.1)], K(0.97), kb.DEFAULT_POLICY),
     ]
     for space, terms, target, policy in cases:
-        _same(_outcome(lambda: kb.pairing_row(space, terms, target, policy)),
+        _same(_outcome(lambda: _row(space, terms, target, policy)),
               _outcome(lambda: [_pairing_ref(space, a, target, policy) for a in terms]))
         gram = terms + [target]
         want = _outcome(lambda: _gram_ref(space, gram, policy))
@@ -253,26 +254,9 @@ def test_row_and_gram_errors_are_the_per_pair_loop_errors():
         pairing_gram(D4, [K(edge), K(0.9j), K(over)], tight)
 
 
-def test_rows_check_each_kernel_once(monkeypatch):
-    calls = []
-    real = type(A2).reproducible_order
-
-    def counted(self, beta):
-        calls.append(beta)
-        return real(self, beta)
-
-    monkeypatch.setattr(type(A2), "reproducible_order", counted)
-    terms = [K(0.1 * k + 0.05j, k % 3) for k in range(6)]
-    kb.pairing_row(A2, terms, K(0.3, 1))
-    assert len(calls) == 7
-    calls.clear()
-    pairing_gram(A2, terms)
-    assert len(calls) == 6
-
-
 def test_non_diagonal_space_is_refused_before_any_term():
     LD = kb.LocalDirichlet(1.0)
-    for call in (lambda: kb.pairing_row(LD, [K(0.5), K(3.0)], K(0.2)),
+    for call in (lambda: kb.kernel_pairing(LD, K(3.0), K(0.2)),
                  lambda: pairing_gram(LD, [K(3.0)])):
         with pytest.raises(kb.UnsupportedRoute, match="kernel_pairing needs a diagonal"):
             call()
@@ -299,7 +283,7 @@ _TERM = st.builds(K, st.builds(_fuzz_point,
        st.lists(_TERM, min_size=1, max_size=6, unique_by=lambda t: (t.point, t.order)),
        _TERM, st.sampled_from([kb.DEFAULT_POLICY, kb.TruncationPolicy(max_terms=64)]))
 def test_rows_grams_and_combos_match_the_reference(space, terms, target, policy):
-    _same(_outcome(lambda: kb.pairing_row(space, terms, target, policy)),
+    _same(_outcome(lambda: _row(space, terms, target, policy)),
           _outcome(lambda: [_pairing_ref(space, a, target, policy) for a in terms]))
     _same(_outcome(lambda: [pairing_gram(space, terms, policy)]),
           _outcome(lambda: [_gram_ref(space, terms, policy)]))

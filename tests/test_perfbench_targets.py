@@ -89,3 +89,27 @@ def test_workload_calls_bind_to_the_library():
         bound.append(name)
     assert {"kb.shapiro_shields", "kb.kernel_pairing", "kb.zero_report",
             "kb.inner_report", "cli.run_experiment"} <= set(bound)
+
+
+def test_grams_and_combos_pair_through_kernel_pairing(monkeypatch):
+    # The benchmark splits pairing time by regime around kernel_pairing, so
+    # every Gram entry and every combo term must be one call to it.
+    kb = importlib.import_module("kernelblaschke")
+    kernels = importlib.import_module("kernelblaschke.kernels")
+    construct = importlib.import_module("kernelblaschke.construct")
+    calls = []
+    real = kernels.kernel_pairing
+
+    def counted(space, a, b, policy=kb.DEFAULT_POLICY):
+        calls.append((a, b))
+        return real(space, a, b, policy)
+
+    monkeypatch.setattr(kernels, "kernel_pairing", counted)
+    A2 = kb.bergman_space()
+    terms = [kb.KernelTerm(0.1 * k + 0.05j, k % 3) for k in range(6)]
+    construct.pairing_gram(A2, terms)
+    assert len(calls) == 6 * 7 // 2
+    calls.clear()
+    combo = kb.KernelCombo(A2, tuple((t, 1.0 + k) for k, t in enumerate(terms)))
+    kb.combo_derivative_at(A2, combo, 0.3, 1)
+    assert calls == [(t, kb.KernelTerm(0.3, 1)) for t in terms]

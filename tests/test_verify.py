@@ -120,6 +120,19 @@ def test_zero_report_flags_excess_multiplicity():
                for e in rep.extraneous)
 
 
+def test_zero_report_refuses_a_radius_outside_the_disk():
+    # The disks' Pellet bounds need |center| + rho < 1: at radius 1.3 the
+    # simple zero at 1.2 of an exact (z - 1.2)(z - 0.5i) was reported with
+    # multiplicity 2.
+    coeffs = np.polynomial.polynomial.polyfromroots([1.2, 0.5j])
+    result = kb.ConstructionResult(kb.TaylorSeries(coeffs, 0.0), 1.0, "closed_form",
+                                   None, 0.0)
+    for radius in (1.3, 1.0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            kb.zero_report(H2, result, Z_of((0.5j, 1)), radius=radius)
+    assert kb.zero_report(H2, result, Z_of((0.5j, 1)), radius=0.99).verdict
+
+
 def test_zero_report_aborts_when_truncation_dominates():
     Z = Z_of((0.93, 1))
     ss = kb.shapiro_shields(A2, Z, taylor_degree=60)  # far too short at r=0.99
