@@ -274,8 +274,8 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     a root) is an extraneous zero; a root whose disk counts 0 is dropped; a
     disk that cannot be counted raises ``IllConditioned``.  Prescribed
     boundary points are checked individually for excess vanishing order.
-    ``radius`` must lie in ``(0, 1)``: the disks' Pellet bounds need the
-    Taylor tail bound on a circle inside the disk.
+    ``radius`` must lie in ``(0, 1)``, since ``_disk_count`` needs
+    ``|center| + rho < 1``.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1); got {radius}")
