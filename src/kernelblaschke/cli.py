@@ -107,9 +107,9 @@ def _task_verify(cfg, space):
 def _task_zeros(cfg, space):
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
     policy = _parse_policy(cfg)
+    radius = _verify.require_radius(cfg.get("radius", 0.99).number(float, "positive"))
     result = _build(space, Z, cfg, policy)
-    report = _verify.zero_report(space, result, Z,
-                                 radius=cfg.get("radius", 0.99).number(float, "positive"),
+    report = _verify.zero_report(space, result, Z, radius=radius,
                                  tol=cfg.get("tolerance", 1e-8).number(float, "positive"),
                                  scan=cfg.get("scan", True).flag(),
                                  policy=policy)

@@ -133,7 +133,8 @@ def _reject_clusters(Z: ReproducibleMultiset) -> None:
 
 def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
                   gauge_index: int | None = None):
-    """Scale so the gauge coefficient is 1; returns (taylor, combo, scale)."""
+    """Scale so the gauge coefficient is 1, in place on the series' own array
+    (the caller's, held nowhere else); returns (taylor, combo, scale)."""
     coeffs = taylor.coefficients
     top = float(np.max(np.abs(coeffs)))
     if top == 0.0:
@@ -148,7 +149,9 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
             "the construction is numerically degenerate"
         )
     scale = 1.0 / pivot
-    return (taylor.scaled(scale),
+    coeffs.setflags(write=True)
+    coeffs *= scale
+    return (TaylorSeries(coeffs, abs(scale) * taylor.tail_bound),
             None if combo is None else combo.scaled(scale),
             scale)
 

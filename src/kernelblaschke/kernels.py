@@ -260,10 +260,10 @@ def _alpha_of(space: SpaceSpec) -> float:
 
 def _pair_terms(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                 ns: np.ndarray) -> np.ndarray:
-    """Terms n in ns (each at least both orders) of the pairing series:
-    ``[F_p(n) F_q(n) / w_n] conj(a)^(n-p) b^(n-q)``, ``F_m(n) = n!/(n-m)!``,
-    multiplied in the order ``(t conj(a)^(n-p)) b^(n-q)``."""
-    t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights_at(ns)
+    """Terms n in the index range ns (each at least both orders) of the pairing
+    series: ``[F_p(n) F_q(n) / w_n] conj(a)^(n-p) b^(n-q)``, ``F_m(n) =
+    n!/(n-m)!``, multiplied in the order ``(t conj(a)^(n-p)) b^(n-q)``."""
+    t = _falling(ns, a.order) * _falling(ns, b.order) / space.weights(int(ns[-1]))[ns[0]:]
     out = _powers(a.point.conjugate(), ns - a.order, np.empty(len(ns), dtype=complex))
     np.multiply(t, out, out=out)
     out *= _powers(b.point, ns - b.order, np.empty(len(ns), dtype=complex))
@@ -360,10 +360,11 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[complex, float]:
     """``<k_a^(p), k_b^(q)>`` with an error bound, once the space is checked
     diagonal and a, then b, admissible.  A kernel at the origin leaves one term
-    of the series, n = its order.  ``|ab| > 1`` diverges, and the
-    polylogarithm regime goes to ``_pair_polylog``.  Any other pair is summed
-    over the ``_blocks`` from ``max(p, q)`` until its geometric tail closes
-    below the tolerance.
+    of the series, n = its order, formed on scalars with ``_pair_terms``' bytes
+    (``math.prod`` takes ``_falling``'s products in its order).  ``|ab| > 1``
+    diverges, and the polylogarithm regime goes to ``_pair_polylog``.  Any
+    other pair is summed over the ``_blocks`` from ``max(p, q)`` until its
+    geometric tail closes below the tolerance.
 
     Its err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
     ``L = |log a| + |log b|``.  ``_powers`` forms ``z^n`` as ``exp(n log z)``
@@ -382,7 +383,9 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
         n = min(origin)
         if n < max(p, q):
             return 0j, 0.0
-        return complex(_pair_terms(space, a, b, np.array([n]))[0]), 0.0
+        t = math.prod(range(n, n - p, -1), start=1.0) * math.prod(range(n, n - q, -1), start=1.0)
+        return t / space.weight(n) * complex(np.power(a.point.conjugate(), n - p)) \
+            * complex(np.power(b.point, n - q)), 0.0
     rho = abs(a.point) * abs(b.point)
     if rho > 1.0 + BOUNDARY_TOL:
         raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
@@ -456,7 +459,8 @@ def _functional_at(point: complex, order: int, ns: np.ndarray,
     j = int(np.searchsorted(ns, order))
     out[:j] = 0.0
     _powers(point, ns[j:] - order, out[j:])
-    out[j:] *= _falling(ns[j:], order)
+    if order:
+        out[j:] *= _falling(ns[j:], order)
     return out
 
 
@@ -484,7 +488,7 @@ def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,
         rho2 = beta * beta
         total = 0.0
         for ns in _blocks(N + 1, policy.max_terms, 256, 1 << 16):
-            q = _falling(ns, m) ** 2 * rho2 ** (ns - m) / space.weights_at(ns)
+            q = _falling(ns, m) ** 2 * rho2 ** (ns - m) / space.weights(int(ns[-1]))[ns[0]:]
             total += q.sum()
             j0 = int(ns[-1])
             ratio = rho2 * ((j0 + 1.0) / (j0 + 1.0 - m)) ** 2 \
@@ -518,11 +522,11 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
 
     Coefficient n is ``sum_i coef_i conj(v_n) / w_n`` over the terms, v each
     term's ``derivative_functional`` at ``conj(point)``.  One pass over
-    ``TAYLOR_BLOCK``-sized index blocks reads each block's weights once and adds
-    every term's coefficients into the output in place, so the output is the
-    only array of length N + 1.  Each coefficient takes the same floating-point
-    operations, in the same order, as whole-array products ``array * coef``
-    would.
+    ``TAYLOR_BLOCK``-sized index blocks adds every term's coefficients into the
+    output in place (a kernel at the origin has one, n = its order), so the
+    output and the space's weights are the only arrays of length N + 1.  Each
+    coefficient takes the same floating-point operations, in the same order, as
+    whole-array products ``array * coef`` would.
     """
     _require_diagonal(space, "combo_taylor")
     if B.space != space:
@@ -531,17 +535,21 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
         _require_admissible(space, term)
     space.weight(N)  # a weight table shorter than N + 1 raises here, naming N + 1
     tail = sum(abs(coef) * _taylor_tail(space, term, N, policy) for term, coef in B.terms)
+    w = space.weights(N)  # taken after the tail grows the table, so one table is held
     coeffs = np.zeros(N + 1, dtype=complex)
     buf = np.empty(min(N + 1, TAYLOR_BLOCK), dtype=complex)
     for lo in range(0, N + 1, TAYLOR_BLOCK):
         ns = np.arange(lo, min(lo + TAYLOR_BLOCK, N + 1))
-        w = space.weights_at(ns)
         part = buf[: len(ns)]
         for term, coef in B.terms:
-            _functional_at(np.conjugate(term.point), term.order, ns, part)
-            part /= w
-            part *= coef
-            coeffs[lo: lo + len(ns)] += part
+            m = term.order
+            if term.point != 0:
+                _functional_at(np.conjugate(term.point), m, ns, part)
+                part /= w[lo: lo + len(ns)]
+                part *= coef
+                coeffs[lo: lo + len(ns)] += part
+            elif lo <= m < lo + len(ns):  # the block pass's operations at n = m
+                coeffs[m] += math.prod(range(m, 0, -1), start=1.0) * (1.0 / float(w[m])) * coef
     return TaylorSeries(coeffs, tail)
 
 

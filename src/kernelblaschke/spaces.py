@@ -117,8 +117,8 @@ class SpaceSpec:
 
     All variants live on the unit disk (``domain_radius = 1``), are immutable,
     and every method is pure, so instances are safe to share across threads.
-    One cache is the exception: a WeightedHardy or CustomGram given by a
-    callable rule keeps the values it has tabulated so far in one read-only
+    One cache is the exception: a diagonal space, or a CustomGram given by a
+    callable rule, keeps the values it has tabulated so far in one read-only
     array, so the rule runs once per index.  Threads racing on it may each
     tabulate and overwrite it, which wastes work but serves the same values.
     """
@@ -189,9 +189,12 @@ class SpaceSpec:
 class DiagonalSpace(SpaceSpec):
     """Space with ``<z^m, z^n> = w_n`` for m = n and 0 otherwise.
 
-    Subclasses give the rule as ``weights_at(ks)`` over an ascending index
-    array, and ``_boundary_order(beta)``, the reproducible order of every
-    unimodular point.
+    Weights are served from one read-only array, kept out of equality, hash and
+    repr: a table, or the rule's values, each evaluated once, as far as the
+    largest index asked so far (8 bytes a weight: at most 16 MB at the default
+    ``max_terms``).  Subclasses give the rule as ``_evaluate(ks)`` over the
+    indices past the array's end, and ``_boundary_order(beta)``, the
+    reproducible order of every unimodular point.
     The facts about the weights that tail certificates need live here.
     """
 
@@ -199,14 +202,34 @@ class DiagonalSpace(SpaceSpec):
     # alpha when w_n = (n+1)^alpha exactly; only then are boundary-point
     # series certified.
     decay_exponent: float | None = None
+    _values = np.empty(0)
+
+    def _table(self, top: int) -> np.ndarray:
+        """The served array, tabulated through index ``top`` at least."""
+        if top >= self._served:
+            raise ToleranceUnreachable(
+                f"weight table of length {self._served} cannot serve indices up to {top}; "
+                f"supply a table of length at least {top + 1} or a callable rule")
+        values = self._values
+        if top >= len(values):
+            values = np.concatenate((values, self._evaluate(np.arange(len(values), top + 1))))
+            values.setflags(write=False)
+            object.__setattr__(self, "_values", values)
+        return values
 
     def weight(self, k: int) -> float:
-        """The weight w_k: ``weights_at`` at one index."""
-        return float(self.weights_at(np.array([k]))[0])
+        """The weight w_k."""
+        return float(self._table(k)[k])
 
     def weights(self, upto: int) -> np.ndarray:
-        """Weights w_0..w_upto as a vector."""
-        return self.weights_at(np.arange(upto + 1))
+        """Weights w_0..w_upto: a read-only view of the served array."""
+        return self._table(upto)[: upto + 1]
+
+    def weights_at(self, ks: np.ndarray) -> np.ndarray:
+        """Weights at the indices ks: a read-only view if they ascend by one, else a copy."""
+        if len(ks) and ks[-1] - ks[0] == len(ks) - 1 and (np.diff(ks) == 1).all():
+            return self.weights(int(ks[-1]))[ks[0]:]
+        return self._table(int(ks.max(initial=-1)))[ks]
 
     def monomial_inner(self, m: int, n: int) -> complex:
         return complex(self.weight(m)) if m == n else 0j
@@ -237,7 +260,7 @@ class DiagonalSpace(SpaceSpec):
         drifts to 1.
         """
         # A table that ends inside the window is probed at w_j0..w_(j0+2).
-        w = self.weights_at(np.arange(j0, j0 + (130 if j0 + 130 <= self._served else 3)))
+        w = self.weights(j0 + (129 if j0 + 130 <= self._served else 2))[j0:]
         return float(np.max(w[:-1] / w[1:])) * 1.0001
 
     def shift_norm_bound(self, k: int) -> float:
@@ -264,7 +287,7 @@ class DirichletType(DiagonalSpace):
     def decay_exponent(self) -> float:
         return self.alpha
 
-    def weights_at(self, ks: np.ndarray) -> np.ndarray:
+    def _evaluate(self, ks: np.ndarray) -> np.ndarray:
         return (ks + 1.0) ** self.alpha
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:
@@ -311,10 +334,8 @@ def dirichlet_space() -> DirichletType:
 class WeightedHardy(DiagonalSpace):
     """Diagonal space with a user-supplied weight rule ``k -> w_k > 0``.
 
-    ``weight_rule`` is a callable or a nonempty 1-D table.  Every weight is
-    served from one read-only array: the table, or the rule's values as far as
-    the largest index asked so far (8 bytes a weight: at most 16 MB at the
-    default ``max_terms``), each checked finite and positive as it enters.  A
+    ``weight_rule`` is a callable or a nonempty 1-D table, served like every
+    diagonal space's weights and checked finite and positive as each enters; a
     series that needs an index past a table's end raises ``ToleranceUnreachable``.
     The rule is assumed to satisfy ``lim w_k / w_{k+1} = 1``; this is a
     documented precondition, spot-checked on the first 10^3 indices (a drift
@@ -333,7 +354,7 @@ class WeightedHardy(DiagonalSpace):
             object.__setattr__(self, "boundary_order",
                                json_number(self.boundary_order, int, "boundary_order"))
         _adopt(self, "weight_rule", float, 1)
-        self._admit(self._values)
+        self._checked(self._values, 0)
         # lim w_k/w_{k+1} = 1 is a documented precondition; warn when the
         # deviation at the end of the probe window exceeds 1e-3 and is not
         # shrinking across the window (a 1/k-type drift passes).
@@ -349,28 +370,15 @@ class WeightedHardy(DiagonalSpace):
                     stacklevel=2,
                 )
 
-    def weights_at(self, ks: np.ndarray) -> np.ndarray:
-        top = int(ks[-1])
-        if top >= self._served:
-            raise ToleranceUnreachable(
-                f"weight table of length {self._served} cannot serve indices "
-                f"up to {top}; supply a table of length at least {top + 1} "
-                "or a callable rule"
-            )
-        weights = self._values
-        if top >= len(weights):  # a callable rule, tabulated as far as top
-            weights = self._admit(np.concatenate((weights, [
-                float(self.weight_rule(k)) for k in range(len(weights), top + 1)])))
-        return weights[ks]
+    def _evaluate(self, ks: np.ndarray) -> np.ndarray:
+        return self._checked(np.array([float(self.weight_rule(k)) for k in ks.tolist()]), ks[0])
 
-    def _admit(self, weights: np.ndarray) -> np.ndarray:
-        """Serve ``weights`` from now on, once each is checked finite and positive."""
+    def _checked(self, weights: np.ndarray, start: int) -> np.ndarray:
+        """``weights`` (w_start onwards), once each is checked finite and positive."""
         bad = np.flatnonzero(~((weights > 0.0) & np.isfinite(weights)))
         if len(bad):
-            raise ValueError(f"weight w_{bad[0]} = {float(weights[bad[0]])!r} "
+            raise ValueError(f"weight w_{start + bad[0]} = {float(weights[bad[0]])!r} "
                              "is not strictly positive")
-        weights.setflags(write=False)
-        object.__setattr__(self, "_values", weights)
         return weights
 
     def _boundary_order(self, beta: complex) -> ReproducibleOrder:

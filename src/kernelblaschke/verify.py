@@ -251,6 +251,12 @@ def _disk_count(coeffs: np.ndarray, center: complex, rho: float,
     return None
 
 
+def require_radius(radius: float) -> float:
+    if not 0.0 < radius < 1.0:
+        raise ValueError(f"radius must lie in (0, 1); got {radius}")
+    return radius
+
+
 def zero_report(space: SpaceSpec, result: ConstructionResult,
                 Z: ReproducibleMultiset, radius: float = 0.99,
                 tol: float = 1e-8, scan: bool = True,
@@ -277,8 +283,7 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     ``radius`` must lie in ``(0, 1)``, since ``_disk_count`` needs
     ``|center| + rho < 1``.
     """
-    if not 0.0 < radius < 1.0:
-        raise ValueError(f"radius must lie in (0, 1); got {radius}")
+    require_radius(radius)
     norm_sq, _ = shift_inner_product(space, result.taylor, 0)
     norm = math.sqrt(max(float(norm_sq.real), 0.0))
     if norm == 0.0:
@@ -509,8 +514,9 @@ def extraneous_zero_scan(space: SpaceSpec,
     For every extraneous interior zero found, the construction for the
     augmented multiset must be a scalar multiple of the original; those checks
     are recorded in the report.  Finding nothing is a legitimate outcome and is
-    reported as such.
+    reported as such.  ``radius`` must lie in ``(0, 1)``, as ``zero_report``'s.
     """
+    require_radius(radius)
     instances = []
     cases = 0
     moduli = tuple(moduli)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import cli, jsonio
+from kernelblaschke import cli, jsonio, verify
 
 
 def write_config(path, payload):
@@ -156,6 +156,24 @@ def test_failing_verdict_gives_exit_one(tmp_path):
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r"),
                    "--quiet"])
     assert rc == 1
+
+
+def test_a_radius_outside_the_disk_is_refused_before_any_construction(tmp_path, monkeypatch):
+    calls = []
+    build = kb.shapiro_shields
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli._construct, "shapiro_shields", counted)
+    monkeypatch.setattr(verify, "shapiro_shields", counted)
+    cfg = write_config(tmp_path / "zeros.json", dict(BASE_VERIFY, radius=1.5))
+    rc = cli.main(["zeros", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+    assert rc == 2
+    with pytest.raises(ValueError, match="radius must lie in"):
+        kb.extraneous_zero_scan(kb.bergman_space(), radius=1.5)
+    assert calls == []
 
 
 def test_config_error_diagnostics(tmp_path, capsys):

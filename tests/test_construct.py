@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
+from kernelblaschke import construct, kernels
 from kernelblaschke.construct import multiset_kernel_terms, pairing_gram
 
 H2 = kb.hardy_space()
@@ -163,6 +164,79 @@ def test_long_construction_peaks_at_two_output_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * result.taylor.coefficients.nbytes, (space, peak)
+
+
+def _functional_at_loop(point, order, ns, out):
+    """The per-term functional as the block loop formed it, falling factors of
+    order 0 (ones) included."""
+    j = int(np.searchsorted(ns, order))
+    out[:j] = 0.0
+    kernels._powers(point, ns[j:] - order, out[j:])
+    out[j:] *= kernels._falling(ns[j:], order)
+    return out
+
+
+def _combo_taylor_loop(space, B, N):
+    """combo_taylor's coefficients by the per-term block loop: every term,
+    the origin's too, a pass over every block."""
+    coeffs = np.zeros(N + 1, dtype=complex)
+    buf = np.empty(min(N + 1, kernels.TAYLOR_BLOCK), dtype=complex)
+    for lo in range(0, N + 1, kernels.TAYLOR_BLOCK):
+        ns = np.arange(lo, min(lo + kernels.TAYLOR_BLOCK, N + 1))
+        w = (ns + 1.0) ** space.alpha
+        part = buf[: len(ns)]
+        for term, coef in B.terms:
+            _functional_at_loop(np.conjugate(term.point), term.order, ns, part)
+            part /= w
+            part *= coef
+            coeffs[lo: lo + len(ns)] += part
+    return coeffs
+
+
+def test_combo_taylor_keeps_the_per_term_loop_bytes():
+    # Origin terms of orders 0-3 first, in the middle and last in term order,
+    # beside interior terms with real (signed-zero) and complex coefficients,
+    # up to an N past one TAYLOR_BLOCK; D_(1/3) has weights that are not powers
+    # of two, so the origin's n!/w_n is not exact.
+    rng = np.random.default_rng(24)
+    others = [(kb.KernelTerm(0.5 + 0.2j, 1), 0.3 - 1.1j),
+              (kb.KernelTerm(-0.3, 0), -2.0),
+              (kb.KernelTerm(0.7, 2), 1.5)]
+    for space in (D4, kb.DirichletType(1 / 3)):
+        for N in (1, 40, kernels.TAYLOR_BLOCK + 300):
+            for m in range(4):
+                origin = (kb.KernelTerm(0j, m), complex(*rng.standard_normal(2)))
+                for at in range(len(others) + 1):
+                    terms = others[:at] + [origin] + others[at:]
+                    B = kb.KernelCombo(space, tuple(terms))
+                    got = kb.combo_taylor(space, B, N).coefficients
+                    assert got.tobytes() == _combo_taylor_loop(space, B, N).tobytes(), \
+                        (space, N, m, at)
+            B = kb.KernelCombo(space, ((kb.KernelTerm(0j, 2), 1.0), *others,
+                                       (kb.KernelTerm(0j, 0), -0.5 + 0.25j)))
+            got = kb.combo_taylor(space, B, N).coefficients
+            assert got.tobytes() == _combo_taylor_loop(space, B, N).tobytes()
+
+
+def test_shapiro_shields_scales_the_expansion_it_built(monkeypatch):
+    # The gauge is scaled in place on combo_taylor's fresh array, with the
+    # bytes of TaylorSeries.scaled.
+    built = []
+    expand = construct.combo_taylor
+
+    def kept(*args, **kwargs):
+        out = expand(*args, **kwargs)
+        built.append(kb.TaylorSeries(out.coefficients.copy(), out.tail_bound))
+        return out
+
+    monkeypatch.setattr(construct, "combo_taylor", kept)
+    for space, Z, N in ((D4, Z_of((1.0, 1)), 3000),
+                        (A2, Z_of((0.5 + 0.2j, 2), (-0.3, 1), origin=1), 500),
+                        (H2, Z_of((0.4, 1)), kernels.TAYLOR_BLOCK + 10)):
+        for route in ("determinant", "solve"):
+            res = kb.shapiro_shields(space, Z, route=route, taylor_degree=N)
+            want = built[-1].scaled(res.normalization)
+            assert res.taylor == want and not res.taylor.coefficients.flags.writeable
 
 
 def test_origin_order_exact():

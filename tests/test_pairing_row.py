@@ -172,6 +172,33 @@ def test_pair_terms_match_numpy_power_bytes():
     assert blocks == 11 * 12 * 3
 
 
+@pytest.mark.parametrize("space", [A2, H2, D4, RULE], ids=["A2", "H2", "D4", "rule"])
+def test_origin_pairings_are_the_one_term_bytes(space):
+    # A pairing with a kernel at the origin is one term of the series, formed
+    # on scalars; it must keep _pair_terms' bytes at that term, with the origin
+    # on either side, against the origin, the real axis either side of 0, a
+    # complex point and (in D_4) unimodular points, whose top order is 1.
+    # Origin order 120 leaves powers past n = 100, where _powers takes
+    # exp(n log t).
+    targets = [0j, 0.6 + 0j, -0.6 + 0j, 0.3 - 0.45j]
+    if space is D4:
+        targets += [1.0 + 0j, -1j, complex(math.cos(2.0), math.sin(2.0))]
+    pairs = 0
+    for m in (0, 1, 2, 3, 120):
+        for point in targets:
+            for q in range(4 if abs(point) < 1 else 2):
+                for a, b in ((K(0, m), K(point, q)), (K(point, q), K(0, m))):
+                    n = min(t.order for t in (a, b) if t.point == 0)
+                    want = 0j if n < max(m, q) else \
+                        kernels._pair_terms(space, a, b, np.array([n]))[0]
+                    got, err = kb.kernel_pairing(space, a, b)
+                    assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), \
+                        (a, b, got, want)
+                    assert err == 0.0
+                    pairs += 1
+    assert pairs == 2 * 5 * (16 + (6 if space is D4 else 0))
+
+
 def test_falling_factors_match_the_product():
     ns = np.arange(0, 600)
     for m in range(5):

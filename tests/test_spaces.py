@@ -444,6 +444,66 @@ def test_a_rule_and_the_table_of_its_values_serve_the_same_bytes():
     assert ruled.gram(8).tobytes() == table.gram(8).tobytes()
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 2.5, 4.0])
+def test_served_weights_are_the_rule_evaluated_on_the_callers_indices(alpha):
+    # However a D_alpha table grows (one scalar first, block by block, or one
+    # large call), every weight it serves has the bytes of (ks + 1.0)**alpha
+    # on the caller's own index array, contiguous or not.
+    top = 70_000
+    rng = np.random.default_rng(24)
+    reads = [np.arange(top + 1), np.arange(3, top, 7), np.arange(top, -1, -3),
+             rng.integers(0, top + 1, size=500), np.array([top, 0, top, 0]),
+             np.arange(12, 13), np.arange(0)]
+    growths = [[np.array([5000]), np.arange(top + 1)],
+               [np.arange(lo, min(lo + 4096, top + 1)) for lo in range(0, top + 1, 4096)],
+               [np.arange(top + 1)],
+               [np.arange(top, -1, -1)]]
+    for growth in growths:
+        sp = kb.DirichletType(alpha)
+        for ks in growth + reads:
+            assert sp.weights_at(ks).tobytes() == ((ks + 1.0) ** alpha).tobytes()
+        assert sp.weight(5000) == ((np.array([5000]) + 1.0) ** alpha)[0]
+        assert sp.weights(top).tobytes() == ((np.arange(top + 1) + 1.0) ** alpha).tobytes()
+
+
+def test_served_weights_are_read_only_views_of_one_table():
+    for sp in (kb.DirichletType(2.5), kb.WeightedHardy(lambda k: 1.0 / (k + 1.0)),
+               kb.WeightedHardy([1.0 + k for k in range(300)])):
+        table = sp.weights(200)
+        for view in (table, sp.weights(50), sp.weights_at(np.arange(40, 90))):
+            assert not view.flags.writeable and np.shares_memory(view, table)
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+        # Indices out of order are served as a copy.
+        copy = sp.weights_at(np.array([7, 3, 5]))
+        assert not np.shares_memory(copy, table) and list(copy) == [table[7], table[3], table[5]]
+    # The table takes no part in equality, hashing or repr.
+    warm, cold = kb.DirichletType(4.0), kb.DirichletType(4.0)
+    warm.weights(1000)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+
+def test_the_d4_boundary_case_evaluates_each_weight_once(monkeypatch):
+    # Z = {1} in D_4: the construction, inner_report(K=20) and zero_report
+    # read w_0..w_(N+20) from one table, evaluated once, and none on a repeat.
+    evaluated = []
+    rule = kb.DirichletType._evaluate
+
+    def counted(self, ks):
+        evaluated.append(len(ks))
+        return rule(self, ks)
+
+    monkeypatch.setattr(kb.DirichletType, "_evaluate", counted)
+    D4 = kb.DirichletType(4.0)
+    Z = kb.ReproducibleMultiset(0, ((1.0 + 0j, 1),))
+    N = 200_000
+    for _ in range(2):
+        res = kb.shapiro_shields(D4, Z, taylor_degree=N)
+        assert kb.inner_report(D4, res.taylor, K=20, tol=1e-6).verdict
+        assert kb.zero_report(D4, res, Z, tol=1e-8, scan=False).verdict
+        assert sum(evaluated) == N + 21
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
