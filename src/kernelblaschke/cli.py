@@ -52,11 +52,9 @@ def load_config(path: str):
 
 
 def _parse_policy(cfg: Field) -> TruncationPolicy:
-    """The policy's keys, each a positive number; any other key is an error."""
-    obj = cfg.get("policy", {})
+    """The policy's keys, each a positive number."""
     fields = {f.name: f.default for f in dataclasses.fields(TruncationPolicy)}
-    if not obj.object().keys() <= fields.keys():
-        raise obj.error(f"an object with keys among {sorted(fields)}")
+    obj = cfg.get("policy", {}).only("a policy", *fields)
     return TruncationPolicy(**{k: obj.get(k, v).number(type(v), "positive")
                                for k, v in fields.items()})
 
@@ -88,68 +86,74 @@ def _build(space, Z, cfg, policy):
 # Tasks
 # ---------------------------------------------------------------------------
 
+# A task config holds only these keys, its task's own, and, for a task that
+# constructs, every route's keys, so that one config runs under each route.
+_COMMON = ("name", "seed", "space")
+_ROUTE = ("route", "taylor_degree", "oracle_degree", "policy")
+
+
 def _task_construct(cfg, space):
+    cfg.only("a construct config", *_COMMON, *_ROUTE, "multiset")
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
     result = _build(space, Z, cfg, _parse_policy(cfg))
     return True, {"construction": result.to_json()}
 
 
 def _task_verify(cfg, space):
+    cfg.only("a verify config", *_COMMON, *_ROUTE, "multiset", "K", "tolerance")
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
-    result = _build(space, Z, cfg, _parse_policy(cfg))
-    report = _verify.inner_report(space, result,
-                                  K=cfg.get("K", 20).number(int, "positive"),
-                                  tol=cfg.get("tolerance", 1e-8).number(float, "positive"))
+    policy = _parse_policy(cfg)
+    K = cfg.get("K", 20).number(int, "positive")
+    tol = cfg.get("tolerance", 1e-8).number(float, "positive")
+    result = _build(space, Z, cfg, policy)
+    report = _verify.inner_report(space, result, K=K, tol=tol)
     return report.verdict, {"construction_route": result.route,
                             "inner_report": report.to_json()}
 
 
 def _task_zeros(cfg, space):
+    cfg.only("a zeros config", *_COMMON, *_ROUTE, "multiset", "radius", "tolerance", "scan")
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
     policy = _parse_policy(cfg)
     radius = _verify.require_radius(cfg.get("radius", 0.99).number(float, "positive"))
+    tol = cfg.get("tolerance", 1e-8).number(float, "positive")
+    scan = cfg.get("scan", True).flag()
     result = _build(space, Z, cfg, policy)
-    report = _verify.zero_report(space, result, Z, radius=radius,
-                                 tol=cfg.get("tolerance", 1e-8).number(float, "positive"),
-                                 scan=cfg.get("scan", True).flag(),
+    report = _verify.zero_report(space, result, Z, radius=radius, tol=tol, scan=scan,
                                  policy=policy)
     return report.verdict, {"construction_route": result.route,
                             "zero_report": report.to_json()}
 
 
 def _task_subspace(cfg, space):
+    cfg.only("a subspace config", *_COMMON, "p", "q", "M", "tolerance", "expect")
     p = FactoredPoly.from_json(cfg["p"])
     q = FactoredPoly.from_json(cfg["q"])
-    equal, evidence = _verify.subspace_equal(
-        space, p, q, M=cfg.get("M", 400).number(int, "positive"),
-        tol=cfg.get("tolerance", 1e-8).number(float, "positive"))
-    ok = True
-    if "expect" in cfg:
-        ok = cfg["expect"].flag() == equal
-    return ok, {"equal": equal, "evidence": evidence}
+    M = cfg.get("M", 400).number(int, "positive")
+    tol = cfg.get("tolerance", 1e-8).number(float, "positive")
+    expect = cfg["expect"].flag() if "expect" in cfg else None
+    equal, evidence = _verify.subspace_equal(space, p, q, M=M, tol=tol)
+    return expect is None or expect == equal, {"equal": equal, "evidence": evidence}
 
 
 def _task_extremal(cfg, space):
+    cfg.only("an extremal config", *_COMMON, *_ROUTE, "p", "M")
     p = FactoredPoly.from_json(cfg["p"])
-    if "samples" in cfg:
-        raise ConfigError(
-            "config field 'samples' is no longer read: extremal optimality is "
-            "decided by the exact span supremum, not by random unit vectors; "
-            "remove the field")
-    Z = reproducible_multiset(space, p)
-    result = _build(space, Z, cfg, _parse_policy(cfg))
-    report = _verify.extremal_check(space, p, result,
-                                    M=cfg.get("M", 400).number(int, "positive"))
+    policy = _parse_policy(cfg)
+    M = cfg.get("M", 400).number(int, "positive")
+    result = _build(space, reproducible_multiset(space, p), cfg, policy)
+    report = _verify.extremal_check(space, p, result, M=M)
     return report.verdict, {"construction_route": result.route,
                             "extremal_report": report.to_json()}
 
 
 def _task_oracle(cfg, space):
+    cfg.only("an oracle config", *_COMMON, "p", "d", "M")
     p = FactoredPoly.from_json(cfg["p"])
-    d = cfg.get("d", reproducible_multiset(space, p).origin_multiplicity).number(
-        int, "non-negative")
-    taylor = _construct.project_kernel_fd(space, p, d,
-                                          M=cfg.get("M", 400).number(int, "positive"))
+    M = cfg.get("M", 400).number(int, "positive")
+    d = (cfg["d"].number(int, "non-negative") if "d" in cfg
+         else reproducible_multiset(space, p).origin_multiplicity)
+    taylor = _construct.project_kernel_fd(space, p, d, M=M)
     return True, {"d": d, "taylor": taylor.to_json()}
 
 
@@ -318,7 +322,7 @@ def run_experiment(task: str, cfg, out_dir: str, seed: int | None,
     # Any integer, negative ones included: the seed is only recorded.
     effective_seed = seed if seed is not None else cfg.get("seed", 0).number(int)
     if task == "preset":
-        name = cfg["preset"]
+        name = cfg.only("a preset config", "preset", "seed", "name")["preset"]
         if name.value not in PRESET_NAMES:
             raise name.error(f"one of {', '.join(PRESET_NAMES)}")
         ok, body = _PRESETS[name.value](out_dir)
@@ -352,7 +356,7 @@ def run_experiment(task: str, cfg, out_dir: str, seed: int | None,
 def _run_batch(cfg: Field, out_dir: str, seed: int | None, quiet: bool) -> bool:
     """Run each entry of ``experiments``: a config object with a ``task``, or
     the path of a config file that has one."""
-    experiments = cfg["experiments"]
+    experiments = cfg.only("a batch file", "experiments")["experiments"]
     entries = experiments.items()
     if not entries:
         raise experiments.error("a nonempty list")

@@ -16,6 +16,7 @@ naming that path:
   too where a positive one is asked for;
 * a complex value is a number or an ``[re, im]`` pair of numbers;
 * a flag is ``true`` or ``false``, a string is a JSON string;
+* an object holds only the keys its reader names (``Field.only``);
 * a table is a nonempty rectangular nested list of numbers (or of ``[re, im]``
   pairs), read in one pass into one read-only ``float64`` (or ``complex128``) array.
 """
@@ -98,6 +99,15 @@ class Field:
 
     def __contains__(self, key: str) -> bool:
         return key in self.object()
+
+    def only(self, what: str, *known: str) -> "Field":
+        """This object, if every key is in ``known``; else the first other key
+        written is refused by its path, as not a key of ``what``."""
+        unknown = [key for key in self.object() if key not in known]
+        if unknown:
+            raise ConfigError(f"{self[unknown[0]].path} is not a key of {what}; "
+                              f"known: {', '.join(sorted(known))}")
+        return self
 
     def get(self, key: str, default=...) -> "Field":
         """The field at ``key``; when it is absent, ``default`` read at that path,

@@ -148,7 +148,7 @@ class TaylorSeries:
                             abs(factor) * self.tail_bound)
 
     def to_json(self) -> dict:
-        return {"coeffs": [complex_pair(c) for c in self.coefficients],
+        return {"coeffs": self.coefficients.view(float).reshape(-1, 2).tolist(),
                 "N": self.truncation_degree, "tail": self.tail_bound}
 
     @classmethod

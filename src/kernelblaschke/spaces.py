@@ -659,17 +659,23 @@ def space_from_json(obj) -> SpaceSpec:
     obj = Field.of(obj)
     kind = obj["type"]
     if kind.value == "dirichlet":
-        return DirichletType(obj["alpha"].number())
+        return DirichletType(obj.only("a dirichlet space", "type", "alpha")["alpha"].number())
     if kind.value == "weights":
+        obj.only("a weights space", "type", "rule", "values", "boundary_order")
         if obj["rule"].value != "table":
             raise obj["rule"].error('"table"')
         boundary_order = (obj["boundary_order"].number(int, "non-negative")
                           if "boundary_order" in obj else None)
         return WeightedHardy(obj["values"].table(1, sign="positive"), boundary_order)
     if kind.value == "local_dirichlet":
+        obj.only("a local_dirichlet space", "type", "zeta")
         return LocalDirichlet(obj["zeta"].complex())
     if kind.value == "custom":
-        table = tuple((e["point"].complex(), ReproducibleOrder.from_json(e["order"]))
+        obj.only("a custom space", "type", "gram", "values", "reproducibility")
+        if obj.get("gram", "table").value != "table":  # optional, and a table
+            raise obj["gram"].error('"table"')
+        table = tuple((e.only("a reproducibility entry", "point", "order")["point"].complex(),
+                       ReproducibleOrder.from_json(e["order"]))
                       for e in obj.get("reproducibility", []).items())
         return CustomGram(obj["values"].table(2, pairs=True), table)
     raise kind.error('one of "dirichlet", "weights", "local_dirichlet", "custom"')
@@ -753,9 +759,10 @@ class FactoredPoly:
 
     @classmethod
     def from_json(cls, obj) -> "FactoredPoly":
-        obj = Field.of(obj)
+        obj = Field.of(obj).only("a polynomial", "leading", "roots")
         return cls(obj["leading"].complex(),
-                   tuple((r["point"].complex(), r["mult"].number(int, "positive"))
+                   tuple((r.only("a root", "point", "mult")["point"].complex(),
+                          r["mult"].number(int, "positive"))
                          for r in obj.get("roots", []).items()))
 
 
@@ -836,9 +843,10 @@ class ReproducibleMultiset:
 
     @classmethod
     def from_json(cls, obj) -> "ReproducibleMultiset":
-        obj = Field.of(obj)
+        obj = Field.of(obj).only("a multiset", "origin", "points")
         return cls(obj.get("origin", 0).number(int, "non-negative"),
-                   tuple((e["point"].complex(), e["mult"].number(int, "positive"))
+                   tuple((e.only("a multiset point", "point", "mult")["point"].complex(),
+                          e["mult"].number(int, "positive"))
                          for e in obj.get("points", []).items()))
 
 

@@ -25,6 +25,9 @@ BASE_VERIFY = {
     "K": 10,
     "tolerance": 1e-8,
 }
+# BASE_VERIFY trimmed to the keys of a construct and of a zeros config.
+BASE_CONSTRUCT = {k: v for k, v in BASE_VERIFY.items() if k not in ("K", "tolerance")}
+BASE_ZEROS = {k: v for k, v in BASE_VERIFY.items() if k != "K"}
 
 
 def test_verify_task_and_exit_codes(tmp_path):
@@ -75,70 +78,77 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
     # K = 1, exit 0; float() read true as 1.0, and JSON's NaN passed every check.
     poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
     extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
-    for task, cfg in (("verify", dict(BASE_VERIFY, taylor_degree=30.9)),
-                      ("verify", dict(BASE_VERIFY, K=True)),
-                      ("verify", dict(BASE_VERIFY, K=10.5)),
-                      ("verify", dict(BASE_VERIFY, route="oracle", oracle_degree=40.5)),
-                      ("verify", dict(BASE_VERIFY, policy={"max_terms": 1e5 + 0.5})),
-                      ("verify", dict(BASE_VERIFY, policy={"max_terms": True})),
-                      ("verify", dict(BASE_VERIFY, tolerance=True)),
-                      ("verify", dict(BASE_VERIFY, tolerance=math.nan)),
-                      ("verify", dict(BASE_VERIFY, tolerance=math.inf)),
-                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": math.nan})),
-                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": False})),
-                      ("zeros", dict(BASE_VERIFY, radius=math.nan)),
-                      ("zeros", dict(BASE_VERIFY, radius=True)),
-                      ("oracle", dict(extremal, M=60.25)),
-                      ("oracle", dict(extremal, M=True)),
-                      ("oracle", dict(extremal, d=True)),
-                      ("oracle", dict(extremal, d=0.5)),
-                      # The JSON parsers truncated these integers and read
-                      # alpha true as 1.0; alpha NaN or inf ran to a typed
-                      # error past the parse.
-                      ("verify", dict(BASE_VERIFY, multiset={
-                          "origin": 0, "points": [{"point": [0.5, 0], "mult": 1.7}]})),
-                      ("verify", dict(BASE_VERIFY, multiset={
-                          "origin": 0, "points": [{"point": [0.5, 0], "mult": True}]})),
-                      ("verify", dict(BASE_VERIFY, multiset={"origin": 1.9, "points": []})),
-                      ("oracle", dict(extremal, p={"leading": [1, 0], "roots": [
-                          {"point": [0.5, 0], "mult": 2.5}]})),
-                      ("oracle", dict(extremal, space={
-                          "type": "weights", "rule": "table", "boundary_order": 0.5,
-                          "values": [(k + 1.0) ** 4 for k in range(61)]})),
-                      ("oracle", dict(extremal, M=11, space={
-                          "type": "custom",
-                          "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
-                          "reproducibility": [{"point": [0.5, 0], "order": 1.5}]})),
-                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": True})),
-                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
-                                                          "alpha": math.nan})),
-                      ("verify", dict(BASE_VERIFY, space={"type": "dirichlet",
-                                                          "alpha": math.inf})),
-                      # int() read these seeds as 1, 1 and a bare ValueError
-                      # (exit 1).
-                      ("verify", dict(BASE_VERIFY, seed=1.5)),
-                      ("verify", dict(BASE_VERIFY, seed=True)),
-                      ("verify", dict(BASE_VERIFY, seed="abc")),
-                      # pair_complex and the one-step table parse read true as
-                      # 1.0 in a complex value (exit 0).
-                      ("oracle", dict(extremal, p=dict(poly, leading=[True, 0]))),
-                      ("oracle", dict(extremal, p=dict(poly, leading=True))),
-                      ("oracle", dict(extremal, M=11, space={
-                          "type": "custom",
-                          "values": [[[True if i == j == 0 else float(i == j), 0]
-                                      for j in range(12)] for i in range(12)],
-                          "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]}))):
+    for task, cfg, field in (
+            ("verify", dict(BASE_VERIFY, taylor_degree=30.9), "taylor_degree"),
+            ("verify", dict(BASE_VERIFY, K=True), "K"),
+            ("verify", dict(BASE_VERIFY, K=10.5), "K"),
+            ("verify", dict(BASE_VERIFY, route="oracle", oracle_degree=40.5), "oracle_degree"),
+            ("verify", dict(BASE_VERIFY, policy={"max_terms": 1e5 + 0.5}), "policy.max_terms"),
+            ("verify", dict(BASE_VERIFY, policy={"max_terms": True}), "policy.max_terms"),
+            ("verify", dict(BASE_VERIFY, tolerance=True), "tolerance"),
+            ("verify", dict(BASE_VERIFY, tolerance=math.nan), "tolerance"),
+            ("verify", dict(BASE_VERIFY, tolerance=math.inf), "tolerance"),
+            ("verify", dict(BASE_VERIFY, policy={"target_tolerance": math.nan}),
+             "policy.target_tolerance"),
+            ("verify", dict(BASE_VERIFY, policy={"target_tolerance": False}),
+             "policy.target_tolerance"),
+            ("zeros", dict(BASE_ZEROS, radius=math.nan), "radius"),
+            ("zeros", dict(BASE_ZEROS, radius=True), "radius"),
+            ("oracle", dict(extremal, M=60.25), "M"),
+            ("oracle", dict(extremal, M=True), "M"),
+            ("oracle", dict(extremal, d=True), "d"),
+            ("oracle", dict(extremal, d=0.5), "d"),
+            # The JSON parsers truncated these integers and read alpha true as
+            # 1.0; alpha NaN or inf ran to a typed error past the parse.
+            ("verify", dict(BASE_VERIFY, multiset={
+                "origin": 0, "points": [{"point": [0.5, 0], "mult": 1.7}]}),
+             "multiset.points[0].mult"),
+            ("verify", dict(BASE_VERIFY, multiset={
+                "origin": 0, "points": [{"point": [0.5, 0], "mult": True}]}),
+             "multiset.points[0].mult"),
+            ("verify", dict(BASE_VERIFY, multiset={"origin": 1.9, "points": []}),
+             "multiset.origin"),
+            ("oracle", dict(extremal, p={"leading": [1, 0], "roots": [
+                {"point": [0.5, 0], "mult": 2.5}]}), "p.roots[0].mult"),
+            ("oracle", dict(extremal, space={
+                "type": "weights", "rule": "table", "boundary_order": 0.5,
+                "values": [(k + 1.0) ** 4 for k in range(61)]}), "space.boundary_order"),
+            ("oracle", dict(extremal, M=11, space={
+                "type": "custom",
+                "values": [[[float(i == j), 0] for j in range(12)] for i in range(12)],
+                "reproducibility": [{"point": [0.5, 0], "order": 1.5}]}),
+             "space.reproducibility[0].order"),
+            ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": True}),
+             "space.alpha"),
+            ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": math.nan}),
+             "space.alpha"),
+            ("verify", dict(BASE_VERIFY, space={"type": "dirichlet", "alpha": math.inf}),
+             "space.alpha"),
+            # int() read these seeds as 1, 1 and a bare ValueError (exit 1).
+            ("verify", dict(BASE_VERIFY, seed=1.5), "seed"),
+            ("verify", dict(BASE_VERIFY, seed=True), "seed"),
+            ("verify", dict(BASE_VERIFY, seed="abc"), "seed"),
+            # pair_complex and the one-step table parse read true as 1.0 in a
+            # complex value (exit 0).
+            ("oracle", dict(extremal, p=dict(poly, leading=[True, 0])), "p.leading"),
+            ("oracle", dict(extremal, p=dict(poly, leading=True)), "p.leading"),
+            ("oracle", dict(extremal, M=11, space={
+                "type": "custom",
+                "values": [[[True if i == j == 0 else float(i == j), 0]
+                            for j in range(12)] for i in range(12)],
+                "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]}),
+             "space.values[0][0][0]")):
         path = write_config(tmp_path / "num.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
         assert rc == 2, (task, cfg)
-        assert capsys.readouterr().err.startswith("config error"), (task, cfg)
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be"), (task, cfg)
     # An integral float is that integer; a negative seed is accepted (it is
     # only recorded).
-    cfg = write_config(tmp_path / "whole.json",
-                       dict(BASE_VERIFY, name="whole", taylor_degree=300.0, K=10.0,
-                            seed=-3.0))
-    for task in ("verify", "construct"):
-        assert cli.main([task, "--config", cfg, "--out", str(tmp_path / "w"),
+    whole = dict(name="whole", taylor_degree=300.0, seed=-3.0)
+    for task, cfg in (("verify", dict(BASE_VERIFY, K=10.0, **whole)),
+                      ("construct", dict(BASE_CONSTRUCT, **whole))):
+        path = write_config(tmp_path / "whole.json", cfg)
+        assert cli.main([task, "--config", path, "--out", str(tmp_path / "w"),
                          "--quiet"]) == 0
     report = json.loads((tmp_path / "w" / "verify-whole.json").read_text())
     assert report["report"]["inner_report"]["K"] == 10 and report["seed"] == -3
@@ -158,7 +168,9 @@ def test_failing_verdict_gives_exit_one(tmp_path):
     assert rc == 1
 
 
-def test_a_radius_outside_the_disk_is_refused_before_any_construction(tmp_path, monkeypatch):
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every ``shapiro_shields`` call, from the CLI or ``verify``."""
     calls = []
     build = kb.shapiro_shields
 
@@ -168,12 +180,51 @@ def test_a_radius_outside_the_disk_is_refused_before_any_construction(tmp_path, 
 
     monkeypatch.setattr(cli._construct, "shapiro_shields", counted)
     monkeypatch.setattr(verify, "shapiro_shields", counted)
-    cfg = write_config(tmp_path / "zeros.json", dict(BASE_VERIFY, radius=1.5))
+    return calls
+
+
+def test_a_radius_outside_the_disk_is_refused_before_any_construction(tmp_path, builds):
+    cfg = write_config(tmp_path / "zeros.json", dict(BASE_ZEROS, radius=1.5))
     rc = cli.main(["zeros", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 2
     with pytest.raises(ValueError, match="radius must lie in"):
         kb.extraneous_zero_scan(kb.bergman_space(), radius=1.5)
-    assert calls == []
+    assert builds == []
+
+
+def test_every_value_is_read_before_any_construction(tmp_path, capsys, builds, monkeypatch):
+    # K, tolerance and scan were read after the construction, M after the
+    # extremal's construction and expect after the subspace projections: each
+    # of these configs built (at taylor_degree 200000) or projected once
+    # before exiting 2.
+    projections, project = [], verify.subspace_equal
+
+    def counted(*args, **kwargs):
+        projections.append(args)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "subspace_equal", counted)
+    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
+    long = {"taylor_degree": 200_000}
+    for task, cfg, field in (
+            ("verify", dict(BASE_VERIFY, K=0, **long), "K"),
+            ("verify", dict(BASE_VERIFY, tolerance=-1, **long), "tolerance"),
+            ("zeros", dict(BASE_ZEROS, tolerance=-1, **long), "tolerance"),
+            ("zeros", dict(BASE_ZEROS, scan="no", **long), "scan"),
+            ("extremal", {"space": BASE_VERIFY["space"], "p": poly, "M": 0, **long}, "M"),
+            ("subspace", {"space": BASE_VERIFY["space"], "p": poly, "q": poly,
+                          "expect": "yes"}, "expect")):
+        assert _cli_exit(tmp_path, task, cfg) == 2, (task, field)
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+    assert builds == [] and projections == []
+    # The oracle's d defaults to the origin multiplicity of p's reproducible
+    # multiset, which was computed even when d was given.
+    multisets = []
+    monkeypatch.setattr(cli, "reproducible_multiset",
+                        lambda *args: multisets.append(args) or kb.reproducible_multiset(*args))
+    oracle = {"name": "o", "space": BASE_VERIFY["space"], "p": poly, "M": 20}
+    assert _cli_exit(tmp_path, "oracle", dict(oracle, d=0)) == 0 and multisets == []
+    assert _cli_exit(tmp_path, "oracle", oracle) == 0 and len(multisets) == 1
 
 
 def test_config_error_diagnostics(tmp_path, capsys):
@@ -190,6 +241,7 @@ def test_config_error_diagnostics(tmp_path, capsys):
     rc = cli.main(["verify", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 2
+    assert "missing required field multiset" in capsys.readouterr().err
     # Integer fields are validated before they reach the library, and a value
     # the library rejects for this polynomial (M or oracle_degree too small
     # for deg p, a negative derivative order d) is a config error too.
@@ -197,57 +249,63 @@ def test_config_error_diagnostics(tmp_path, capsys):
     cubic = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1},
                                           {"point": [0, 0.3], "mult": 2}]}
     extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
-    for task, cfg in (("extremal", dict(extremal, M=-3)),
-                      ("extremal", dict(extremal, samples=0)),
-                      ("oracle", dict(extremal, M="abc")),
-                      ("oracle", dict(extremal, M=math.inf)),
-                      ("verify", dict(BASE_VERIFY, K=0)),
-                      ("verify", dict(BASE_VERIFY, route="oracle",
-                                      oracle_degree=-1)),
-                      ("oracle", dict(extremal, M=5)),
-                      ("oracle", dict(extremal, d=-1)),
-                      ("oracle", dict(extremal, d="abc")),
-                      ("extremal", dict(extremal, p=cubic, M=2)),
-                      ("extremal", dict(extremal, route="oracle", oracle_degree=5)),
-                      ("construct", dict(BASE_VERIFY, route="oracle",
-                                         oracle_degree=5)),
-                      # A policy that is not an object, a key of the wrong
-                      # type, a misspelt key and the retired bound_kind.
-                      ("verify", dict(BASE_VERIFY, policy=5)),
-                      ("verify", dict(BASE_VERIFY, policy=[1e-3])),
-                      ("verify", dict(BASE_VERIFY, policy={"max_terms": None})),
-                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": [1]})),
-                      ("verify", dict(BASE_VERIFY, policy={"target_tolerance": 0})),
-                      ("verify", dict(BASE_VERIFY, policy={"max_terms": 8})),
-                      ("verify", dict(BASE_VERIFY, policy={"target_tolerence": 1e-3})),
-                      ("verify", dict(BASE_VERIFY, policy={"bound_kind": "none"})),
-                      ("construct", dict(BASE_VERIFY, taylor_degree=None)),
-                      ("construct", dict(BASE_VERIFY, taylor_degree=[3])),
-                      ("construct", dict(BASE_VERIFY, taylor_degree=-5)),
-                      ("zeros", dict(BASE_VERIFY, scan="no")),
-                      ("zeros", dict(BASE_VERIFY, radius=1.5)),
-                      ("zeros", dict(BASE_VERIFY, scan=0)),
-                      ("subspace", dict(extremal, q=poly, expect="no")),
-                      # A field or a whole config that is not an object.
-                      ("verify", dict(BASE_VERIFY, multiset=[1, 2])),
-                      ("verify", dict(BASE_VERIFY, space=[1])),
-                      ("verify", [1, 2])):
+    for task, cfg, message in (
+            ("extremal", dict(extremal, M=-3), "M must be"),
+            ("oracle", dict(extremal, M="abc"), "M must be"),
+            ("oracle", dict(extremal, M=math.inf), "M must be"),
+            ("verify", dict(BASE_VERIFY, K=0), "K must be"),
+            ("verify", dict(BASE_VERIFY, route="oracle", oracle_degree=-1),
+             "oracle_degree must be"),
+            ("oracle", dict(extremal, M=5), "oracle: M = 5 too small"),
+            ("oracle", dict(extremal, d=-1), "d must be"),
+            ("oracle", dict(extremal, d="abc"), "d must be"),
+            ("extremal", dict(extremal, p=cubic, M=2), "extremal: M = 2 leaves the span"),
+            ("extremal", dict(extremal, route="oracle", oracle_degree=5),
+             "extremal: M = 5 too small"),
+            ("construct", dict(BASE_CONSTRUCT, route="oracle", oracle_degree=5),
+             "construct: M = 5 too small"),
+            # A policy that is not an object, a key of the wrong type, a
+            # misspelt key and the retired bound_kind.
+            ("verify", dict(BASE_VERIFY, policy=5), "policy must be an object"),
+            ("verify", dict(BASE_VERIFY, policy=[1e-3]), "policy must be an object"),
+            ("verify", dict(BASE_VERIFY, policy={"max_terms": None}), "policy.max_terms must be"),
+            ("verify", dict(BASE_VERIFY, policy={"target_tolerance": [1]}),
+             "policy.target_tolerance must be"),
+            ("verify", dict(BASE_VERIFY, policy={"target_tolerance": 0}),
+             "policy.target_tolerance must be"),
+            ("verify", dict(BASE_VERIFY, policy={"max_terms": 8}),
+             "verify: max_terms must be at least 16"),
+            ("verify", dict(BASE_VERIFY, policy={"target_tolerence": 1e-3}),
+             "policy.target_tolerence is not a key of a policy"),
+            ("verify", dict(BASE_VERIFY, policy={"bound_kind": "none"}),
+             "policy.bound_kind is not a key of a policy"),
+            ("construct", dict(BASE_CONSTRUCT, taylor_degree=None), "taylor_degree must be"),
+            ("construct", dict(BASE_CONSTRUCT, taylor_degree=[3]), "taylor_degree must be"),
+            ("construct", dict(BASE_CONSTRUCT, taylor_degree=-5), "taylor_degree must be"),
+            ("zeros", dict(BASE_ZEROS, scan="no"), "scan must be"),
+            ("zeros", dict(BASE_ZEROS, radius=1.5), "zeros: radius must lie in (0, 1)"),
+            ("zeros", dict(BASE_ZEROS, scan=0), "scan must be"),
+            ("subspace", dict(extremal, q=poly, expect="no"), "expect must be"),
+            # A field or a whole config that is not an object.
+            ("verify", dict(BASE_VERIFY, multiset=[1, 2]), "multiset must be an object"),
+            ("verify", dict(BASE_VERIFY, space=[1]), "space must be an object"),
+            ("verify", [1, 2], "config must be an object"),
+            # The extremal check no longer samples: the key is refused by the
+            # rule for any key a config does not know.
+            ("extremal", dict(extremal, samples=0), "samples is not a key of an extremal config"),
+            ("extremal", dict(extremal, samples=10_000),
+             "samples is not a key of an extremal config")):
         path = write_config(tmp_path / "int.json", cfg)
         rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
                        "--quiet"])
         assert rc == 2, (task, cfg)
-        assert capsys.readouterr().err.startswith("config error"), (task, cfg)
-    # The extremal check no longer samples, and says so to a config that asks.
-    path = write_config(tmp_path / "samples.json", dict(extremal, samples=10_000))
-    assert cli.main(["extremal", "--config", path, "--out", str(tmp_path / "r"),
-                     "--quiet"]) == 2
-    assert "exact span supremum" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), (task, cfg)
 
 
 def test_short_weight_table_exits_two(tmp_path, capsys):
     values = [(k + 1.0) ** 2 for k in range(64)]
     cfg = write_config(tmp_path / "cfg.json", dict(
-        BASE_VERIFY, space={"type": "weights", "rule": "table", "values": values}))
+        BASE_CONSTRUCT, space={"type": "weights", "rule": "table", "values": values}))
     rc = cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "r"),
                    "--quiet"])
     assert rc == 2
@@ -472,7 +530,7 @@ def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
                 "origin": 0, "points": [{"point": ["0.5", "0"], "mult": 1}]})),
             ("verify", dict(BASE_VERIFY, multiset={
                 "origin": 0, "points": [{"point": [0.5, "0"], "mult": 1}]})),
-            ("zeros", dict(BASE_VERIFY, radius="0.99")),
+            ("zeros", dict(BASE_ZEROS, radius="0.99")),
             ("subspace", dict(oracle, q=poly, M="300")),
             ("oracle", dict(oracle, d="0")),
             ("oracle", dict(oracle, p=dict(poly, leading=["1", "0"]))),
@@ -535,7 +593,7 @@ def _table_configs():
               "space": {"type": "custom", "gram": "table", "values": gram,
                         "reproducibility": [{"point": [0.5, 0.0], "order": "infinite"}]},
               "p": {"leading": [1.0, 0.0], "roots": [{"point": [0.5, 0.0], "mult": 1}]}}
-    weights = dict(BASE_VERIFY, name="wt", space={
+    weights = dict(BASE_CONSTRUCT, name="wt", space={
         "type": "weights", "rule": "table",
         "values": [float(k + 1) + 0.25 * (k % 4 == 1) for k in range(1024)]})
     return (("oracle", custom), ("construct", weights))
@@ -615,11 +673,11 @@ def test_report_name_names_a_file_inside_out(tmp_path, capsys):
     out = str(tmp_path / "a" / "r")
     for name in ("x/y", "x/../../escaped", "", ".", "..", ["x"], 5):
         batch = write_config(tmp_path / "batch.json", {"experiments": [
-            dict(BASE_VERIFY, task="construct", name=name)]})
+            dict(BASE_CONSTRUCT, task="construct", name=name)]})
         assert cli.main(["batch", "--config", batch, "--out", out, "--quiet"]) == 2, name
         assert capsys.readouterr().err.startswith(
             "config error: experiments[0].name must be"), name
-    path = write_config(tmp_path / "cfg.json", dict(BASE_VERIFY, name="../escaped"))
+    path = write_config(tmp_path / "cfg.json", dict(BASE_CONSTRUCT, name="../escaped"))
     assert cli.main(["construct", "--config", path, "--out", out, "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: name must be")
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
@@ -698,7 +756,8 @@ def test_malformed_objects_name_their_path(tmp_path, capsys):
         ("subspace", subspace, ("q",), [poly], "q must be an object"),
         ("subspace", subspace, ("q", "leading"), True, "q.leading must be"),
         # policy
-        ("verify", BASE_VERIFY, ("policy",), {"max_term": 100}, "policy must be an object"),
+        ("verify", BASE_VERIFY, ("policy",), {"max_term": 100},
+         "policy.max_term is not a key of a policy; known: max_terms, target_tolerance"),
         ("verify", BASE_VERIFY, ("policy",), [1e-3], "policy must be an object"),
         ("verify", BASE_VERIFY, ("policy",), {"max_terms": "100000"},
          "policy.max_terms must be a positive integer"),

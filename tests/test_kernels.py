@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelblaschke as kb
+from kernelblaschke import jsonio
 from kernelblaschke.jsonio import dumps_canonical
 from kernelblaschke.kernels import DEFAULT_POLICY
 
@@ -615,6 +616,19 @@ def test_taylor_series_json_tail_is_a_non_negative_number_or_infinity():
     for bad in ("0.5", True, -1, math.nan):
         with pytest.raises(kb.ConfigError, match=r"^tail must be"):
             kb.TaylorSeries.from_json({"coeffs": [[1.0, 0.0]], "tail": bad})
+
+
+def test_taylor_series_json_keeps_the_per_coefficient_bytes():
+    # to_json wrote one complex_pair per coefficient; one conversion of the
+    # array's float view writes the same text.
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1.0, -1.5]
+    normal = rng.standard_normal(800) * 10.0 ** rng.integers(-300, 301, size=800)
+    pairs = [[re, im] for re in specials for im in specials] + normal.reshape(-1, 2).tolist()
+    t = kb.TaylorSeries(np.array(pairs).view(complex)[:, 0], 0.5)
+    per_coefficient = {"coeffs": [jsonio.complex_pair(c) for c in t.coefficients],
+                       "N": t.truncation_degree, "tail": t.tail_bound}
+    assert dumps_canonical(t.to_json()) == dumps_canonical(per_coefficient)
 
 
 def test_taylor_series_adopts_a_complex_array():

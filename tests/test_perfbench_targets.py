@@ -6,8 +6,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,3 +115,22 @@ def test_grams_and_combos_pair_through_kernel_pairing(monkeypatch):
     combo = kb.KernelCombo(A2, tuple((t, 1.0 + k) for k, t in enumerate(terms)))
     kb.combo_derivative_at(A2, combo, 0.3, 1)
     assert calls == [(t, kb.KernelTerm(0.3, 1)) for t in terms]
+
+
+def test_crosscheck_configs_read_and_pass(tmp_path, monkeypatch):
+    # Every crosscheck task kind drives the CLI with its own configs, which
+    # carry every route's keys: one task of each kind must read whole and pass.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # it sets 40 digits
+    spec.loader.exec_module(workloads)
+    ran = set()
+    for task in workloads.build("crosscheck", 1, str(tmp_path)):
+        if task.kind not in ran:
+            ran.add(task.kind)
+            outcome = task.check(task.run())
+            assert outcome.ok and not task.expects_refusal, (task.kind, outcome.note)
+    assert {kind.split("-")[0] for kind in ran} == {
+        "route", "verify", "zeros", "subspace", "extremal", "oracle"}

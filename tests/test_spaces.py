@@ -263,14 +263,18 @@ def test_custom_table_reads_in_one_validated_pass():
         _custom_space([[[1.0, 0.0], [0.0, 0.0]]])
 
 
-def test_custom_config_ignores_probe_size():
+def test_custom_config_refuses_probe_size():
     # probe_size set how many leading rows were checked.  Every entry is
-    # checked now, so a config's probe_size is read no more, like any other
-    # key a space does not read.
+    # checked now, so the key is retired, and refused like any other key a
+    # custom space does not know.
     values = [[[float(m == n), 0.0] for n in range(3)] for m in range(3)]
     for stale in (2, 2.9, "3", None):
-        sp = kb.space_from_json({"type": "custom", "values": values, "probe_size": stale})
-        assert sp == kb.CustomGram(np.eye(3)) and "probe_size" not in sp.to_json()
+        with pytest.raises(kb.ConfigError) as info:
+            kb.space_from_json(Field({"type": "custom", "values": values,
+                                      "probe_size": stale}, "space"))
+        assert str(info.value) == ("space.probe_size is not a key of a custom space; "
+                                   "known: gram, reproducibility, type, values")
+    assert kb.space_from_json({"type": "custom", "values": values}) == kb.CustomGram(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
