@@ -15,6 +15,7 @@ batch.  See README for config schemas and the bundled presets.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -73,88 +74,96 @@ def _report_name(cfg: Field) -> str:
 # ---------------------------------------------------------------------------
 
 def _build(space, Z, cfg, policy):
-    route = cfg.get("route", "determinant").string()
+    """The construction the config's route keys ask for, read now and run when called."""
+    field = cfg.get("route", "determinant")
+    route = field.string()
+    if route not in ("determinant", "solve", "oracle"):
+        raise field.error('"determinant", "solve" or "oracle"')
     if route == "oracle":
-        return _construct.oracle_result(
-            space, Z, M=cfg.get("oracle_degree", 400).number(int, "positive"))
-    return _construct.shapiro_shields(
-        space, Z, route=route, policy=policy,
-        taylor_degree=cfg.get("taylor_degree", 256).number(int, "non-negative"))
+        M = cfg.get("oracle_degree", 400).number(int, "positive")
+        return lambda: _construct.oracle_result(space, Z, M=M)
+    N = cfg.get("taylor_degree", 256).number(int, "non-negative")
+    return lambda: _construct.shapiro_shields(space, Z, route=route, policy=policy,
+                                              taylor_degree=N)
 
 
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
 
-# A task config holds only these keys, its task's own, and, for a task that
-# constructs, every route's keys, so that one config runs under each route.
+# Each task reads every value of its config and returns its run: a function
+# that builds and gives (ok, report body).  A task config holds only the keys
+# that _TASKS names, and, for a task that constructs, every route's keys, so
+# that one config runs under each route.
 _COMMON = ("name", "seed", "space")
 _ROUTE = ("route", "taylor_degree", "oracle_degree", "policy")
 
 
+def _checked(build, key, check):
+    """The run that builds, then checks the result by ``check``, whose report
+    goes under ``key``."""
+    def run():
+        result = build()
+        report = check(result)
+        return report.verdict, {"construction_route": result.route, key: report.to_json()}
+    return run
+
+
 def _task_construct(cfg, space):
-    cfg.only("a construct config", *_COMMON, *_ROUTE, "multiset")
-    Z = ReproducibleMultiset.from_json(cfg["multiset"])
-    result = _build(space, Z, cfg, _parse_policy(cfg))
-    return True, {"construction": result.to_json()}
+    build = _build(space, ReproducibleMultiset.from_json(cfg["multiset"]), cfg,
+                   _parse_policy(cfg))
+    return lambda: (True, {"construction": build().to_json()})
 
 
 def _task_verify(cfg, space):
-    cfg.only("a verify config", *_COMMON, *_ROUTE, "multiset", "K", "tolerance")
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
     policy = _parse_policy(cfg)
     K = cfg.get("K", 20).number(int, "positive")
     tol = cfg.get("tolerance", 1e-8).number(float, "positive")
-    result = _build(space, Z, cfg, policy)
-    report = _verify.inner_report(space, result, K=K, tol=tol)
-    return report.verdict, {"construction_route": result.route,
-                            "inner_report": report.to_json()}
+    return _checked(_build(space, Z, cfg, policy), "inner_report",
+                    lambda result: _verify.inner_report(space, result, K=K, tol=tol))
 
 
 def _task_zeros(cfg, space):
-    cfg.only("a zeros config", *_COMMON, *_ROUTE, "multiset", "radius", "tolerance", "scan")
     Z = ReproducibleMultiset.from_json(cfg["multiset"])
     policy = _parse_policy(cfg)
     radius = _verify.require_radius(cfg.get("radius", 0.99).number(float, "positive"))
     tol = cfg.get("tolerance", 1e-8).number(float, "positive")
     scan = cfg.get("scan", True).flag()
-    result = _build(space, Z, cfg, policy)
-    report = _verify.zero_report(space, result, Z, radius=radius, tol=tol, scan=scan,
-                                 policy=policy)
-    return report.verdict, {"construction_route": result.route,
-                            "zero_report": report.to_json()}
+    return _checked(_build(space, Z, cfg, policy), "zero_report",
+                    lambda result: _verify.zero_report(space, result, Z, radius=radius,
+                                                       tol=tol, scan=scan, policy=policy))
 
 
 def _task_subspace(cfg, space):
-    cfg.only("a subspace config", *_COMMON, "p", "q", "M", "tolerance", "expect")
     p = FactoredPoly.from_json(cfg["p"])
     q = FactoredPoly.from_json(cfg["q"])
     M = cfg.get("M", 400).number(int, "positive")
     tol = cfg.get("tolerance", 1e-8).number(float, "positive")
     expect = cfg["expect"].flag() if "expect" in cfg else None
-    equal, evidence = _verify.subspace_equal(space, p, q, M=M, tol=tol)
-    return expect is None or expect == equal, {"equal": equal, "evidence": evidence}
+
+    def run():
+        equal, evidence = _verify.subspace_equal(space, p, q, M=M, tol=tol)
+        return expect is None or expect == equal, {"equal": equal, "evidence": evidence}
+    return run
 
 
 def _task_extremal(cfg, space):
-    cfg.only("an extremal config", *_COMMON, *_ROUTE, "p", "M")
     p = FactoredPoly.from_json(cfg["p"])
     policy = _parse_policy(cfg)
     M = cfg.get("M", 400).number(int, "positive")
-    result = _build(space, reproducible_multiset(space, p), cfg, policy)
-    report = _verify.extremal_check(space, p, result, M=M)
-    return report.verdict, {"construction_route": result.route,
-                            "extremal_report": report.to_json()}
+    build = _build(space, reproducible_multiset(space, p), cfg, policy)
+    return _checked(build, "extremal_report",
+                    lambda result: _verify.extremal_check(space, p, result, M=M))
 
 
 def _task_oracle(cfg, space):
-    cfg.only("an oracle config", *_COMMON, "p", "d", "M")
     p = FactoredPoly.from_json(cfg["p"])
     M = cfg.get("M", 400).number(int, "positive")
     d = (cfg["d"].number(int, "non-negative") if "d" in cfg
          else reproducible_multiset(space, p).origin_multiplicity)
-    taylor = _construct.project_kernel_fd(space, p, d, M=M)
-    return True, {"d": d, "taylor": taylor.to_json()}
+    return lambda: (True, {"d": d, "taylor": _construct.project_kernel_fd(
+        space, p, d, M=M).to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +305,14 @@ def emit_circle_profile(B, samples: int, path: str) -> np.ndarray:
 # Runner
 # ---------------------------------------------------------------------------
 
+# Each task's reader, and the keys its config holds besides _COMMON.
 _TASKS = {
-    "construct": _task_construct,
-    "verify": _task_verify,
-    "zeros": _task_zeros,
-    "subspace": _task_subspace,
-    "extremal": _task_extremal,
-    "oracle": _task_oracle,
+    "construct": (_task_construct, (*_ROUTE, "multiset")),
+    "verify": (_task_verify, (*_ROUTE, "multiset", "K", "tolerance")),
+    "zeros": (_task_zeros, (*_ROUTE, "multiset", "radius", "tolerance", "scan")),
+    "subspace": (_task_subspace, ("p", "q", "M", "tolerance", "expect")),
+    "extremal": (_task_extremal, (*_ROUTE, "p", "M")),
+    "oracle": (_task_oracle, ("p", "d", "M")),
 }
 
 
@@ -314,62 +324,87 @@ def _config_echo(cfg: dict, space) -> dict:
     return dict(cfg, space=dict(cfg["space"], values=table_digest(space.table)))
 
 
-def run_experiment(task: str, cfg, out_dir: str, seed: int | None,
-                   quiet: bool = False) -> tuple[bool, str]:
-    """Run one experiment; returns (ok, report_path).  ``cfg`` is the config
-    object, or a ``jsonio.Field`` of it."""
+@contextlib.contextmanager
+def _argument_checks(task: str):
+    """The library's argument checks (a ValueError, e.g. M too small) raised
+    as a ConfigError naming ``task``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{task}: {exc}") from exc
+
+
+def _read_experiment(task: str, cfg, seed: int | None, outer: tuple = ()):
+    """Read and check every key and value of one experiment's config; returns
+    its run, a function of ``(out_dir, quiet)`` that builds, writes the report
+    and returns ``(ok, report_path)``.  ``outer`` names keys that the caller
+    read from the config and took out (a batch entry's ``task``)."""
     cfg = Field.of(cfg)
     # Any integer, negative ones included: the seed is only recorded.
     effective_seed = seed if seed is not None else cfg.get("seed", 0).number(int)
     if task == "preset":
-        name = cfg.only("a preset config", "preset", "seed", "name")["preset"]
+        name = cfg.only("a preset config", "preset", "seed", "name", *outer)["preset"]
         if name.value not in PRESET_NAMES:
             raise name.error(f"one of {', '.join(PRESET_NAMES)}")
-        ok, body = _PRESETS[name.value](out_dir)
-        label = f"preset-{name.value}"
-        echo = cfg.value
+        label, echo, preset = f"preset-{name.value}", cfg.value, _PRESETS[name.value]
     elif task in _TASKS:
         label = f"{task}-{_report_name(cfg)}"
-        try:
+        read, keys = _TASKS[task]
+        with _argument_checks(task):
             space = space_from_json(cfg["space"])
-            ok, body = _TASKS[task](cfg, space)
-        except ValueError as exc:  # the library's argument checks, e.g. M too small
-            raise ConfigError(f"{task}: {exc}") from exc
+            article = "an" if task[0] in "aeiou" else "a"
+            build = read(cfg.only(f"{article} {task} config", *_COMMON, *keys, *outer), space)
         echo = _config_echo(cfg.value, space)
     else:
         raise ConfigError(f"unknown task {task!r}")
-    report = {
-        "task": task,
-        "config": echo,
-        "seed": effective_seed,
-        "ok": ok,
-        "report": body,
-    }
-    path = os.path.join(out_dir, f"{label}.json")
-    atomic_write_text(path, dumps_canonical(report) + "\n")
-    if not quiet:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {label} -> {path}")
-    return ok, path
+
+    def run(out_dir: str, quiet: bool) -> tuple[bool, str]:
+        if task == "preset":
+            ok, body = preset(out_dir)
+        else:
+            with _argument_checks(task):
+                ok, body = build()
+        report = {
+            "task": task,
+            "config": echo,
+            "seed": effective_seed,
+            "ok": ok,
+            "report": body,
+        }
+        path = os.path.join(out_dir, f"{label}.json")
+        atomic_write_text(path, dumps_canonical(report) + "\n")
+        if not quiet:
+            status = "PASS" if ok else "FAIL"
+            print(f"[{status}] {label} -> {path}")
+        return ok, path
+    return run
+
+
+def run_experiment(task: str, cfg, out_dir: str, seed: int | None,
+                   quiet: bool = False) -> tuple[bool, str]:
+    """Run one experiment; returns (ok, report_path).  ``cfg`` is the config
+    object, or a ``jsonio.Field`` of it.  Every value is read before anything
+    is built."""
+    return _read_experiment(task, cfg, seed)(out_dir, quiet)
 
 
 def _run_batch(cfg: Field, out_dir: str, seed: int | None, quiet: bool) -> bool:
     """Run each entry of ``experiments``: a config object with a ``task``, or
-    the path of a config file that has one."""
+    the path of a config file that has one.  Every entry is read, and its file
+    loaded, before the first runs."""
     experiments = cfg.only("a batch file", "experiments")["experiments"]
     entries = experiments.items()
     if not entries:
         raise experiments.error("a nonempty list")
-    all_ok = True
+    runs = []
     for i, entry in enumerate(entries):
         if isinstance(entry.value, str):
             entry = Field(load_config(entry.value), entry.path)
         task = entry["task"].string()
         sub = {k: v for k, v in entry.value.items() if k != "task"}
         sub.setdefault("name", f"batch-{i}")
-        ok, _ = run_experiment(task, Field(sub, entry.path), out_dir, seed, quiet)
-        all_ok = all_ok and ok
-    return all_ok
+        runs.append(_read_experiment(task, Field(sub, entry.path), seed, outer=("task",)))
+    return all([run(out_dir, quiet)[0] for run in runs])  # a list: every entry runs
 
 
 def build_parser() -> argparse.ArgumentParser:

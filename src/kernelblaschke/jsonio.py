@@ -30,7 +30,6 @@ import math
 import numbers
 import os
 import reprlib
-import tempfile
 
 import numpy as np
 
@@ -211,9 +210,19 @@ def dumps_canonical(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a new temp file in its directory and
+    ``os.replace``.  The file gets the mode a plain ``open(path, "w")`` gives,
+    0o666 less the umask, where ``tempfile.mkstemp``'s would be 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)

@@ -225,12 +225,6 @@ class DiagonalSpace(SpaceSpec):
         """Weights w_0..w_upto: a read-only view of the served array."""
         return self._table(upto)[: upto + 1]
 
-    def weights_at(self, ks: np.ndarray) -> np.ndarray:
-        """Weights at the indices ks: a read-only view if they ascend by one, else a copy."""
-        if len(ks) and ks[-1] - ks[0] == len(ks) - 1 and (np.diff(ks) == 1).all():
-            return self.weights(int(ks[-1]))[ks[0]:]
-        return self._table(int(ks.max(initial=-1)))[ks]
-
     def monomial_inner(self, m: int, n: int) -> complex:
         return complex(self.weight(m)) if m == n else 0j
 

@@ -10,6 +10,8 @@ import pytest
 import kernelblaschke as kb
 from kernelblaschke import cli, jsonio, verify
 
+from mpref import run_cli
+
 
 def write_config(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -28,13 +30,11 @@ BASE_VERIFY = {
 # BASE_VERIFY trimmed to the keys of a construct and of a zeros config.
 BASE_CONSTRUCT = {k: v for k, v in BASE_VERIFY.items() if k not in ("K", "tolerance")}
 BASE_ZEROS = {k: v for k, v in BASE_VERIFY.items() if k != "K"}
+POLY = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
 
 
 def test_verify_task_and_exit_codes(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", BASE_VERIFY)
-    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r"),
-                   "--quiet"])
-    assert rc == 0
+    assert run_cli(tmp_path, "verify", BASE_VERIFY) == 0
     report = json.loads((tmp_path / "r" / "verify-h2-half.json").read_text())
     assert report["ok"] is True
     assert report["report"]["inner_report"]["verdict"] is True
@@ -42,9 +42,8 @@ def test_verify_task_and_exit_codes(tmp_path):
 
 
 def test_reports_byte_identical_across_runs(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", BASE_VERIFY)
-    cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"])
-    cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"])
+    run_cli(tmp_path, "verify", BASE_VERIFY, out="a")
+    run_cli(tmp_path, "verify", BASE_VERIFY, out="b")
     a = (tmp_path / "a" / "verify-h2-half.json").read_bytes()
     b = (tmp_path / "b" / "verify-h2-half.json").read_bytes()
     assert a == b
@@ -54,18 +53,17 @@ def test_extremal_seed_determinism(tmp_path):
     cfg_obj = {
         "name": "ext",
         "space": {"type": "dirichlet", "alpha": 0},
-        "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]},
+        "p": POLY,
         "M": 120,
         "taylor_degree": 200,
         "seed": 9,
     }
-    cfg = write_config(tmp_path / "cfg.json", cfg_obj)
-    cli.main(["extremal", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"])
-    cli.main(["extremal", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"])
+    run_cli(tmp_path, "extremal", cfg_obj, out="a")
+    run_cli(tmp_path, "extremal", cfg_obj, out="b")
     a = (tmp_path / "a" / "extremal-ext.json").read_bytes()
     assert a == (tmp_path / "b" / "extremal-ext.json").read_bytes()
     # The check draws nothing: a seed override moves the recorded seed only.
-    cli.main(["extremal", "--config", cfg, "--out", str(tmp_path / "c"),
+    cli.main(["extremal", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "c"),
               "--seed", "10", "--quiet"])
     c = json.loads((tmp_path / "c" / "extremal-ext.json").read_text())
     assert c["seed"] == 10
@@ -76,8 +74,7 @@ def test_extremal_seed_determinism(tmp_path):
 def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsys):
     # int() truncated these: taylor_degree 30.9 ran at degree 30 and K true as
     # K = 1, exit 0; float() read true as 1.0, and JSON's NaN passed every check.
-    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
-    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": POLY, "M": 60}
     for task, cfg, field in (
             ("verify", dict(BASE_VERIFY, taylor_degree=30.9), "taylor_degree"),
             ("verify", dict(BASE_VERIFY, K=True), "K"),
@@ -130,26 +127,22 @@ def test_numeric_fields_refuse_booleans_fractions_and_non_finite(tmp_path, capsy
             ("verify", dict(BASE_VERIFY, seed="abc"), "seed"),
             # pair_complex and the one-step table parse read true as 1.0 in a
             # complex value (exit 0).
-            ("oracle", dict(extremal, p=dict(poly, leading=[True, 0])), "p.leading"),
-            ("oracle", dict(extremal, p=dict(poly, leading=True)), "p.leading"),
+            ("oracle", dict(extremal, p=dict(POLY, leading=[True, 0])), "p.leading"),
+            ("oracle", dict(extremal, p=dict(POLY, leading=True)), "p.leading"),
             ("oracle", dict(extremal, M=11, space={
                 "type": "custom",
                 "values": [[[True if i == j == 0 else float(i == j), 0]
                             for j in range(12)] for i in range(12)],
                 "reproducibility": [{"point": [0.5, 0], "order": "infinite"}]}),
              "space.values[0][0][0]")):
-        path = write_config(tmp_path / "num.json", cfg)
-        rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
-        assert rc == 2, (task, cfg)
+        assert run_cli(tmp_path, task, cfg) == 2, (task, cfg)
         assert capsys.readouterr().err.startswith(f"config error: {field} must be"), (task, cfg)
     # An integral float is that integer; a negative seed is accepted (it is
     # only recorded).
     whole = dict(name="whole", taylor_degree=300.0, seed=-3.0)
     for task, cfg in (("verify", dict(BASE_VERIFY, K=10.0, **whole)),
                       ("construct", dict(BASE_CONSTRUCT, **whole))):
-        path = write_config(tmp_path / "whole.json", cfg)
-        assert cli.main([task, "--config", path, "--out", str(tmp_path / "w"),
-                         "--quiet"]) == 0
+        assert run_cli(tmp_path, task, cfg, out="w") == 0
     report = json.loads((tmp_path / "w" / "verify-whole.json").read_text())
     assert report["report"]["inner_report"]["K"] == 10 and report["seed"] == -3
     report = json.loads((tmp_path / "w" / "construct-whole.json").read_text())
@@ -162,10 +155,7 @@ def test_failing_verdict_gives_exit_one(tmp_path):
                              "points": [{"point": [0.5, 0.0], "mult": 1}]},
                    tolerance=1e-30)
     # Tolerance 1e-30 is below double-precision resolution of the residuals.
-    cfg = write_config(tmp_path / "cfg.json", cfg_obj)
-    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r"),
-                   "--quiet"])
-    assert rc == 1
+    assert run_cli(tmp_path, "verify", cfg_obj) == 1
 
 
 @pytest.fixture
@@ -184,9 +174,7 @@ def builds(monkeypatch):
 
 
 def test_a_radius_outside_the_disk_is_refused_before_any_construction(tmp_path, builds):
-    cfg = write_config(tmp_path / "zeros.json", dict(BASE_ZEROS, radius=1.5))
-    rc = cli.main(["zeros", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
-    assert rc == 2
+    assert run_cli(tmp_path, "zeros", dict(BASE_ZEROS, radius=1.5)) == 2
     with pytest.raises(ValueError, match="radius must lie in"):
         kb.extraneous_zero_scan(kb.bergman_space(), radius=1.5)
     assert builds == []
@@ -204,17 +192,16 @@ def test_every_value_is_read_before_any_construction(tmp_path, capsys, builds, m
         return project(*args, **kwargs)
 
     monkeypatch.setattr(verify, "subspace_equal", counted)
-    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
     long = {"taylor_degree": 200_000}
     for task, cfg, field in (
             ("verify", dict(BASE_VERIFY, K=0, **long), "K"),
             ("verify", dict(BASE_VERIFY, tolerance=-1, **long), "tolerance"),
             ("zeros", dict(BASE_ZEROS, tolerance=-1, **long), "tolerance"),
             ("zeros", dict(BASE_ZEROS, scan="no", **long), "scan"),
-            ("extremal", {"space": BASE_VERIFY["space"], "p": poly, "M": 0, **long}, "M"),
-            ("subspace", {"space": BASE_VERIFY["space"], "p": poly, "q": poly,
+            ("extremal", {"space": BASE_VERIFY["space"], "p": POLY, "M": 0, **long}, "M"),
+            ("subspace", {"space": BASE_VERIFY["space"], "p": POLY, "q": POLY,
                           "expect": "yes"}, "expect")):
-        assert _cli_exit(tmp_path, task, cfg) == 2, (task, field)
+        assert run_cli(tmp_path, task, cfg) == 2, (task, field)
         assert capsys.readouterr().err.startswith(f"config error: {field} must be")
     assert builds == [] and projections == []
     # The oracle's d defaults to the origin multiplicity of p's reproducible
@@ -222,9 +209,9 @@ def test_every_value_is_read_before_any_construction(tmp_path, capsys, builds, m
     multisets = []
     monkeypatch.setattr(cli, "reproducible_multiset",
                         lambda *args: multisets.append(args) or kb.reproducible_multiset(*args))
-    oracle = {"name": "o", "space": BASE_VERIFY["space"], "p": poly, "M": 20}
-    assert _cli_exit(tmp_path, "oracle", dict(oracle, d=0)) == 0 and multisets == []
-    assert _cli_exit(tmp_path, "oracle", oracle) == 0 and len(multisets) == 1
+    oracle = {"name": "o", "space": BASE_VERIFY["space"], "p": POLY, "M": 20}
+    assert run_cli(tmp_path, "oracle", dict(oracle, d=0)) == 0 and multisets == []
+    assert run_cli(tmp_path, "oracle", oracle) == 0 and len(multisets) == 1
 
 
 def test_config_error_diagnostics(tmp_path, capsys):
@@ -233,11 +220,7 @@ def test_config_error_diagnostics(tmp_path, capsys):
     rc = cli.main(["verify", "--config", str(bad), "--out", str(tmp_path / "r"),
                    "--quiet"])
     assert rc == 2
-    missing = write_config(tmp_path / "missing.json",
-                           {"space": {"type": "dirichlet", "alpha": 0}})
-    rc = cli.main(["verify", "--config", missing, "--out", str(tmp_path / "r"),
-                   "--quiet"])
-    assert rc == 2
+    assert run_cli(tmp_path, "verify", {"space": {"type": "dirichlet", "alpha": 0}}) == 2
     rc = cli.main(["verify", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 2
@@ -245,10 +228,9 @@ def test_config_error_diagnostics(tmp_path, capsys):
     # Integer fields are validated before they reach the library, and a value
     # the library rejects for this polynomial (M or oracle_degree too small
     # for deg p, a negative derivative order d) is a config error too.
-    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
     cubic = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1},
                                           {"point": [0, 0.3], "mult": 2}]}
-    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    extremal = {"space": {"type": "dirichlet", "alpha": 0}, "p": POLY, "M": 60}
     for task, cfg, message in (
             ("extremal", dict(extremal, M=-3), "M must be"),
             ("oracle", dict(extremal, M="abc"), "M must be"),
@@ -285,7 +267,7 @@ def test_config_error_diagnostics(tmp_path, capsys):
             ("zeros", dict(BASE_ZEROS, scan="no"), "scan must be"),
             ("zeros", dict(BASE_ZEROS, radius=1.5), "zeros: radius must lie in (0, 1)"),
             ("zeros", dict(BASE_ZEROS, scan=0), "scan must be"),
-            ("subspace", dict(extremal, q=poly, expect="no"), "expect must be"),
+            ("subspace", dict(extremal, q=POLY, expect="no"), "expect must be"),
             # A field or a whole config that is not an object.
             ("verify", dict(BASE_VERIFY, multiset=[1, 2]), "multiset must be an object"),
             ("verify", dict(BASE_VERIFY, space=[1]), "space must be an object"),
@@ -295,31 +277,22 @@ def test_config_error_diagnostics(tmp_path, capsys):
             ("extremal", dict(extremal, samples=0), "samples is not a key of an extremal config"),
             ("extremal", dict(extremal, samples=10_000),
              "samples is not a key of an extremal config")):
-        path = write_config(tmp_path / "int.json", cfg)
-        rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
-                       "--quiet"])
-        assert rc == 2, (task, cfg)
+        assert run_cli(tmp_path, task, cfg) == 2, (task, cfg)
         assert capsys.readouterr().err.startswith(f"config error: {message}"), (task, cfg)
 
 
 def test_short_weight_table_exits_two(tmp_path, capsys):
     values = [(k + 1.0) ** 2 for k in range(64)]
-    cfg = write_config(tmp_path / "cfg.json", dict(
-        BASE_CONSTRUCT, space={"type": "weights", "rule": "table", "values": values}))
-    rc = cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "r"),
-                   "--quiet"])
-    assert rc == 2
+    assert run_cli(tmp_path, "construct", dict(
+        BASE_CONSTRUCT, space={"type": "weights", "rule": "table", "values": values})) == 2
     assert "ToleranceUnreachable" in capsys.readouterr().err
 
 
 def test_one_weight_table_exits_two(tmp_path, capsys):
     # The positivity probe read w_1 and w_2 of any table: a bare IndexError.
     assert kb.WeightedHardy((1.0,)).weight(0) == 1.0
-    cfg = write_config(tmp_path / "cfg.json", dict(
-        BASE_VERIFY, space={"type": "weights", "rule": "table", "values": [1.0]}))
-    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r"),
-                   "--quiet"])
-    assert rc == 2
+    assert run_cli(tmp_path, "verify", dict(
+        BASE_VERIFY, space={"type": "weights", "rule": "table", "values": [1.0]})) == 2
     assert "error [ToleranceUnreachable]" in capsys.readouterr().err
 
 
@@ -331,11 +304,9 @@ def _custom_4x4():
 
 
 def test_short_custom_table_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", {
+    assert run_cli(tmp_path, "oracle", {
         "name": "cg", "space": _custom_4x4(), "M": 40,
-        "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}})
-    rc = cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
-    assert rc == 2
+        "p": POLY}) == 2
     err = capsys.readouterr().err
     assert "error [ToleranceUnreachable]" in err and "at least 41" in err
 
@@ -348,53 +319,44 @@ def test_custom_table_checked_past_the_first_rows_exits_two(tmp_path, capsys):
         space = dict(_custom_4x4(), values=[[[float(i == j), 0.0] for j in range(41)]
                                             for i in range(41)])
         space["values"][m][n] = [value, 0.0]
-        cfg = write_config(tmp_path / "cfg.json", {
+        assert run_cli(tmp_path, "oracle", {
             "name": "cg", "space": space, "M": 40,
-            "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}})
-        rc = cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
-        assert rc == 2, (m, n)
+            "p": POLY}) == 2, (m, n)
         assert capsys.readouterr().err.startswith("config error: oracle: gram rule is not")
 
 
 def test_kernel_route_on_a_non_diagonal_space_exits_two(tmp_path, capsys):
     # The default route needs kernel pairings; it raised a bare TypeError.
-    p = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
     multiset = {"origin": 0, "points": [{"point": [0.5, 0.0], "mult": 1}]}
     for space in (_custom_4x4(), {"type": "local_dirichlet", "zeta": [1.0, 0.0]}):
-        for task, cfg in (("extremal", {"p": p, "M": 3}),
+        for task, cfg in (("extremal", {"p": POLY, "M": 3}),
                           ("verify", {"multiset": multiset}),
                           ("construct", {"multiset": multiset})):
-            path = write_config(tmp_path / "cfg.json", dict(cfg, name="k", space=space))
-            rc = cli.main([task, "--config", path, "--out", str(tmp_path / "r"),
-                           "--quiet"])
-            assert rc == 2, (task, space["type"])
+            assert run_cli(tmp_path, task, dict(cfg, name="k", space=space)) == 2, (task, space)
             err = capsys.readouterr().err
             assert "error [UnsupportedRoute]" in err and 'route: "oracle"' in err
 
 
 def test_construct_zeros_subspace_oracle_tasks(tmp_path):
-    out = str(tmp_path / "r")
-    cfg = write_config(tmp_path / "c1.json", {
+    assert run_cli(tmp_path, "construct", {
         "name": "c",
         "space": {"type": "dirichlet", "alpha": -1},
         "multiset": {"origin": 1, "points": [{"point": [0.4, 0.1], "mult": 1}]},
         "taylor_degree": 200,
-    })
-    assert cli.main(["construct", "--config", cfg, "--out", out, "--quiet"]) == 0
+    }) == 0
     report = json.loads((tmp_path / "r" / "construct-c.json").read_text())
     assert report["report"]["construction"]["route"] == "determinant"
 
-    cfg = write_config(tmp_path / "c2.json", {
+    assert run_cli(tmp_path, "zeros", {
         "name": "z",
         "space": {"type": "dirichlet", "alpha": 0},
         "multiset": {"origin": 0, "points": [{"point": [0.5, 0.0], "mult": 1}]},
         "taylor_degree": 400,
         "radius": 0.99,
         "tolerance": 1e-8,
-    })
-    assert cli.main(["zeros", "--config", cfg, "--out", out, "--quiet"]) == 0
+    }) == 0
 
-    cfg = write_config(tmp_path / "c3.json", {
+    assert run_cli(tmp_path, "subspace", {
         "name": "s",
         "space": {"type": "dirichlet", "alpha": 0},
         "p": {"leading": [1, 0], "roots": [{"point": [0, 0], "mult": 1},
@@ -402,19 +364,17 @@ def test_construct_zeros_subspace_oracle_tasks(tmp_path):
         "q": {"leading": [1, 0], "roots": [{"point": [0, 0], "mult": 1}]},
         "M": 300,
         "expect": True,
-    })
-    assert cli.main(["subspace", "--config", cfg, "--out", out, "--quiet"]) == 0
+    }) == 0
     report = json.loads((tmp_path / "r" / "subspace-s.json").read_text())
     assert report["report"]["equal"] is True
 
-    cfg = write_config(tmp_path / "c4.json", {
+    assert run_cli(tmp_path, "oracle", {
         "name": "o",
         "space": {"type": "dirichlet", "alpha": 0},
-        "p": {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]},
+        "p": POLY,
         "d": 0,
         "M": 200,
-    })
-    assert cli.main(["oracle", "--config", cfg, "--out", out, "--quiet"]) == 0
+    }) == 0
     report = json.loads((tmp_path / "r" / "oracle-o.json").read_text())
     coeffs = [complex(re, im) for re, im in report["report"]["taylor"]["coeffs"]]
     assert coeffs[0] == pytest.approx(1.0)
@@ -422,16 +382,45 @@ def test_construct_zeros_subspace_oracle_tasks(tmp_path):
 
 
 def test_batch_runs_all_and_aggregates(tmp_path):
-    out = str(tmp_path / "r")
-    batch = write_config(tmp_path / "batch.json", {
-        "experiments": [
-            dict(BASE_VERIFY, task="verify", name="one"),
-            {"task": "preset", "preset": "paper-Rf-example"},
-        ]
-    })
-    assert cli.main(["batch", "--config", batch, "--out", out, "--quiet"]) == 0
+    assert run_cli(tmp_path, "batch", {"experiments": [
+        dict(BASE_VERIFY, task="verify", name="one"),
+        {"task": "preset", "preset": "paper-Rf-example"}]}) == 0
     assert (tmp_path / "r" / "verify-one.json").exists()
     assert (tmp_path / "r" / "preset-paper-Rf-example.json").exists()
+
+
+def test_a_batch_reads_every_entry_before_the_first_runs(tmp_path, capsys, builds):
+    # Entry by entry, the construction at degree 200000 ran and wrote its 2 MB
+    # report before the second entry's misspelled key exited 2, and the
+    # message left out the entry's task.
+    construct = dict(BASE_CONSTRUCT, task="construct", name="first", taylor_degree=200_000)
+    missing = str(tmp_path / "missing.json")
+    for second, message in (
+            (dict(BASE_VERIFY, task="verify", tolerence=1e-8), "experiments[1].tolerence is "
+             "not a key of a verify config; known: K, multiset, name, oracle_degree, policy, "
+             "route, seed, space, task, taylor_degree, tolerance"),
+            (missing, f"config file not found: {missing}"),
+            # The route was checked only as the construction started.
+            (dict(construct, route="solv"),
+             'experiments[1].route must be "determinant", "solve" or "oracle", got \'solv\'')):
+        assert run_cli(tmp_path, "batch", {"experiments": [construct, second]}) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    # A config run by its own subcommand has no task key.
+    assert run_cli(tmp_path, "construct", construct) == 2
+    assert capsys.readouterr().err.startswith("config error: task is not a key of a construct")
+    assert builds == [] and not (tmp_path / "r").exists()
+
+
+def test_reports_take_the_mode_of_a_plain_open(tmp_path):
+    # mkstemp created every report and CSV owner-only (0o600), and os.replace
+    # kept it; open(path, "w") gives 0o666 less the umask.
+    out = tmp_path / "r"
+    assert cli.main(["preset", "h2-blaschke-match", "--out", str(out), "--quiet"]) == 0
+    open(out / "plain.txt", "w").close()
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}  # no temp file left
+    assert modes == dict.fromkeys(
+        ("h2-blaschke-circle.csv", "plain.txt", "preset-h2-blaschke-match.json"),
+        modes["plain.txt"])
 
 
 def test_preset_rf_example(tmp_path):
@@ -501,16 +490,10 @@ def test_unknown_preset_rejected(tmp_path):
         cli.main(["preset", "nope", "--out", str(tmp_path)])
 
 
-def _cli_exit(tmp_path, task, cfg):
-    path = write_config(tmp_path / "cfg.json", cfg)
-    return cli.main([task, "--config", path, "--out", str(tmp_path / "r"), "--quiet"])
-
-
 def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
     # json_number converted by kind(value) and pair_complex by float(): each of
     # these ran on the number its string spells and exited 0.
-    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
-    oracle = {"space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
+    oracle = {"space": {"type": "dirichlet", "alpha": 0}, "p": POLY, "M": 60}
     point = {"origin": 0, "points": [{"point": [0.5, 0.0], "mult": 1}]}
     cg = _custom_4x4()
     weights = {"type": "weights", "rule": "table",
@@ -531,10 +514,10 @@ def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
             ("verify", dict(BASE_VERIFY, multiset={
                 "origin": 0, "points": [{"point": [0.5, "0"], "mult": 1}]})),
             ("zeros", dict(BASE_ZEROS, radius="0.99")),
-            ("subspace", dict(oracle, q=poly, M="300")),
+            ("subspace", dict(oracle, q=POLY, M="300")),
             ("oracle", dict(oracle, d="0")),
-            ("oracle", dict(oracle, p=dict(poly, leading=["1", "0"]))),
-            ("oracle", dict(oracle, p=dict(poly, roots=[{"point": [0.5, 0], "mult": "1"}]))),
+            ("oracle", dict(oracle, p=dict(POLY, leading=["1", "0"]))),
+            ("oracle", dict(oracle, p=dict(POLY, roots=[{"point": [0.5, 0], "mult": "1"}]))),
             ("oracle", dict(oracle, space={"type": "local_dirichlet", "zeta": ["1", "0"]})),
             ("oracle", dict(oracle, M=3, space=dict(cg, values=[
                 [["1", "0"]] + row[1:] if m == 0 else row
@@ -543,7 +526,7 @@ def test_numbers_written_as_strings_exit_two(tmp_path, capsys):
                 {"point": ["0.5", "0"], "order": "infinite"}]))),
             ("oracle", dict(oracle, M=3, space=dict(cg, reproducibility=[
                 {"point": [0.5, 0], "order": "2"}])))):
-        assert _cli_exit(tmp_path, task, cfg) == 2, (task, cfg)
+        assert run_cli(tmp_path, task, cfg) == 2, (task, cfg)
         assert capsys.readouterr().err.startswith("config error"), (task, cfg)
 
 
@@ -559,7 +542,7 @@ def test_weight_table_entries_read_as_json_numbers(tmp_path, capsys):
         table = list(values)
         table[index] = bad
         space = {"type": "weights", "rule": "table", "values": table}
-        assert _cli_exit(tmp_path, "verify", dict(BASE_VERIFY, space=space)) == 2, bad
+        assert run_cli(tmp_path, "verify", dict(BASE_VERIFY, space=space)) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"space.values[{index}]" in err, bad
     assert kb.space_from_json({"type": "weights", "rule": "table",
@@ -707,9 +690,8 @@ def test_malformed_objects_name_their_path(tmp_path, capsys):
     # (or the reverse) and a scalar of the wrong type, exits 2 naming the
     # field; before one reader several of these ended in Python's own text
     # ("'alpha'", "list indices must be integers or slices, not str").
-    poly = {"leading": [1, 0], "roots": [{"point": [0.5, 0], "mult": 1}]}
-    oracle = {"name": "o", "space": {"type": "dirichlet", "alpha": 0}, "p": poly, "M": 60}
-    subspace = dict(oracle, q=poly)
+    oracle = {"name": "o", "space": {"type": "dirichlet", "alpha": 0}, "p": POLY, "M": 60}
+    subspace = dict(oracle, q=POLY)
     weights = dict(BASE_VERIFY, space={"type": "weights", "rule": "table",
                                        "values": [(k + 1.0) ** 0.5 for k in range(1024)]})
     local = dict(oracle, space={"type": "local_dirichlet", "zeta": [1.0, 0.0]})
@@ -753,7 +735,7 @@ def test_malformed_objects_name_their_path(tmp_path, capsys):
          "p.roots must be a list"),
         ("oracle", oracle, ("p", "roots", 0, "mult"), "1", "p.roots[0].mult must be"),
         ("subspace", subspace, ("q",), _DELETE, "missing required field q"),
-        ("subspace", subspace, ("q",), [poly], "q must be an object"),
+        ("subspace", subspace, ("q",), [POLY], "q must be an object"),
         ("subspace", subspace, ("q", "leading"), True, "q.leading must be"),
         # policy
         ("verify", BASE_VERIFY, ("policy",), {"max_term": 100},
@@ -763,5 +745,5 @@ def test_malformed_objects_name_their_path(tmp_path, capsys):
          "policy.max_terms must be a positive integer"),
     )
     for task, cfg, path, value, message in cases:
-        assert _cli_exit(tmp_path, task, _replace(cfg, path, value)) == 2, (task, path, value)
+        assert run_cli(tmp_path, task, _replace(cfg, path, value)) == 2, (task, path, value)
         assert capsys.readouterr().err.startswith(f"config error: {message}"), (task, path)

@@ -11,6 +11,8 @@ import kernelblaschke as kb
 from kernelblaschke import cli
 from kernelblaschke.jsonio import Field
 
+from mpref import run_cli
+
 POLY = {"leading": [1.0, 0.0], "roots": [{"point": [0.5, 0.0], "mult": 1}]}
 SPACES = {
     "dirichlet": {"type": "dirichlet", "alpha": 0},
@@ -79,17 +81,11 @@ def _dotted(path):
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
 
 
-def _run(tmp_path, command, cfg):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "r"), "--quiet"])
-
-
 def test_every_base_config_runs(tmp_path, capsys):
     # The fuzz below starts from these: each reads whole and runs to a verdict.
     for task in TASKS:
         for space in SPACES:
-            assert _run(tmp_path, task, _config(task, space)) in (0, 1), (task, space)
+            assert run_cli(tmp_path, task, _config(task, space)) in (0, 1), (task, space)
             assert capsys.readouterr().err == "", (task, space)
 
 
@@ -141,7 +137,7 @@ MISSPELLED = (
 def test_a_misspelled_key_at_each_level_exits_two(tmp_path, capsys):
     for task, space, path, key, what, known in MISSPELLED:
         cfg = _inserted(_config(task, space), path, key)
-        assert _run(tmp_path, task, cfg) == 2, (task, path, key)
+        assert run_cli(tmp_path, task, cfg) == 2, (task, path, key)
         assert capsys.readouterr().err == (
             f"config error: {_dotted(path + (key,))} is not a key of {what}; "
             f"known: {known}\n"), (task, path, key)
@@ -151,13 +147,15 @@ def test_a_misspelled_key_at_each_level_exits_two(tmp_path, capsys):
     for batch, message in (
             (_batch(entry, seed=3), "seed is not a key of a batch file; known: experiments"),
             (_batch(dict(entry, K=5)),
-             f"experiments[0].K is not a key of a construct config; known: {_CONSTRUCT}"),
+             "experiments[0].K is not a key of a construct config; known: multiset, name, "
+             "oracle_degree, policy, route, seed, space, task, taylor_degree"),
             (_batch(dict(preset, sed=1)),
-             "experiments[0].sed is not a key of a preset config; known: name, preset, seed")):
-        assert _run(tmp_path, "batch", batch) == 2, batch
+             "experiments[0].sed is not a key of a preset config; known: name, preset, seed, "
+             "task")):
+        assert run_cli(tmp_path, "batch", batch) == 2, batch
         assert capsys.readouterr().err == f"config error: {message}\n"
-    assert _run(tmp_path, "batch", _batch(entry)) == 0
-    assert _run(tmp_path, "batch", _batch(dict(preset, seed=3))) == 0
+    assert run_cli(tmp_path, "batch", _batch(entry)) == 0
+    assert run_cli(tmp_path, "batch", _batch(dict(preset, seed=3))) == 0
 
 
 def test_custom_gram_other_than_a_table_exits_two(tmp_path, capsys):
@@ -166,10 +164,10 @@ def test_custom_gram_other_than_a_table_exits_two(tmp_path, capsys):
     cfg = _config("oracle", "custom")
     for gram in ("rule", None, ["table"]):
         cfg["space"]["gram"] = gram
-        assert _run(tmp_path, "oracle", cfg) == 2, gram
+        assert run_cli(tmp_path, "oracle", cfg) == 2, gram
         assert capsys.readouterr().err.startswith('config error: space.gram must be "table"')
     del cfg["space"]["gram"]
-    assert _run(tmp_path, "oracle", cfg) == 0
+    assert run_cli(tmp_path, "oracle", cfg) == 0
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
@@ -181,7 +179,7 @@ def test_an_unknown_key_anywhere_exits_two_naming_it(tmp_path, capsys, task, spa
     key = data.draw(st.sampled_from(EVERY_KEY) | st.text(max_size=6), label="key")
     assume(key not in _known(cfg, task, path))
     value = data.draw(st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=3))
-    assert _run(tmp_path, task, _inserted(cfg, path, key, value)) == 2
+    assert run_cli(tmp_path, task, _inserted(cfg, path, key, value)) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: {_dotted(path + (key,))} is not a key of ")
 

@@ -10,14 +10,7 @@ import kernelblaschke as kb
 from kernelblaschke import construct, kernels
 from kernelblaschke.construct import multiset_kernel_terms, pairing_gram
 
-H2 = kb.hardy_space()
-A2 = kb.bergman_space()
-D1 = kb.dirichlet_space()
-D4 = kb.DirichletType(4.0)
-
-
-def Z_of(*entries, origin=0):
-    return kb.ReproducibleMultiset(origin, tuple((complex(p), m) for p, m in entries))
+from mpref import A2, D1, D4, H2, Z_of, sample_multiset
 
 
 def blaschke_factor_taylor(beta, N):
@@ -69,36 +62,6 @@ def test_combo_supported_on_multiset_points():
     support = {t.point for t, c in r.combo.terms if c != 0}
     assert support == {0j, 0.5 + 0j, -0.3 + 0.2j, 0.1 - 0.4j}
     assert all(t.order == 0 for t, _ in r.combo.terms)
-
-
-def sample_multiset(rng, max_points=4, max_total=5, rlo=0.45, rhi=0.72, sep=0.52):
-    """Seeded admissible multisets kept away from degenerate configurations.
-
-    Moduli, separations and the single-double-point cap keep the kernel Gram
-    well conditioned so the literal cofactor route retains full precision.
-    """
-    while True:
-        npts = int(rng.integers(1, max_points + 1))
-        pts, mults = [], []
-        tries = 0
-        double_used = False
-        while len(pts) < npts and tries < 400:
-            tries += 1
-            r = rng.uniform(rlo, rhi)
-            th = rng.uniform(0, 2 * math.pi)
-            c = r * np.exp(1j * th)
-            if all(abs(c - q) > sep for q in pts):
-                pts.append(complex(c))
-                m = int(rng.integers(1, 3))
-                if m == 2 and double_used:
-                    m = 1
-                double_used = double_used or m == 2
-                mults.append(m)
-        if len(pts) < npts:
-            continue
-        m0 = int(rng.integers(0, 3))
-        if m0 + sum(mults) <= max_total:
-            return kb.ReproducibleMultiset(m0, tuple(zip(pts, mults)))
 
 
 def test_routes_agree_on_random_multisets():

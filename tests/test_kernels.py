@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,17 +14,11 @@ from kernelblaschke import jsonio
 from kernelblaschke.jsonio import dumps_canonical
 from kernelblaschke.kernels import DEFAULT_POLICY
 
-H2 = kb.hardy_space()
-A2 = kb.bergman_space()
-D1 = kb.dirichlet_space()
-D4 = kb.DirichletType(4.0)
+from mpref import A2, D1, D4, H2, K, functional
+
 # Callable-rule twins of H2 and A2: same weights, generic diagonal path.
 H2_W = kb.WeightedHardy(lambda k: 1.0)
 A2_W = kb.WeightedHardy(lambda k: 1.0 / (k + 1))
-
-
-def K(point, order=0):
-    return kb.KernelTerm(point, order)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,6 @@ _POWER_NS = (0, 1, 2, 3, 7, 98, 99, 100, 101, 102, 257, 4096, 65535, 65536,
 def test_powers_and_derivative_functional_against_mpmath():
     # exp(n log t) from n = 100 on: relative error about 2 n |log t| u, held
     # to 8 n eps; a value that underflows is held to the smallest normal.
-    mpmath = pytest.importorskip("mpmath")
     ns = np.array(_POWER_NS)
     with mpmath.workdps(40):
         for t in _POWER_POINTS:
@@ -209,7 +203,7 @@ def test_powers_and_derivative_functional_against_mpmath():
             for order in range(3):
                 v = kb.kernels.derivative_functional(t, order, _POWER_NS[-1])
                 for n in _POWER_NS:
-                    ref = mpmath.ff(n, order) * mpmath.mpc(t) ** (n - order) if n >= order else 0
+                    ref = functional(t, order, n)
                     bound = (8 * n + 16) * _EPS * abs(ref) + _TINY
                     assert abs(mpmath.mpc(v[n]) - ref) <= bound, (t, order, n)
 
@@ -246,7 +240,6 @@ def test_combo_taylor_blocks_match_unblocked_and_mpmath(block, monkeypatch):
     # N = 3 blocks + 17: the orders 3 and 4 straddle the edges of the small
     # blocks, n = 100 (where the powers switch to exp(n log t)) falls inside
     # one of 64, and the full-size case crosses its three edges.
-    mpmath = pytest.importorskip("mpmath")
     if block is not None:
         monkeypatch.setattr(kb.kernels, "TAYLOR_BLOCK", block)
     block = kb.kernels.TAYLOR_BLOCK
@@ -271,9 +264,8 @@ def test_combo_taylor_blocks_match_unblocked_and_mpmath(block, monkeypatch):
         with mpmath.workdps(30):
             for n in samples:
                 exact = mpmath.fsum(
-                    mpmath.mpc(coef) * mpmath.ff(n, t.order)
-                    * mpmath.conj(mpmath.mpc(t.point)) ** (n - t.order) / mpmath.mpf(w[n])
-                    for t, coef in combo.terms if n >= t.order)
+                    mpmath.mpc(coef) * functional(mpmath.conj(mpmath.mpc(t.point)), t.order, n)
+                    / mpmath.mpf(w[n]) for t, coef in combo.terms)
                 bound = (8 * n + 64) * _EPS * size[n] + _TINY
                 assert abs(mpmath.mpc(series.coefficients[n]) - exact) <= bound, (space, n)
 

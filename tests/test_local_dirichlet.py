@@ -6,13 +6,15 @@ import cmath
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import kernelblaschke as kb
 from kernelblaschke import construct, spaces
 from kernelblaschke.kernels import derivative_functional
-from test_shift_span import _dense
+
+import mpref
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -21,14 +23,6 @@ ZETA = complex(math.cos(2.9), math.sin(2.9))
 LD = kb.LocalDirichlet(ZETA)
 P_OFF = kb.FactoredPoly(0.7 - 0.2j, ((0.3 - 0.4j, 1), (-0.6 + 0.1j, 2), (1.7j, 1)))
 P_ON = kb.FactoredPoly(1.0, ((ZETA, 1), (0.4 - 0.3j, 1), (0j, 1), (2.2 + 1j, 1)))
-
-
-def _rows(p, M):
-    pc = p.coefficients()
-    rows = np.zeros((M - p.degree + 1, M + 1), dtype=complex)
-    for j in range(len(rows)):
-        rows[j, j: j + len(pc)] = pc
-    return rows
 
 
 def _complex(rng, shape):
@@ -70,13 +64,13 @@ def test_span_gram_matches_the_dense_product(p, M):
     if M < p.degree:
         pytest.skip("empty span")
     span = construct.shift_span(LD, p, M)
-    rows = _rows(p, M)
+    rows = mpref.shift_rows(p, M)
     dense = rows @ LD.gram(M) @ rows.conj().T
     if p is P_ON:
         # p(zeta) = 0: the lower band |i - j| <= deg p, and nothing past it.
         assert span.banded
         assert span.gram.shape == (min(p.degree, len(rows) - 1) + 1, len(rows))
-        gram = _dense(span.gram)
+        gram = mpref.dense(span.gram)
     else:
         assert not span.banded and span.gram.shape == dense.shape
         gram = span.gram
@@ -94,7 +88,7 @@ def test_a_root_off_zeta_keeps_the_dense_layout():
         near = kb.FactoredPoly(1.0, ((root, 1), (0.4 - 0.3j, 1), (2.2 + 1j, 1)))
         span = construct.shift_span(LD, near, M)
         assert not span.banded and span.gram.shape == (span.count, span.count)
-        rows = _rows(near, M)
+        rows = mpref.shift_rows(near, M)
         dense = rows @ LD.gram(M) @ rows.conj().T
         assert np.max(np.abs(span.gram - dense)) <= 1e-12 * np.max(np.abs(dense))
     on = kb.FactoredPoly(1.0, ((ZETA, 1), (0.4 - 0.3j, 1), (2.2 + 1j, 1)))
@@ -105,24 +99,13 @@ def test_dense_span_gram_against_mpmath():
     """p(zeta) != 0: every entry within a few units of roundoff of max |S| of
     the 40-digit closed form at the unimodular point nearest the stored zeta.
     Formed in double precision, S was 4.1 units off here; it is 1.6."""
-    mpmath = pytest.importorskip("mpmath")
     M = 40
     span = construct.shift_span(LD, P_OFF, M)
     assert not span.banded
-    ref = np.empty_like(span.gram)
     with mpmath.workdps(40):
         z = mpmath.mpc(LD.zeta)
-        z /= abs(z)
-        zpow = {e: z ** e for e in range(-M, M + 1)}
-        pc = [mpmath.mpc(c) for c in P_OFF.coefficients()]
-        terms = [(m, k, pc[m] * mpmath.conj(pc[k]))
-                 for m in range(len(pc)) for k in range(len(pc))]
-        for i in range(span.count):
-            for j in range(i + 1):
-                # <z^a, z^b> = delta_ab + min(a, b) zeta^(a-b), a = i + m, b = j + k
-                v = mpmath.fsum(c * ((i + m == j + k) + min(i + m, j + k) * zpow[i + m - j - k])
-                                for m, k, c in terms)
-                ref[i, j], ref[j, i] = complex(v), complex(mpmath.conj(v))
+        band = mpref.span_gram(LD, P_OFF.coefficients(), span.count, zeta=z / abs(z))
+        ref = mpref.dense(np.array(band, dtype=complex))
     assert np.max(np.abs(span.gram - ref)) <= 3 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
@@ -131,11 +114,11 @@ def test_span_narrower_than_its_band():
     # the flag says which it is.
     M = P_ON.degree + 2
     span = construct.shift_span(LD, P_ON, M)
-    rows = _rows(P_ON, M)
+    rows = mpref.shift_rows(P_ON, M)
     dense = rows @ LD.gram(M) @ rows.conj().T
     assert span.banded and span.gram.shape == dense.shape == (3, 3)
     scale = np.max(np.abs(dense))
-    assert np.max(np.abs(_dense(span.gram) - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(mpref.dense(span.gram) - dense)) <= 1e-12 * scale
     assert np.max(np.abs(span.first_row() - dense[0])) <= 1e-12 * scale
     rhs = np.array([1.0, -2.0 + 1j, 0.5j])
     # sum_j x_j <v_j, v_i> = rhs_i is S^T x = rhs.
@@ -143,7 +126,6 @@ def test_span_narrower_than_its_band():
 
 
 def test_norms_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     M = 60
     rng = np.random.default_rng(11)
     F = _complex(rng, (4, M + 1))
@@ -170,37 +152,10 @@ P3 = kb.FactoredPoly(1.0, ((-0.44079455478052076 - 0.05396826857931096j, 1), (ZE
 @functools.lru_cache(maxsize=None)
 def _mpmath_projection(p, M):
     """The projection of k_0 onto the span of ``z^j p`` in ``D_(ZETA3)`` to 40
-    digits: iterative refinement with residuals from the monomial rule
-    delta_ab + min(a, b) zeta^a conj(zeta)^b in mpmath."""
-    mpmath = pytest.importorskip("mpmath")
-    span = construct.shift_span(kb.LocalDirichlet(ZETA3), p, M)
+    digits."""
     with mpmath.workdps(40):
-        pc = [mpmath.mpc(c) for c in p.coefficients()]
-        d, n = len(pc) - 1, span.count
-        zp = [mpmath.mpc(ZETA3) ** a for a in range(M + 1)]
-
-        def monomial(a, b):
-            return (a == b) + min(a, b) * zp[a] * mpmath.conj(zp[b])
-
-        S = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                S[i][j] = mpmath.fsum(pc[m] * mpmath.conj(pc[k]) * monomial(i + m, j + k)
-                                      for m in range(d + 1) for k in range(d + 1))
-                S[j][i] = mpmath.conj(S[i][j])
-        rhs = [mpmath.conj(pc[0])] + [mpmath.mpc(0)] * (n - 1)  # conj((z^i p)(0))
-        x = [mpmath.mpc(0)] * n
-        for _ in range(20):
-            r = [rhs[i] - mpmath.fsum(x[j] * S[j][i] for j in range(n)) for i in range(n)]
-            dx = span.solve(np.array([complex(v) for v in r]))
-            x = [a + mpmath.mpc(b) for a, b in zip(x, dx)]
-            if np.max(np.abs(dx)) <= 1e-30 * float(max(abs(v) for v in x)):
-                break
-        else:
-            pytest.fail("refinement did not converge")
-        return np.array([complex(mpmath.fsum(x[j] * pc[k - j]
-                                             for j in range(max(0, k - d), min(n - 1, k) + 1)))
-                         for k in range(M + 1)])
+        coeffs = mpref.projection(kb.LocalDirichlet(ZETA3), p.coefficients(), M)
+        return np.array([complex(c) for c in coeffs])
 
 
 def test_projection_with_a_triple_zero_at_zeta_against_mpmath():
@@ -233,7 +188,7 @@ def test_banded_solve_is_as_accurate_as_the_dense_against_mpmath(order, monkeypa
 
     span = construct.shift_span(sp, p, M)
     assert span.banded
-    envelope = np.linalg.cond(_dense(span.gram)) * np.finfo(float).eps / 8
+    envelope = np.linalg.cond(mpref.dense(span.gram)) * np.finfo(float).eps / 8
     banded = error()
     monkeypatch.setattr(spaces, "_rounds_to_zero", lambda total, coeffs: False)
     assert not construct.shift_span(sp, p, M).banded
@@ -246,7 +201,7 @@ def test_extremal_supremum_matches_a_dense_solve():
     result = kb.oracle_result(LD, kb.reproducible_multiset(LD, p), M)
     report = kb.extremal_check(LD, p, result, M=M)
     # sup Re g'(0) over unit g in the span, from the dense X S X^H form.
-    rows = _rows(p, M)
+    rows = mpref.shift_rows(p, M)
     S = rows @ LD.gram(M) @ rows.conj().T
     functional = rows @ derivative_functional(0j, 1, M)
     x = np.linalg.solve(S.T, functional.conj())

@@ -14,16 +14,11 @@ from kernelblaschke import kernels
 from kernelblaschke.construct import pairing_gram
 from kernelblaschke.spaces import BOUNDARY_TOL
 
-A2 = kb.bergman_space()
-H2 = kb.hardy_space()
-D4 = kb.DirichletType(4.0)
+from mpref import A2, D4, H2, K
+
 D3 = kb.DirichletType(3.0)
 RULE = kb.WeightedHardy(lambda k: 1.0 / (k + 1.0) ** 0.5)
 SHORT = kb.WeightedHardy((1.0,) * 300)
-
-
-def K(point, order=0):
-    return kb.KernelTerm(point, order)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +33,7 @@ def _falling_ref(n, m):
 
 
 def _terms_ref(space, a, b, ns):
-    t = _falling_ref(ns, a.order) * _falling_ref(ns, b.order) / space.weights_at(ns)
+    t = _falling_ref(ns, a.order) * _falling_ref(ns, b.order) / space.weights(int(ns.max()))[ns]
     return t.astype(complex) * np.conjugate(a.point) ** (ns - a.order) \
         * b.point ** (ns - b.order)
 

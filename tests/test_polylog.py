@@ -8,15 +8,16 @@ covered.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import kernelblaschke as kb  # noqa: E402
 from kernelblaschke import kernels  # noqa: E402
+from mpref import closed_form, lerch_form  # noqa: E402
 
 MODULI = (0.95, 0.98, 0.995, 0.9999, 0.99999)
 ORDERS = ((0, 0), (1, 0), (1, 1), (0, 2), (2, 2))
@@ -30,42 +31,24 @@ def _points(r):
             (r * ray, (1 + r) / 2 * ray))
 
 
-def _falling_poly(orders):
-    """Coefficients c_j (ascending in u = n + 1) of prod_m n!/(n-m)!."""
-    poly = [mpmath.mpf(1)]
-    for m in orders:
-        for i in range(m):
-            poly = [s - (1 + i) * t for s, t in zip([0] + poly, poly + [0])]
-    return poly
-
-
-def _closed_form(power, u, v, p, q):
-    """d^p/du^p d^q/dv^q (1 - u v)^(-power): the D_0 (power 1), D_-1 (2) kernel."""
-    total = mpmath.mpc(0)
-    for i in range(min(p, q) + 1):
-        total += (mpmath.binomial(p, i) * mpmath.ff(q, i) * u ** (q - i)
-                  * mpmath.rf(power, q) * mpmath.rf(power + q, p - i) * v ** (p - i)
-                  * (1 - u * v) ** (-power - q - p + i))
-    return total
-
-
-def _lerch_form(alpha, u, v, p, q, on_circle=False):
-    """sum_n P(n+1) x^n / (n+1)^alpha / (u^p v^q), x = u v, by Lerch's Phi."""
-    x = u * v
-    if on_circle:  # the points are unimodular up to the rounding of their input
-        x /= abs(x)
-    total = mpmath.mpc(0)
-    for j, c in enumerate(_falling_poly((p, q))):
-        if c:
-            s = mpmath.mpf(alpha) - j
-            total += c * (mpmath.zeta(s) if x == 1 else mpmath.lerchphi(x, s, 1))
-    return total * x / (u * v) / (u ** p * v ** q)
-
-
 def _check(space, a, b, p, q, ref):
     value, err = kb.kernel_pairing(space, kb.KernelTerm(a, p), kb.KernelTerm(b, q))
     dev = float(abs(mpmath.mpc(value) - ref))
     assert dev <= err, (space.label(), a, b, p, q, value, complex(ref), dev, err)
+
+
+def test_closed_and_lerch_references_agree():
+    # The two references meet at alpha = 0 and -1, the closed form's powers 1
+    # and 2: interior points, and a pair whose product is near the circle.
+    with mpmath.workdps(40):
+        for a, b in ((0.3 + 0.4j, -0.5 + 0.1j), (0.9j, 0.95j), (0.99, 0.98 * np.exp(0.1j))):
+            u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
+            for power, alpha in ((1, 0), (2, -1)):
+                for p in range(3):
+                    for q in range(3):
+                        closed = closed_form(power, u, v, p, q)
+                        lerch = lerch_form(alpha, u, v, p, q)
+                        assert abs(closed - lerch) <= 1e-35 * abs(closed), (a, b, alpha, p, q)
 
 
 @pytest.mark.parametrize("r", (0.3, 0.5, 0.7, 0.9))
@@ -80,8 +63,8 @@ def test_geometric_pairings_hold_their_err(r):
             a, b = complex(a), complex(b)
             u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
             for p, q in ORDERS:
-                _check(kb.hardy_space(), a, b, p, q, _closed_form(1, u, v, p, q))
-                _check(kb.bergman_space(), a, b, p, q, _closed_form(2, u, v, p, q))
+                _check(kb.hardy_space(), a, b, p, q, closed_form(1, u, v, p, q))
+                _check(kb.bergman_space(), a, b, p, q, closed_form(2, u, v, p, q))
 
 
 @pytest.mark.parametrize("angle", (math.pi, 2.0))
@@ -91,7 +74,7 @@ def test_geometric_cancellation_holds_its_err(angle):
     a, b = 0.92 * np.exp(0.3j), 0.92 * np.exp(1j * (0.3 + angle))
     with mpmath.workdps(40):
         u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
-        _check(kb.bergman_space(), a, b, 2, 2, _closed_form(2, u, v, 2, 2))
+        _check(kb.bergman_space(), a, b, 2, 2, closed_form(2, u, v, 2, 2))
 
 
 @pytest.mark.parametrize("r", MODULI)
@@ -101,9 +84,9 @@ def test_near_circle_pairings_hold_their_err(r):
             a, b = complex(a), complex(b)
             u, v = mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b)
             for p, q in ORDERS:
-                _check(kb.hardy_space(), a, b, p, q, _closed_form(1, u, v, p, q))
-                _check(kb.bergman_space(), a, b, p, q, _closed_form(2, u, v, p, q))
-                _check(kb.dirichlet_space(), a, b, p, q, _lerch_form(1, u, v, p, q))
+                _check(kb.hardy_space(), a, b, p, q, closed_form(1, u, v, p, q))
+                _check(kb.bergman_space(), a, b, p, q, closed_form(2, u, v, p, q))
+                _check(kb.dirichlet_space(), a, b, p, q, lerch_form(1, u, v, p, q))
 
 
 @pytest.mark.parametrize("alpha", (2.5, 3.0, 4.0, 4.5, 6.0))
@@ -120,7 +103,7 @@ def test_circle_pairings_hold_their_err(alpha):
             for p in range(top + 1):
                 for q in range(top + 1):
                     _check(space, a, b, p, q,
-                           _lerch_form(alpha, u, v, p, q, on_circle=True))
+                           lerch_form(alpha, u, v, p, q, on_circle=True))
 
 
 # mpmath 1.3's polylog is off for 0 < |s| < ~1e-35 at 40 digits: it gives

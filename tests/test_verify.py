@@ -9,15 +9,7 @@ import kernelblaschke as kb
 from kernelblaschke import construct, verify
 from kernelblaschke.jsonio import dumps_canonical
 
-H2 = kb.hardy_space()
-A2 = kb.bergman_space()
-D1 = kb.dirichlet_space()
-D2 = kb.DirichletType(2.0)
-D4 = kb.DirichletType(4.0)
-
-
-def Z_of(*entries, origin=0):
-    return kb.ReproducibleMultiset(origin, tuple((complex(p), m) for p, m in entries))
+from mpref import A2, D1, D2, D4, H2, Z_of
 
 
 # ---------------------------------------------------------------------------
