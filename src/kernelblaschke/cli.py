@@ -74,7 +74,8 @@ def _report_name(cfg: Field) -> str:
 # ---------------------------------------------------------------------------
 
 def _build(space, Z, cfg, policy):
-    """The construction the config's route keys ask for, read now and run when called."""
+    """The construction the config's route keys ask for, read and checked now
+    and run when called."""
     field = cfg.get("route", "determinant")
     route = field.string()
     if route not in ("determinant", "solve", "oracle"):
@@ -83,6 +84,7 @@ def _build(space, Z, cfg, policy):
         M = cfg.get("oracle_degree", 400).number(int, "positive")
         return lambda: _construct.oracle_result(space, Z, M=M)
     N = cfg.get("taylor_degree", 256).number(int, "non-negative")
+    _construct.check_shapiro_shields(space, Z, route)
     return lambda: _construct.shapiro_shields(space, Z, route=route, policy=policy,
                                               taylor_degree=N)
 

@@ -168,6 +168,21 @@ def _cholesky_or_singular(G: np.ndarray) -> tuple[np.ndarray, bool]:
 # Shapiro--Shields routes
 # ---------------------------------------------------------------------------
 
+def check_shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
+                          route: str) -> None:
+    """Raise what ``shapiro_shields(space, Z, route)`` would refuse before it
+    builds anything: an unknown route, a multiset the space does not admit,
+    clustered points, or a space without kernel pairings."""
+    if route not in ("determinant", "solve"):
+        raise ValueError(f"unknown route {route!r}")
+    Z.validate_for(space)
+    _reject_clusters(Z)
+    if not space.diagonal:
+        raise UnsupportedRoute(
+            f"route {route!r} needs kernel pairings, which need a diagonal "
+            f'space; {space.label()} is not diagonal, so use route: "oracle"')
+
+
 def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
                     route: str = "determinant",
                     policy: TruncationPolicy = DEFAULT_POLICY,
@@ -180,14 +195,7 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
     numerically preferred one anyway).  ``route="solve"`` solves the Hermitian
     positive-definite normal equations.  Both agree after normalization.
     """
-    if route not in ("determinant", "solve"):
-        raise ValueError(f"unknown route {route!r}")
-    Z.validate_for(space)
-    _reject_clusters(Z)
-    if not space.diagonal:
-        raise UnsupportedRoute(
-            f"route {route!r} needs kernel pairings, which need a diagonal "
-            f'space; {space.label()} is not diagonal, so use route: "oracle"')
+    check_shapiro_shields(space, Z, route)
     u, vs = multiset_kernel_terms(Z)
     n = len(vs)
     # The bordered Gram: row 0 holds <u, v_j>, row i + 1 holds <v_i, v_j>.

@@ -411,6 +411,21 @@ def test_a_batch_reads_every_entry_before_the_first_runs(tmp_path, capsys, build
     assert builds == [] and not (tmp_path / "r").exists()
 
 
+def test_a_batch_runs_the_construction_checks_before_the_first_entry(tmp_path, capsys,
+                                                                     builds):
+    # The checks ran only as each entry built: the construct entry wrote
+    # construct-first.json before the verify entry's non-diagonal space,
+    # which the default route cannot build, exited 2.
+    construct = dict(BASE_CONSTRUCT, task="construct", name="first")
+    local = dict(BASE_VERIFY, task="verify", space={"type": "local_dirichlet",
+                                                    "zeta": [1, 0]})
+    del local["route"]
+    assert run_cli(tmp_path, "batch", {"experiments": [construct, local]}) == 2
+    assert capsys.readouterr().err.startswith("error [UnsupportedRoute]: route "
+                                              "'determinant' needs kernel pairings")
+    assert builds == [] and not (tmp_path / "r").exists()
+
+
 def test_reports_take_the_mode_of_a_plain_open(tmp_path):
     # mkstemp created every report and CSV owner-only (0o600), and os.replace
     # kept it; open(path, "w") gives 0o666 less the umask.

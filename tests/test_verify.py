@@ -159,10 +159,12 @@ def test_certified_count_matches_blaschke_zeros(zeros, radius, inside):
     # At degree 600 the part of the product past the truncation is below
     # 1e-30 on these circles, so a zero tail bound is honest.
     _, taylor, _ = kb.classical_blaschke(zeros, 600)
-    assert verify._certified_zero_count(taylor.coefficients, radius, 0.0) == inside
+    count, _ = verify._certified_zero_count(taylor.coefficients, radius, 0.0)
+    assert count == inside
     # The numerator polynomial alone is exact and has the same zeros.
     poly = kb.FactoredPoly(1.0, tuple((complex(p), m) for p, m in zeros))
-    assert verify._certified_zero_count(poly.coefficients(), radius, 0.0) == inside
+    count, _ = verify._certified_zero_count(poly.coefficients(), radius, 0.0)
+    assert count == inside
 
 
 def test_certified_count_refuses_zero_near_circle(monkeypatch):
@@ -214,17 +216,34 @@ def test_zero_report_prescribed_triple_zero_is_not_split():
     assert rep.verdict and rep.extraneous == ()
 
 
-def test_zero_report_planted_zero_beside_prescribed_triple_zero():
-    # The count (4 against 3 prescribed) sends the scan to companion roots,
-    # which split the triple zero; its disk counts it as the prescribed 3.
+def test_zero_report_planted_zero_beside_prescribed_triple_zero(monkeypatch):
+    # The count (4 against 3 prescribed) sends the scan to the moment locator,
+    # which finds the triple zero once; its disk counts it as the prescribed 3.
     _, taylor, _ = kb.classical_blaschke([(0.5, 3), 0.2j], 600)
     result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+
+    def refuse(coeffs):
+        raise AssertionError("a certified count locates without np.roots")
+
+    monkeypatch.setattr(np, "roots", refuse)
     rep = kb.zero_report(H2, result, Z_of((0.5, 3)), radius=0.99, tol=1e-8)
     assert not rep.verdict
     assert len(rep.extraneous) == 1
     extra = rep.extraneous[0]
     assert abs(extra.location - 0.2j) < 1e-9
     assert extra.estimated_multiplicity == 1
+
+
+def test_zero_report_refuses_when_the_disks_miss_a_counted_zero(monkeypatch):
+    # The count finds 2 zeros; a locator that loses the unprescribed one at
+    # 0.3 leaves disks that count only the prescribed 1/2.
+    _, taylor, _ = kb.classical_blaschke([0.5, 0.3], 300)
+    result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
+    locate = verify._moment_zeros
+    monkeypatch.setattr(verify, "_moment_zeros", lambda *args: np.array(
+        [z for z in locate(*args) if abs(z - 0.3) > 1e-6]))
+    with pytest.raises(kb.IllConditioned, match="count 1 zeros of B where"):
+        kb.zero_report(H2, result, Z_of((0.5, 1)), radius=0.99, tol=1e-8)
 
 
 def test_taylor_path_err_covers_evaluation_rounding():
