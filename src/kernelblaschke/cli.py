@@ -82,6 +82,7 @@ def _build(space, Z, cfg, policy):
         raise field.error('"determinant", "solve" or "oracle"')
     if route == "oracle":
         M = cfg.get("oracle_degree", 400).number(int, "positive")
+        _construct.check_projection(Z.polynomial(), M)
         return lambda: _construct.oracle_result(space, Z, M=M)
     N = cfg.get("taylor_degree", 256).number(int, "non-negative")
     _construct.check_shapiro_shields(space, Z, route)
@@ -143,6 +144,8 @@ def _task_subspace(cfg, space):
     M = cfg.get("M", 400).number(int, "positive")
     tol = cfg.get("tolerance", 1e-8).number(float, "positive")
     expect = cfg["expect"].flag() if "expect" in cfg else None
+    _construct.check_span(p, M)
+    _construct.check_span(q, M)
 
     def run():
         equal, evidence = _verify.subspace_equal(space, p, q, M=M, tol=tol)
@@ -154,8 +157,9 @@ def _task_extremal(cfg, space):
     p = FactoredPoly.from_json(cfg["p"])
     policy = _parse_policy(cfg)
     M = cfg.get("M", 400).number(int, "positive")
-    build = _build(space, reproducible_multiset(space, p), cfg, policy)
-    return _checked(build, "extremal_report",
+    R = reproducible_multiset(space, p)
+    _construct.check_span(R.polynomial(), M)
+    return _checked(_build(space, R, cfg, policy), "extremal_report",
                     lambda result: _verify.extremal_check(space, p, result, M=M))
 
 
@@ -164,6 +168,7 @@ def _task_oracle(cfg, space):
     M = cfg.get("M", 400).number(int, "positive")
     d = (cfg["d"].number(int, "non-negative") if "d" in cfg
          else reproducible_multiset(space, p).origin_multiplicity)
+    _construct.check_projection(p, M)
     return lambda: (True, {"d": d, "taylor": _construct.project_kernel_fd(
         space, p, d, M=M).to_json()})
 

@@ -339,6 +339,18 @@ def _refuse_singular_band(L: np.ndarray, diagonal: np.ndarray) -> None:
             f"equilibrated eigenvalue about {1.0 / size:.3e} <= {gamma:.3e}")
 
 
+def check_span(p: FactoredPoly, M: int) -> None:
+    """Raise ValueError when ``M < deg p`` leaves the span of ``z^j p`` empty."""
+    if M < p.degree:
+        raise ValueError(f"M = {M} leaves the span of p (degree {p.degree}) empty")
+
+
+def check_projection(p: FactoredPoly, M: int) -> None:
+    """Raise ValueError when ``M < deg p + 10``, too small to project onto that span."""
+    if M < p.degree + 10:
+        raise ValueError(f"M = {M} too small; need at least deg p + 10 = {p.degree + 10}")
+
+
 def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
     """The span ``{z^j p : 0 <= j <= M - deg p}`` with its Gram (see ShiftSpan).
 
@@ -347,11 +359,9 @@ def shift_span(space: SpaceSpec, p: FactoredPoly, M: int) -> ShiftSpan:
     Dirichlet space, a band when ``p(zeta) = 0`` and dense otherwise; the
     dense ``rows G rows^H`` from the monomial Gram G elsewhere.
     """
+    check_span(p, M)
     pc = p.coefficients()
-    count = M - len(pc) + 2
-    if count < 1:
-        raise ValueError(f"M = {M} leaves the span of p (degree {p.degree}) empty")
-    return ShiftSpan(pc, M, *space.span_gram(pc, count))
+    return ShiftSpan(pc, M, *space.span_gram(pc, M - len(pc) + 2))
 
 
 def _project(space: SpaceSpec, p: FactoredPoly, M: int,
@@ -375,8 +385,7 @@ def project_kernel_fd(space: SpaceSpec, p: FactoredPoly, d: int, M: int,
     routes.  The result is an exact polynomial (tail 0), canonically
     normalized at its first significant coefficient.
     """
-    if M < p.degree + 10:
-        raise ValueError(f"M = {M} too small; need at least deg p + 10 = {p.degree + 10}")
+    check_projection(p, M)
     coeffs = _project(space, p, M, [(0j, d)])[0]
     return _canonicalize(TaylorSeries(coeffs, 0.0), None, gauge_index)[0]
 
@@ -400,8 +409,7 @@ def inner_projection_of(space: SpaceSpec, f: FactoredPoly, M: int) -> TaylorSeri
     finite-dimensional Gram method.  At every truncation level this is a scalar
     multiple of ``project_kernel_fd(space, f, ord_0(f), M)``.
     """
-    if M < f.degree + 10:
-        raise ValueError(f"M = {M} too small; need at least deg f + 10 = {f.degree + 10}")
+    check_projection(f, M)
     span = shift_span(space, f, M)
     # Project f (row 0) onto the span of rows 1..; rhs_i = <f, z^i f> = S[0, i].
     x = span.solve(span.first_row()[1:], first=1)

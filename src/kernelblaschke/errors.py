@@ -24,7 +24,7 @@ class SingularGram(KernelSpaceError):
 class IllConditioned(KernelSpaceError):
     """A spanning-set Gram is not definite, has a pivot ratio below the
     constant ``construct.PIVOT_FLOOR`` or is singular to working precision; or
-    a disk's zero count cannot be certified."""
+    the zero scan cannot certify a zero count, in the scan circle or a disk."""
 
 
 class InadmissibleMultiset(KernelSpaceError):

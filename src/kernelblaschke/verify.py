@@ -23,7 +23,7 @@ from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy
                       combo_derivative_at, kernel_pairing, shift_inner_product,
                       shift_inner_products)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
-                     reproducible_multiset, rounding_gamma)
+                     reproducible_multiset)
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +150,35 @@ def _derivative(space, result: ConstructionResult, point: complex, order: int,
                 policy: TruncationPolicy) -> tuple[complex, float]:
     """B^(order)(point), certified via pairings when a combo is available.
 
-    Otherwise it is ``B_N^(l)(z)``, l = order, from the Taylor array ``c_0..c_N``:
-    ``polyder`` scales each ``c_n`` by ``F_l(n) = n!/(n-l)!`` in l real products,
-    and Horner's rule takes n = N - l complex steps.  A complex product errs by
-    at most ``sqrt(2) gamma_2 <= 3u`` relative and a sum by u (Higham, *Accuracy
-    and Stability*, 2nd ed., Lemma 3.5 and Section 5.1), so the computed value
-    is ``sum_k d_k z^k (1 + theta_k)`` with ``|theta_k| <= gamma_(4n + l)``, and
-    its error is at most ``gamma_(4n + l) S``, ``S = sum_n F_l(n) |c_n| |z|^(n-l)``.
-    S is summed from terms of at most N + 2 roundings each (the powers by
-    repeated products), so within ``gamma_(2N + 2)``; with that, the division
-    it implies and the last product, ``gamma_(8(N + 1))`` times the computed S
-    covers the rounding.  The err is that plus the tail bound at the point.
+    Otherwise it is ``l! d_l``, l = order, by ``_taylor_shift``, with err
+    ``l!`` times the rounding bound of ``d_l`` (whose gamma has room for the
+    product by ``l!``) plus the tail bound at the point.
     """
     if result.combo is not None:
         return combo_derivative_at(space, result.combo, point, order, policy)
-    coeffs = result.taylor.coefficients
-    terms = np.abs(coeffs[order:])  # F_l(n) |c_n| |z|^(n-l) for n >= l
-    terms[1:] *= np.cumprod(np.full(len(terms[1:]), abs(point)))
-    for i in range(order):
-        terms *= np.arange(order - i, len(coeffs) - i)
-    return (complex(result.taylor.derivative_at(point, order)),
+    shift, rounding = _taylor_shift(result.taylor.coefficients, point, order)
+    scale = math.factorial(order)
+    return (complex(scale * shift[order]),
             _tail_bound_at(space, result.taylor.tail_bound, point, order, policy)
-            + rounding_gamma(8 * len(coeffs)) * float(terms.sum()))
+            + scale * float(rounding[order]))
+
+
+def _taylor_shift(coeffs: np.ndarray, center: complex,
+                  K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor coefficients ``d_k = sum_n C(n, k) c_n center^(n-k)`` of
+    ``B_N`` at ``center``, k <= K, and their rounding bounds ``gamma * sum_n
+    C(n, k) |c_n| |center|^(n-k)``.  Powers by repeated complex products (3u
+    each, Higham, *Accuracy and Stability*, 2nd ed., Lemma 3.5), binomials by
+    2K roundings and sums of N+1 complex products make ``(4N + 2K + 4) u``,
+    which ``gamma = 4(N + K + 2) eps`` covers twice over.
+    """
+    N = len(coeffs) - 1
+    ns, ks = np.arange(N + 1), np.arange(K + 1)[:, None]
+    powers = np.cumprod(np.r_[1.0 + 0j, np.full(N, complex(center))])
+    binoms = np.cumprod(np.where(ks > 0, (ns - ks + 1) / np.maximum(ks, 1), 1.0), axis=0)
+    shift = binoms * powers[np.maximum(ns - ks, 0)]
+    gamma = 4.0 * (N + K + 2) * np.finfo(float).eps
+    return shift @ coeffs, gamma * (np.abs(shift) @ np.abs(coeffs))
 
 
 _COUNT_MAX_SAMPLES = 1 << 16
@@ -192,16 +199,17 @@ def _circle_values(coeffs: np.ndarray, radius: float,
 
 
 def _certified_zero_count(coeffs: np.ndarray, radius: float,
-                          tail_pt: float) -> tuple[int, np.ndarray] | None:
+                          tail_pt: float) -> tuple[int, np.ndarray]:
     """Zeros of B in ``|z| < radius`` by the argument principle, with the
-    samples ``B_N(radius e^(2 pi i k/m))``, k < m, that gave it; or None.
+    samples ``B_N(radius e^(2 pi i k/m))``, k < m, that gave it.
 
     The count is the winding number of ``B_N`` over the ``m`` samples.  It is
     certified when ``min |B_N|`` there exceeds ``tail_pt`` (``|B - B_N|`` on
     the circle, so Rouche's theorem carries the count from ``B_N`` to B) plus
     the arc length times ``sup |B_N'|`` (so no step of the argument reaches
     pi) plus twice the rounding bound of the samples.  ``m`` starts at
-    ``2(N+1)`` rounded up to a power of two and doubles up to a cap.
+    ``2(N+1)`` rounded up to a power of two and doubles up to a cap, past
+    which (a zero of B on or near the circle) ``IllConditioned`` is raised.
     """
     ns = np.arange(len(coeffs))
     slope = float(np.sum(ns * np.abs(coeffs) * radius ** np.maximum(ns - 1, 0)))
@@ -213,7 +221,8 @@ def _certified_zero_count(coeffs: np.ndarray, radius: float,
             steps = np.angle(np.roll(values, -1) / values)
             return round(float(np.sum(steps)) / (2.0 * math.pi)), values
         if m >= _COUNT_MAX_SAMPLES:
-            return None
+            raise IllConditioned(f"cannot certify the zero count of B in |z| < {radius} "
+                                 f"at {m} samples; choose another radius")
         m *= 2
 
 
@@ -254,23 +263,20 @@ def _moment_zeros(coeffs: np.ndarray, radius: float, n: int,
     zeros = radius * np.linalg.eigvals(pencil / s[:rank, None])
     # Each zero's multiplicity m by least squares on the moments.  A zero of
     # order m is a simple zero of B_N^(m-1), so Newton's steps on that
-    # derivative polish it; a step is kept only where it lowers the derivative.
+    # derivative polish it: the step is d_(m-1) / (m d_m), d the Taylor
+    # coefficients at z, kept only where it lowers |d_(m-1)|.
     powers = (zeros[None, :] / radius) ** np.arange(2 * n)[:, None]
     orders = np.rint(np.linalg.lstsq(powers, moments, rcond=None)[0].real)
-    for j, order in enumerate(orders.astype(int)):
-        if order < 1:
+    for j, m in enumerate(orders.astype(int)):
+        if m < 1:
             continue
-        f = np.polynomial.polynomial.polyder(coeffs, order - 1)
-        df = np.polynomial.polynomial.polyder(f)
-        z = zeros[j]
-        value = f @ z ** np.arange(len(f))
+        d = _taylor_shift(coeffs, zeros[j], m)[0]
         for _ in range(_NEWTON_STEPS):
-            step = z - value / (df @ z ** np.arange(len(df)))
-            new = f @ step ** np.arange(len(f))
-            if not abs(new) < abs(value):
+            step = zeros[j] - d[m - 1] / (m * d[m])
+            new = _taylor_shift(coeffs, step, m)[0]
+            if not abs(new[m - 1]) < abs(d[m - 1]):
                 break
-            z, value = step, new
-        zeros[j] = z
+            zeros[j], d = step, new
     return zeros
 
 
@@ -282,31 +288,22 @@ def _disk_count(coeffs: np.ndarray, center: complex, rho: float,
                 tail: float) -> int | None:
     """Zeros of B in ``|z - center| < rho`` by Pellet's test, or None.
 
-    ``d_k = sum_n C(n, k) c_n center^(n-k)`` are the Taylor coefficients of
-    ``B_N`` at ``center`` for ``k <= K``.  The count is the index j of the
+    With ``d_k`` the Taylor coefficients of ``B_N`` at ``center`` for ``k <=
+    _DISK_TERMS`` (``_taylor_shift``), the count is the index j of the
     largest ``|d_j| rho^j`` when that term exceeds the sum of the others,
-    their rounding ``gamma * sum_n C(n, k) |c_n| |center|^(n-k)`` (powers by
-    repeated products, binomials by K products, sums of N+1 terms), the terms
-    past K (Cauchy's estimate on ``|z - center| = 1 - |center|``, where
-    ``|B_N| <= sum |c_n|``) and ``tail`` (``|B - B_N|`` on the disk), so
-    Rouche's theorem carries j from ``d_j (z - center)^j`` to B.  Needs
-    ``|center| + rho < 1``.
+    their rounding, the terms past ``_DISK_TERMS`` (Cauchy's estimate on
+    ``|z - center| = 1 - |center|``, where ``|B_N| <= sum |c_n|``) and
+    ``tail`` (``|B - B_N|`` on the disk), so Rouche's theorem carries j from
+    ``d_j (z - center)^j`` to B.  Needs ``|center| + rho < 1``.
     """
-    N = len(coeffs) - 1
-    ns, ks = np.arange(N + 1), np.arange(_DISK_TERMS + 1)[:, None]
-    powers = np.cumprod(np.r_[1.0 + 0j, np.full(N, complex(center))])
-    binoms = np.cumprod(np.where(ks > 0, (ns - ks + 1) / np.maximum(ks, 1), 1.0), axis=0)
-    shift = binoms * powers[np.maximum(ns - ks, 0)]
-    gamma = 4.0 * (N + _DISK_TERMS + 2) * np.finfo(float).eps
-    scale = rho ** ks[:, 0]
-    terms = np.abs(shift @ coeffs) * scale
-    rounding = gamma * float(np.sum(np.abs(shift) @ np.abs(coeffs) * scale))
+    shift, rounding = _taylor_shift(coeffs, center, _DISK_TERMS)
+    scale = rho ** np.arange(_DISK_TERMS + 1)
+    terms = np.abs(shift) * scale
     q = rho / (1.0 - abs(center))
     far = float(np.sum(np.abs(coeffs))) * q ** (_DISK_TERMS + 1) / (1.0 - q)
     j = int(np.argmax(terms))
-    if 2.0 * terms[j] > float(np.sum(terms)) + rounding + far + tail:
-        return j
-    return None
+    certified = 2.0 * terms[j] > float(np.sum(terms)) + float(rounding @ scale) + far + tail
+    return j if certified else None
 
 
 def require_radius(radius: float) -> float:
@@ -326,24 +323,21 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     extraneous scan first counts the zeros of B in ``|z| < radius`` by the
     argument principle on FFT samples of the circle, certified against the
     Taylor tail, the spacing of the samples and their rounding.  When the
-    count is certified, the prescribed checks pass and the count equals ``m0``
-    plus the multiplicities of the prescribed points inside the circle, there
-    is no extraneous interior zero and nothing is located.  Otherwise the scan
-    counts the zeros of B in small disks by Pellet's test (``_disk_count``):
-    about the origin (when ``m0 > 0``), then each prescribed point inside the
-    circle or within ``_DISK_CAP`` past it, then each candidate zero in the
-    closed disk that lies in no earlier disk, taken in ``(real, imag)``
-    order.  A certified count's candidates come from the same samples by the
-    moments of ``B_N'/B_N`` (``_moment_zeros``), and the disks' counts must
-    add up to at least the certified count, or ``IllConditioned`` is raised.
-    Only a count that cannot be certified takes the companion-matrix roots
-    of the Taylor polynomial, trimmed where ``|c_n| <= 1e-15 max |c|``.  The
-    disks are disjoint and reach at most ``_DISK_CAP`` past the circle.  A
-    disk whose count exceeds its prescribed multiplicity (0 for a candidate)
-    is an extraneous zero; a candidate whose disk counts 0 is dropped; a disk
-    that cannot be counted raises ``IllConditioned``.  Prescribed boundary
-    points are checked individually for excess vanishing order.  ``radius``
-    must lie in ``(0, 1)``, since ``_disk_count`` needs ``|center| + rho < 1``.
+    prescribed checks pass and the count equals ``m0`` plus the
+    multiplicities of the prescribed points inside the circle, there is no
+    extraneous interior zero.  Otherwise the moments of ``B_N'/B_N`` over the
+    same samples locate the count's distinct zeros (``_moment_zeros``), and
+    Pellet's test (``_disk_count``) counts the zeros of B in disjoint disks,
+    reaching at most ``_DISK_CAP`` past the circle: about the origin (when
+    ``m0 > 0``), each prescribed point inside that reach, and each located
+    zero in the closed disk that lies in no earlier disk, in ``(real, imag)``
+    order.  A disk whose count exceeds its prescribed multiplicity (0 for a
+    located zero) is an extraneous zero.  ``IllConditioned`` is raised when a
+    count cannot be certified, on the circle (a zero of B on or near it) or
+    in a disk, and when the disks count fewer zeros than the circle.
+    Prescribed boundary points are checked individually for excess vanishing
+    order.  ``radius`` must lie in ``(0, 1)``, since ``_disk_count`` needs
+    ``|center| + rho < 1``.
     """
     require_radius(radius)
     norm_sq, _ = shift_inner_product(space, result.taylor, 0)
@@ -382,17 +376,10 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
             )
         coeffs = result.taylor.coefficients
         expected = m0 + sum(mult for point, mult in Z.entries if abs(point) < radius)
-        inside, samples = _certified_zero_count(coeffs, radius, tail_pt) or (None, None)
+        inside, samples = _certified_zero_count(coeffs, radius, tail_pt)
         if not (prescribed_ok and inside == expected):
-            if inside is not None:
-                roots = _moment_zeros(coeffs, radius, inside, samples)
-            else:
-                top = float(np.max(np.abs(coeffs)))
-                sig = np.nonzero(np.abs(coeffs) > 1e-15 * top)[0]
-                trimmed = coeffs[: sig[-1] + 1] if len(sig) else coeffs[:1]
-                roots = np.roots(trimmed[::-1]) if len(trimmed) > 1 else np.array([])
-            # Disks reach at most _DISK_CAP past the circle, so a prescribed
-            # zero on it still holds the candidates it splits into.
+            roots = _moment_zeros(coeffs, radius, inside, samples)
+            # Disks reach at most _DISK_CAP past the circle: room for a zero near it.
             outer = min(radius + _DISK_CAP, (1.0 + radius) / 2)
             tail_out = _tail_bound_at(space, result.taylor.tail_bound, outer, 0, policy)
             centers = ([(0j, m0)] if m0 else []) + [e for e in Z.entries if abs(e[0]) < outer]
@@ -417,7 +404,7 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
                 if count > mult:
                     val, _ = _derivative(space, result, center, mult, policy)
                     extraneous.append(ExtraneousZero(center, abs(val), count))
-            if inside is not None and total < inside:
+            if total < inside:
                 raise IllConditioned(
                     f"the disks about the located zeros count {total} zeros of B "
                     f"where |z| < {radius} holds {inside}")

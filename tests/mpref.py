@@ -60,6 +60,21 @@ def functional(t, order, n):
     return mpmath.ff(n, order) * mpmath.mpc(t) ** (n - order) if n >= order else mpmath.mpc(0)
 
 
+def taylor_shift(coeffs, center, K):
+    """``d_k = f^(k)(center) / k!`` for k <= K, f the polynomial of ascending
+    ``coeffs``: the remainders of K + 1 synthetic divisions by ``z - center``."""
+    t = mpmath.mpc(center)
+    rest, shift = [mpmath.mpc(c) for c in coeffs[::-1]], []
+    for _ in range(K + 1):
+        acc, quotient = mpmath.mpc(0), []
+        for c in rest:
+            acc = acc * t + c
+            quotient.append(acc)
+        shift.append(quotient.pop() if quotient else mpmath.mpc(0))
+        rest = quotient
+    return shift
+
+
 def monomial_inner(space, zeta=None):
     """``(a, b) -> <z^a, z^b>`` in ``space``: ``(a + 1)^alpha`` if a = b, else 0,
     in D_alpha; ``delta_ab + min(a, b) zeta^a conj(zeta)^b`` in the local

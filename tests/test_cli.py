@@ -426,6 +426,27 @@ def test_a_batch_runs_the_construction_checks_before_the_first_entry(tmp_path, c
     assert builds == [] and not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("second, message", [
+    # The oracle entry refused M only as it ran, after construct-first.json
+    # was written.
+    (dict(task="oracle", p=POLY, M=5), "oracle: M = 5 too small; need at least "
+     "deg p + 10 = 11"),
+    (dict(BASE_CONSTRUCT, task="construct", route="oracle", oracle_degree=5),
+     "construct: M = 5 too small"),
+    (dict(task="subspace", p=POLY, q={"leading": [1, 0], "roots": [
+        {"point": [0.5, 0], "mult": 3}]}, M=2), "subspace: M = 2 leaves the span"),
+    (dict(task="extremal", p={"leading": [1, 0], "roots": [
+        {"point": [0.5, 0], "mult": 3}]}, M=2), "extremal: M = 2 leaves the span"),
+], ids=["oracle", "oracle-route", "subspace", "extremal"])
+def test_a_batch_refuses_an_m_too_small_before_the_first_entry(tmp_path, capsys,
+                                                               builds, second, message):
+    construct = dict(BASE_CONSTRUCT, task="construct", name="first")
+    second = dict(second, space=BASE_CONSTRUCT["space"])
+    assert run_cli(tmp_path, "batch", {"experiments": [construct, second]}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert builds == [] and not (tmp_path / "r").exists()
+
+
 def test_reports_take_the_mode_of_a_plain_open(tmp_path):
     # mkstemp created every report and CSV owner-only (0o600), and os.replace
     # kept it; open(path, "w") gives 0o666 less the umask.

@@ -1,7 +1,9 @@
 """Verification: innerness, zero reports, scalar multiples, subspaces, extremality."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ import kernelblaschke as kb
 from kernelblaschke import construct, verify
 from kernelblaschke.jsonio import dumps_canonical
 
-from mpref import A2, D1, D2, D4, H2, Z_of
+from mpref import A2, D1, D2, D4, H2, Z_of, taylor_shift
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +169,32 @@ def test_certified_count_matches_blaschke_zeros(zeros, radius, inside):
     assert count == inside
 
 
-def test_certified_count_refuses_zero_near_circle(monkeypatch):
+def test_certified_count_refuses_zero_near_circle():
     radius = 0.9
     near = radius - 5e-11
     _, taylor, _ = kb.classical_blaschke([0.5, near], 600)
-    assert verify._certified_zero_count(taylor.coefficients, radius, 0.0) is None
+    with pytest.raises(kb.IllConditioned, match="choose another radius"):
+        verify._certified_zero_count(taylor.coefficients, radius, 0.0)
     result = kb.ConstructionResult(taylor, 1.0, "closed_form", None, 0.0)
-    Z = Z_of((0.5, 1), (near, 1))
-    calls = []
-    roots = np.roots
-    monkeypatch.setattr(np, "roots", lambda c: calls.append(len(c)) or roots(c))
-    rep = kb.zero_report(H2, result, Z, radius=radius, tol=1e-8)
-    assert calls and rep.verdict
-    # The refusal leads to the companion-matrix path and nothing else.
-    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
-    assert kb.zero_report(H2, result, Z, radius=radius, tol=1e-8) == rep
+    with pytest.raises(kb.IllConditioned, match=r"zero count of B in \|z\| < 0.9"):
+        kb.zero_report(H2, result, Z_of((0.5, 1), (near, 1)), radius=radius, tol=1e-8)
+
+
+def test_zero_on_the_scan_circle_is_refused_at_once(monkeypatch):
+    # The zero on |z| = 0.99 leaves the count uncertified.  The companion
+    # matrix of the trimmed Taylor polynomial took about 3 s at N = 1000 on a
+    # 2-core Xeon to place it (13.6 s at N = 2000); the refusal takes a few FFTs.
+    Z = Z_of((1.0, 1), (0.99 * np.exp(1j), 1))
+    ss = kb.shapiro_shields(D4, Z, taylor_degree=1000)
+
+    def refuse(coeffs):
+        raise AssertionError("the scan no longer takes companion roots")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    start = time.perf_counter()
+    with pytest.raises(kb.IllConditioned, match="choose another radius"):
+        kb.zero_report(D4, ss, Z, radius=0.99, tol=1e-2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zero_report_counts_without_roots(monkeypatch):
@@ -194,17 +207,6 @@ def test_zero_report_counts_without_roots(monkeypatch):
     monkeypatch.setattr(np, "roots", refuse)
     rep = kb.zero_report(A2, ss, Z, radius=0.99, tol=1e-7)
     assert rep.verdict and rep.extraneous == ()
-
-
-def test_roots_fallback_stays_inside_the_disk(monkeypatch):
-    # The roots fallback evaluates each companion root where it falls, inside
-    # the scan disk; neither space has point evaluation on the circle.
-    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
-    Z = Z_of((0.4 + 0.1j, 1), (-0.6 + 0.5j, 1), origin=2)
-    for sp in (A2, D1):
-        ss = kb.shapiro_shields(sp, Z, route="solve")
-        rep = kb.zero_report(sp, ss, Z, radius=0.95)
-        assert rep.verdict is True and rep.extraneous == ()
 
 
 def test_zero_report_prescribed_triple_zero_is_not_split():
@@ -266,15 +268,6 @@ def test_taylor_path_err_covers_evaluation_rounding():
     assert all(value <= err for _, value, err in rows), rows
 
 
-def test_roots_fallback_keeps_split_double_zeros(monkeypatch):
-    monkeypatch.setattr(verify, "_certified_zero_count", lambda *args: None)
-    Z = Z_of((0.3 - 0.2j, 2), origin=2)
-    for sp in (H2, D1):
-        ss = kb.shapiro_shields(sp, Z, route="determinant", taylor_degree=400)
-        rep = kb.zero_report(sp, ss, Z, radius=0.95)
-        assert rep.verdict is True and rep.extraneous == ()
-
-
 # ---------------------------------------------------------------------------
 # Pellet's disk count
 # ---------------------------------------------------------------------------
@@ -308,6 +301,21 @@ def test_circle_rounding_bound_holds_against_mpmath():
             ref = mpmath.polyval(exact, z)
             worst = max(worst, float(abs(ref - mpmath.mpc(values[k]))))
     assert worst <= rounding
+
+
+@pytest.mark.parametrize("center", [0j, 0.3 + 0.4j, 0.9 + 0j])
+def test_taylor_shift_within_its_rounding_bound_against_mpmath(center):
+    # An A_2 construction, and a product whose roots on the grid (a + b i) / 16
+    # make every coefficient exact.
+    Z = Z_of((0.8, 1), (0.95 * np.exp(2.5j), 1))
+    built = kb.shapiro_shields(A2, Z, taylor_degree=600).taylor.coefficients
+    exact = kb.FactoredPoly(1.0, ((0.25 + 0.5j, 3), (-0.75, 2), (0.875j, 1))).coefficients()
+    for coeffs in (built, exact):
+        shift, rounding = verify._taylor_shift(coeffs, center, 24)
+        with mpmath.workdps(40):
+            refs = taylor_shift(coeffs, center, 24)
+            errors = [float(abs(ref - mpmath.mpc(d))) for ref, d in zip(refs, shift)]
+        assert np.all(errors <= rounding), (errors, rounding)
 
 
 # ---------------------------------------------------------------------------
