@@ -37,10 +37,9 @@ from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      UnsupportedRoute, ZeroFunction)
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
-                      TruncationPolicy, combo_taylor, derivative_functional,
-                      pairing_gram)
-from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
-                     polyval_derivative, rounding_gamma)
+                      TruncationPolicy, _taylor_shift, combo_taylor,
+                      derivative_functional, pairing_gram)
+from .spaces import FactoredPoly, ReproducibleMultiset, SpaceSpec, rounding_gamma
 
 CLUSTER_TOL = 1e-6
 PIVOT_FLOOR = 1e-12
@@ -589,10 +588,11 @@ def _double_pole_parts(num: np.ndarray, den: np.ndarray,
     """``(n h, n' h - n h', h)`` at ``pole``, where ``den = (z - pole)^2 h``.
 
     ``n`` has ascending coefficients ``num``; two synthetic divisions give h.
+    Values and first derivatives are ``_taylor_shift``'s ``d_0`` and ``d_1``.
     """
     h = _deflate(_deflate(den, pole), pole)
-    n_val, n_der, h_val, h_der = (complex(polyval_derivative(c, pole, k))
-                                  for c in (num, h) for k in (0, 1))
+    n_val, n_der, h_val, h_der = (complex(d) for c in (num, h)
+                                  for d in _taylor_shift(c, pole, 1)[0])
     return n_val * h_val, n_der * h_val - n_val * h_der, h_val
 
 

@@ -34,7 +34,7 @@ from scipy.special import gamma, gammaln, zeta as _riemann_zeta
 from .errors import (DivergentSeries, ToleranceUnreachable, UnboundedTail,
                      UnsupportedRoute)
 from .jsonio import Field, complex_pair, json_number
-from .spaces import BOUNDARY_TOL, SpaceSpec, polyval_derivative
+from .spaces import BOUNDARY_TOL, SpaceSpec
 
 _FLOAT_SLACK = 1.0 + 1e-9  # covers rounding inside computed tail bounds
 _EPS = float(np.finfo(float).eps)
@@ -139,9 +139,6 @@ class TaylorSeries:
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coefficients)
-
-    def derivative_at(self, z, order: int = 0):
-        return polyval_derivative(self.coefficients, z, order)
 
     def scaled(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(self.coefficients * factor,
@@ -473,6 +470,25 @@ def derivative_functional(point: complex, order: int, N: int) -> np.ndarray:
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     return _functional_at(point, order, np.arange(N + 1), np.empty(N + 1, dtype=complex))
+
+
+def _taylor_shift(coeffs: np.ndarray, center: complex,
+                  K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor coefficients ``d_k = sum_n C(n, k) c_n center^(n-k)`` at
+    ``center``, k <= K, of the polynomial of ascending ``coeffs``, so that its
+    k-th derivative there is ``k! d_k``, and their rounding bounds ``gamma *
+    sum_n C(n, k) |c_n| |center|^(n-k)``.  Powers by repeated complex products
+    (3u each, Higham, *Accuracy and Stability*, 2nd ed., Lemma 3.5, for any
+    centre), binomials by 2K roundings and sums of N+1 complex products make
+    ``(4N + 2K + 4) u``, which ``gamma = 4(N + K + 2) eps`` covers twice over.
+    """
+    N = len(coeffs) - 1
+    ns, ks = np.arange(N + 1), np.arange(K + 1)[:, None]
+    powers = np.cumprod(np.r_[1.0 + 0j, np.full(N, complex(center))])
+    binoms = np.cumprod(np.where(ks > 0, (ns - ks + 1) / np.maximum(ks, 1), 1.0), axis=0)
+    shift = binoms * powers[np.maximum(ns - ks, 0)]
+    gamma = 4.0 * (N + K + 2) * _EPS
+    return shift @ coeffs, gamma * (np.abs(shift) @ np.abs(coeffs))
 
 
 def _taylor_tail(space: SpaceSpec, term: KernelTerm, N: int,

@@ -293,8 +293,6 @@ class DirichletType(DiagonalSpace):
         r_top = math.floor(half)
         if r_top == half:
             r_top -= 1
-        if r_top < 0:
-            return ReproducibleOrder.not_reproducible()
         return ReproducibleOrder.finite(int(r_top))
 
     def weight_ratio_sup(self, j0: int) -> float:
@@ -679,17 +677,6 @@ def space_from_json(obj) -> SpaceSpec:
 # Factored polynomials
 # ---------------------------------------------------------------------------
 
-def polyval_derivative(coeffs: np.ndarray, z, order: int = 0):
-    """``order``-th derivative at z of the polynomial with ascending ``coeffs``
-    (what ``polyval`` returns, or ``0j`` for empty coefficients)."""
-    c = coeffs
-    for _ in range(order):
-        c = np.polynomial.polynomial.polyder(c)
-    if len(c) == 0:
-        return 0j
-    return np.polynomial.polynomial.polyval(z, c)
-
-
 @dataclass(frozen=True)
 class FactoredPoly:
     """Polynomial in factored form: ``leading * prod (z - point)^mult``.
@@ -741,9 +728,6 @@ class FactoredPoly:
         for point, mult in self.roots:
             out *= (z - point) ** mult
         return out
-
-    def derivative_at(self, z: complex, order: int = 1) -> complex:
-        return complex(polyval_derivative(self.coefficients(), z, order))
 
     def to_json(self) -> dict:
         return {

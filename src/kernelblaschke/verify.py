@@ -20,8 +20,8 @@ from .construct import (CLUSTER_TOL, ConstructionResult, project_target_fd,
 from .errors import IllConditioned, TruncationDominatesResidual, ZeroFunction
 from .jsonio import complex_pair
 from .kernels import (DEFAULT_POLICY, KernelTerm, TaylorSeries, TruncationPolicy,
-                      combo_derivative_at, kernel_pairing, shift_inner_product,
-                      shift_inner_products)
+                      _taylor_shift, combo_derivative_at, kernel_pairing,
+                      shift_inner_product, shift_inner_products)
 from .spaces import (FactoredPoly, ReproducibleMultiset, SpaceSpec,
                      reproducible_multiset)
 
@@ -148,11 +148,13 @@ def _tail_bound_at(space: SpaceSpec, tail: float, point: complex, order: int,
 
 def _derivative(space, result: ConstructionResult, point: complex, order: int,
                 policy: TruncationPolicy) -> tuple[complex, float]:
-    """B^(order)(point), certified via pairings when a combo is available.
+    """``(B^(order)(point), err)``: the one way a construction is read at a point.
 
-    Otherwise it is ``l! d_l``, l = order, by ``_taylor_shift``, with err
-    ``l!`` times the rounding bound of ``d_l`` (whose gamma has room for the
-    product by ``l!``) plus the tail bound at the point.
+    With a combo it is ``combo_derivative_at``, certified via pairings (at the
+    origin each pairing is one exact term, so err is 0.0 and the policy is not
+    read).  Otherwise it is ``l! d_l``, l = order, by ``_taylor_shift``, with
+    err ``l!`` times the rounding bound of ``d_l`` (whose gamma has room for
+    the product by ``l!``) plus the tail bound at the point.
     """
     if result.combo is not None:
         return combo_derivative_at(space, result.combo, point, order, policy)
@@ -161,24 +163,6 @@ def _derivative(space, result: ConstructionResult, point: complex, order: int,
     return (complex(scale * shift[order]),
             _tail_bound_at(space, result.taylor.tail_bound, point, order, policy)
             + scale * float(rounding[order]))
-
-
-def _taylor_shift(coeffs: np.ndarray, center: complex,
-                  K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Taylor coefficients ``d_k = sum_n C(n, k) c_n center^(n-k)`` of
-    ``B_N`` at ``center``, k <= K, and their rounding bounds ``gamma * sum_n
-    C(n, k) |c_n| |center|^(n-k)``.  Powers by repeated complex products (3u
-    each, Higham, *Accuracy and Stability*, 2nd ed., Lemma 3.5), binomials by
-    2K roundings and sums of N+1 complex products make ``(4N + 2K + 4) u``,
-    which ``gamma = 4(N + K + 2) eps`` covers twice over.
-    """
-    N = len(coeffs) - 1
-    ns, ks = np.arange(N + 1), np.arange(K + 1)[:, None]
-    powers = np.cumprod(np.r_[1.0 + 0j, np.full(N, complex(center))])
-    binoms = np.cumprod(np.where(ks > 0, (ns - ks + 1) / np.maximum(ks, 1), 1.0), axis=0)
-    shift = binoms * powers[np.maximum(ns - ks, 0)]
-    gamma = 4.0 * (N + K + 2) * np.finfo(float).eps
-    return shift @ coeffs, gamma * (np.abs(shift) @ np.abs(coeffs))
 
 
 _COUNT_MAX_SAMPLES = 1 << 16
@@ -318,14 +302,15 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> ZeroReport:
     """Verify prescribed zeros/orders and scan ``|z| <= radius`` for extras.
 
-    Prescribed checks: ``|B^(l)(beta_j)| <= tol * ||B||`` for ``l < m_j`` and the
-    origin order is exactly ``m0`` (first nonvanishing derivative there).  The
-    extraneous scan first counts the zeros of B in ``|z| < radius`` by the
-    argument principle on FFT samples of the circle, certified against the
-    Taylor tail, the spacing of the samples and their rounding.  When the
-    prescribed checks pass and the count equals ``m0`` plus the
-    multiplicities of the prescribed points inside the circle, there is no
-    extraneous interior zero.  Otherwise the moments of ``B_N'/B_N`` over the
+    Prescribed checks, the origin ``(0, m0)`` first and then each entry of Z:
+    ``|B^(l)(beta_j)| <= tol * ||B|| + err`` for ``l < m_j``, each value and
+    err from ``_derivative``; at the origin also ``|B^(m0)(0)| > tol * ||B||``,
+    so its order is exactly ``m0``.  The extraneous scan first counts the
+    zeros of B in ``|z| < radius`` by the argument principle on FFT samples of
+    the circle, certified against the Taylor tail, the spacing of the samples
+    and their rounding.  When the prescribed checks pass and the count equals
+    ``m0`` plus the multiplicities of the prescribed points inside the circle,
+    there is no extraneous interior zero.  Otherwise the moments of ``B_N'/B_N`` over the
     same samples locate the count's distinct zeros (``_moment_zeros``), and
     Pellet's test (``_disk_count``) counts the zeros of B in disjoint disks,
     reaching at most ``_DISK_CAP`` past the circle: about the origin (when
@@ -348,16 +333,7 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
     prescribed = []
     prescribed_ok = True
     m0 = Z.origin_multiplicity
-    origin_rows = []
-    for ell in range(m0):
-        v = math.factorial(ell) * result.taylor.coefficient(ell)
-        origin_rows.append((ell, abs(v), 0.0))
-        prescribed_ok = prescribed_ok and abs(v) <= tol * norm
-    origin_first = abs(math.factorial(m0) * result.taylor.coefficient(m0))
-    prescribed_ok = prescribed_ok and origin_first > tol * norm
-    prescribed.append(PrescribedZeroCheck(0j, m0, tuple(origin_rows), origin_first))
-
-    for point, mult in Z.entries:
+    for point, mult in ((0j, m0),) + Z.entries:
         rows = []
         for ell in range(mult):
             v, e = _derivative(space, result, point, ell, policy)
@@ -365,6 +341,7 @@ def zero_report(space: SpaceSpec, result: ConstructionResult,
             prescribed_ok = prescribed_ok and abs(v) <= tol * norm + e
         first, _ = _derivative(space, result, point, mult, policy)
         prescribed.append(PrescribedZeroCheck(point, mult, tuple(rows), abs(first)))
+    prescribed_ok = prescribed_ok and prescribed[0].first_nonvanishing > tol * norm
 
     extraneous: list[ExtraneousZero] = []
     if scan:
@@ -547,7 +524,8 @@ def extremal_check(space: SpaceSpec, p: FactoredPoly, result: ConstructionResult
 
     norm_sq, _ = shift_inner_product(space, result.taylor, 0)
     norm = math.sqrt(float(norm_sq.real))
-    construction_value = math.factorial(d) * float(result.taylor.coefficient(d).real) / norm
+    value, _ = _derivative(space, result, 0j, d, DEFAULT_POLICY)
+    construction_value = float(value.real) / norm
     return ExtremalReport(d, supremum, construction_value,
                           construction_value + slack - supremum,
                           supremum <= construction_value + slack)

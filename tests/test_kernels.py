@@ -578,7 +578,6 @@ def test_taylor_series_mechanics():
     assert t.truncation_degree == 2
     assert t.coefficient(5) == 0
     assert t(0.5) == pytest.approx(1 + 1 + 0.75)
-    assert t.derivative_at(0.0, 1) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         kb.TaylorSeries([], 0.0)
     back = kb.TaylorSeries.from_json(t.to_json())

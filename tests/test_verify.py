@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kernelblaschke as kb
-from kernelblaschke import construct, verify
+from kernelblaschke import construct, kernels, verify
 from kernelblaschke.jsonio import dumps_canonical
 
 from mpref import A2, D1, D2, D4, H2, Z_of, taylor_shift
@@ -145,6 +145,20 @@ def test_zero_report_boundary_multiset():
     boundary = rep.prescribed[1]
     assert boundary.residuals[0][1] <= 1e-10
     assert boundary.first_nonvanishing > 1e-3
+
+
+def test_zero_report_flags_excess_order_at_a_boundary_point():
+    # (z - 1)^2 (z - 1/2) in D_4 vanishes to order 2 at the boundary point 1;
+    # prescribing order 1 there leaves one extraneous zero of multiplicity 2.
+    coeffs = kb.FactoredPoly(1.0, ((1.0, 2), (0.5, 1))).coefficients()
+    result = kb.ConstructionResult(kb.TaylorSeries(coeffs, 0.0), 1.0, "closed_form",
+                                   None, 0.0)
+    rep = kb.zero_report(D4, result, Z_of((0.5, 1), (1.0, 1)), radius=0.95)
+    assert not rep.verdict
+    assert len(rep.extraneous) == 1
+    assert rep.extraneous[0].location == 1.0
+    assert rep.extraneous[0].estimated_multiplicity == 2
+    assert kb.zero_report(D4, result, Z_of((0.5, 1), (1.0, 2)), radius=0.95).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +317,17 @@ def test_circle_rounding_bound_holds_against_mpmath():
     assert worst <= rounding
 
 
-@pytest.mark.parametrize("center", [0j, 0.3 + 0.4j, 0.9 + 0j])
+@pytest.mark.parametrize("center", [0j, 0.3 + 0.4j, 0.9 + 0j, 2 + 0j,
+                                    1 / np.conj(0.5 + 0.1j)])
 def test_taylor_shift_within_its_rounding_bound_against_mpmath(center):
     # An A_2 construction, and a product whose roots on the grid (a + b i) / 16
-    # make every coefficient exact.
+    # make every coefficient exact.  The residue algebra evaluates the latter
+    # kind at poles outside the disk, where the bound must hold too.
     Z = Z_of((0.8, 1), (0.95 * np.exp(2.5j), 1))
     built = kb.shapiro_shields(A2, Z, taylor_degree=600).taylor.coefficients
     exact = kb.FactoredPoly(1.0, ((0.25 + 0.5j, 3), (-0.75, 2), (0.875j, 1))).coefficients()
-    for coeffs in (built, exact):
-        shift, rounding = verify._taylor_shift(coeffs, center, 24)
+    for coeffs in ((built, exact) if abs(center) < 1 else (exact,)):
+        shift, rounding = kernels._taylor_shift(coeffs, center, 24)
         with mpmath.workdps(40):
             refs = taylor_shift(coeffs, center, 24)
             errors = [float(abs(ref - mpmath.mpc(d))) for ref, d in zip(refs, shift)]
@@ -615,6 +631,19 @@ def test_extraneous_scan_smoke_region():
     assert isinstance(rep["instance_found"], bool)
     assert rep["note"] in ("no instance found in region",
                            "extraneous interior zero found")
+
+
+def test_extraneous_scan_checks_every_instance_against_the_augmented_function():
+    # Weights (1, 1, 1, 0.1, 1e6, ...) give most two-point constructions an
+    # unprescribed interior zero; each must be a scalar multiple of the
+    # construction for the multiset augmented by that zero.
+    space = kb.WeightedHardy(lambda k: 1.0 if k <= 2 else 0.1 if k == 3 else 1e6)
+    rep = kb.extraneous_zero_scan(space, moduli=(0.3, 0.5, 0.7), n_angles=4,
+                                  radius=0.95, taylor_degree=120)
+    assert rep["cases_scanned"] == 21
+    assert rep["instance_found"]
+    assert all(record["scalar_check"] is not None for record in rep["instances"])
+    assert rep["all_scalar_checks_pass"] is True
 
 
 def test_reports_serialize():
