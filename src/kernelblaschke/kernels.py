@@ -11,12 +11,17 @@ and the pairing of two kernels is the series
 
 Every summation here returns a certified ``(value, err)``, or a Taylor
 series whose ``tail_bound`` is a bound, or raises ``ToleranceUnreachable``;
-no sum returns an infinite or estimated ``err``.  Sums inside the disk use a
-geometric tail bound (term-ratio majorant) plus a bound on their rounding.  In
-``D_alpha`` a pairing with ``|conj(a) b| >= _POLYLOG_SWITCH``, on the circle
-too, is a finite sum of polylogarithms ``Li_s(conj(a) b)``, summed by their
-expansion about 1; its err covers rounding as well.  Boundary kernel tails use
-an integral p-series bound.
+no sum returns an infinite or estimated ``err``.  A pairing takes one of four
+paths.  A kernel at the origin leaves one term.  In ``D_alpha`` the pairing is
+a finite sum of polylogarithms ``Li_s(conj(a) b)``: for an integer
+``alpha <= 1`` (``H_2``, ``A_2``, ``D_1``) every ``Li_s`` is elementary, and
+the closed form serves every interior pair, except that below
+``_POLYLOG_SWITCH`` a pair whose closed form cancels past what the loop can
+reach falls through to the loop; for any other ``alpha`` the sum is taken by
+the expansion about 1 at ``|conj(a) b| >= _POLYLOG_SWITCH``, on the circle too.
+Every other pair is the geometric loop, with a term-ratio tail bound.  Each
+err covers rounding as well.  Boundary kernel tails use an integral p-series
+bound.
 
 All functions are pure; summation order is fixed, so results are deterministic.
 """
@@ -313,22 +318,116 @@ def _polylog(s: float, mu: complex) -> tuple[complex, float]:
 
 
 @functools.lru_cache(maxsize=64)
-def _falling_poly(p: int, q: int) -> np.ndarray:
-    """Ascending coefficients of ``P(u) = prod_(m = p, q) (u-1)...(u-m)``."""
-    poly = np.atleast_1d(np.poly(np.r_[1:p + 1, 1:q + 1]))[::-1]
-    poly.setflags(write=False)  # the cache hands this array to every caller
-    return poly
+def _falling_poly(p: int, q: int) -> tuple:
+    """Ascending coefficients of ``P(u) = prod_(m = p, q) (u-1)...(u-m)``, exact
+    integers (a float product rounds them from orders (14, 14) on)."""
+    poly = [1]
+    for r in (*range(1, p + 1), *range(1, q + 1)):
+        poly = [low - r * high for low, high in zip([0] + poly, poly + [0])]
+    return tuple(poly)
+
+
+@functools.lru_cache(maxsize=256)
+def _stirling_combination(s: int, coeffs: tuple) -> tuple:
+    """``(d_k, (k+1) d_k, |fl(d_k) - d_k|)`` for k descending (Horner's order),
+    where ``sum_k d_k t^(k+1)`` is ``sum_j coeffs[j] Li_(s-j)(x)`` over the ``s - j
+    <= 0``, ``t = x/(1-x)``: by ``Li_(-m)(x) = sum_(k <= m) k! S(m+1, k+1)
+    t^(k+1)``, S the Stirling numbers of the second kind, each d_k an exact
+    integer sum, rounded once to a float."""
+    d, row = {}, [1]  # row: S(n, k) for k = 1..n, from n = 1
+    for j, c in enumerate(coeffs):
+        m = j - s
+        while len(row) < m + 1:
+            n = len(row) + 1
+            row = [k * r + l for k, r, l in zip(range(1, n + 1), row + [0], [0] + row)]
+        if m >= 0 and c:
+            for k, stirling in enumerate(row):
+                d[k] = d.get(k, 0) + c * math.factorial(k) * stirling
+    exact = [d.get(k, 0) for k in range(max(d, default=-1), -1, -1)]
+    return tuple((float(dk), float((k + 1) * dk), float(abs(int(float(dk)) - dk)))
+                 for k, dk in zip(range(len(exact) - 1, -1, -1), exact))
+
+
+def _polylog_elementary(s: int, x, coeffs: tuple = (1,)) -> tuple[complex, float]:
+    """``sum_j coeffs[j] Li_(s-j)(x)`` (``Li_s(x)`` by default) for an integer
+    ``s <= 1``, integer coefficients and ``|x| < 1``, and a bound on its error
+    when x carries the rounding of one complex product, ``sqrt 5 u |x|`` (``u =
+    eps/2``; Brent, Percival and Zimmermann, *Math. Comp.* 76, 2007).
+    ``Li_1(x) = -log(1-x)``; every other order is taken together, ``H = sum_k
+    d_k t^(k+1)`` by Horner's rule, from ``_stirling_combination`` (L. Lewin,
+    *Polylogarithms and Associated Functions*, 1981, ch. 7; DLMF 25.12).
+
+    x is a float or a complex; for a float every operation is real.  The bound
+    covers, to first order:
+    - Horner's rounding, by the running bound ``u sum_k |t|^k (m_u |fl(y_(k+1)
+      t)| + |y_k|)`` over the computed partial sums y_k (Higham, *Accuracy and
+      Stability*, 2nd ed., Alg. 5.1), ``m_u = sqrt 5`` a complex product's, 1 a
+      real one's, plus each d_k's own rounding;
+    - t's rounding, ``theta <= 7.5u`` (``1 - x`` and Smith's division, 6.5u),
+      2u real, which moves H by ``theta |W|``, ``W = sum_k (k+1) d_k t^(k+1) = t
+      dH/dt``;
+    - x's rounding through ``x d/dx H = W/(1-x)`` and ``x d/dx Li_1 = t``;
+    - the log's ``(3 + |Li_1|)u``, and u for each product and the last sum.
+    The second order in both roundings, ``q^2/2`` of the terms' sizes with ``q
+    = (m + 3)(sqrt 5 u/|1-x| + theta)``, m the top Stirling order, is added."""
+    u, w = 0.5 * _EPS, 1.0 - x
+    real = isinstance(x, float)
+    theta = 2.0 * u if real else 7.5 * u
+    value, err, size, slope = 0.0, 0.0, 0.0, 0.0
+    if s == 1 and coeffs[0]:
+        log = -cmath.log(w)
+        value, err = coeffs[0] * log, abs(coeffs[0]) * (3.0 + 2.0 * abs(log)) * u
+        slope, size = coeffs[0] * x, abs(coeffs[0])
+    terms = _stirling_combination(s, coeffs)
+    if terms:
+        t = x / w
+        at, mul = abs(t), 1.0 if real else math.sqrt(5.0)
+        h, weighted, running, sizes = 0.0, 0.0, 0.0, 0.0
+        for d, kd, d_err in terms:
+            product = h * t
+            h = product + d
+            running = running * at + mul * abs(product) + abs(h) + d_err / u
+            weighted = weighted * t + kd
+            sizes = sizes * at + abs(kd)
+        h *= t
+        value += h
+        err += (running * at + mul * abs(h)) * u + theta * abs(weighted * t)
+        slope += weighted * t
+        size += sizes * at
+    q = (len(coeffs) - s + 2) * (math.sqrt(5.0) * u / abs(w) + theta)
+    err += math.sqrt(5.0) * u * abs(slope) / abs(w) + u * abs(value) + 0.5 * q * q * size
+    return value, err * _FLOAT_SLACK
 
 
 def _pair_polylog(space, a, b):
     """``sum_j c_j Li_(alpha-j)(x) / (x conj(a)^p b^q)`` with ``x = conj(a) b = e^mu``.
 
     In ``D_alpha`` the pairing is ``sum_n P(n+1) x^n/(n+1)^alpha``, ``P(u) = sum_j c_j u^j
-    = prod_(m = p, q) (u-1)...(u-m)``; ``mu`` is the difference of the points' logarithms
-    (``Re mu = 0`` if both are on the circle).  err covers each ``_polylog`` bound, the
-    rounding of the sum and, to first order by ``d/dmu Li_s = Li_(s-1)``, that of mu."""
+    = prod_(m = p, q) (u-1)...(u-m)``.  For an integer ``alpha <= 1`` the sum is one
+    ``_polylog_elementary`` at the computed x, whose bound covers x's rounding too;
+    err adds the division's, ``(3(p+q) + 12)u`` of the value, ``u = eps/2``, which
+    takes in x's rounding as a divisor.
+
+    Any other alpha takes Wood's expansion at mu, the difference of the points'
+    logarithms (``Re mu = 0`` if both are on the circle).  err covers each
+    ``_polylog`` bound, the rounding of the sum and, to first order by ``d/dmu Li_s =
+    Li_(s-1)``, that of mu."""
     alpha = _alpha_of(space)
     poly = _falling_poly(a.order, b.order)
+    if alpha <= 1 and alpha == int(alpha):
+        x = a.point.conjugate() * b.point
+        if x.imag == 0.0:
+            x = x.real
+        total, err = _polylog_elementary(int(alpha), x, poly)
+        u = 0.5 * _EPS
+        den = x * a.point.conjugate() ** a.order * b.point ** b.order
+        if den == 0:
+            raise ToleranceUnreachable(f"x conj(a)^p b^q underflows at {a.point}, {b.point}")
+        value = complex(total / den)
+        err = err / abs(den) + (3 * (a.order + b.order) + 12) * u * abs(value)
+        if not math.isfinite(err):
+            raise ToleranceUnreachable(f"no finite polylogarithm bound at x = {x}")
+        return value, err * _FLOAT_SLACK
     la, lb = np.log(a.point), np.log(b.point)  # cmath.log loses Re mu near |z| = 1
     im = math.remainder(lb.imag - la.imag, 2 * math.pi)
     on_circle = max(abs(abs(a.point) - 1.0), abs(abs(b.point) - 1.0)) <= BOUNDARY_TOL
@@ -359,11 +458,17 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     diagonal and a, then b, admissible.  A kernel at the origin leaves one term
     of the series, n = its order, formed on scalars with ``_pair_terms``' bytes
     (``math.prod`` takes ``_falling``'s products in its order).  ``|ab| > 1``
-    diverges, and the polylogarithm regime goes to ``_pair_polylog``.  Any
-    other pair is summed over the ``_blocks`` from ``max(p, q)`` until its
-    geometric tail closes below the tolerance.
+    diverges.  In ``D_alpha`` at an integer ``alpha <= 1`` every pair goes to
+    ``_pair_polylog``'s elementary closed form.  At ``|ab| >= _POLYLOG_SWITCH``
+    its value is returned as it is, as Wood's expansion's is for any other
+    ``alpha``.  Below the switch it is returned when its err is at most the
+    tolerance or ``64 eps P``, P the same closed form at ``(|a|, |b|)``, which is
+    the all-positive series ``sum_n |t_n|``; the loop's err is never below
+    that.  Otherwise (the closed form cancels, or overflows) the pair falls
+    through to the loop.  Any other pair is summed over the ``_blocks`` from
+    ``max(p, q)`` until its geometric tail closes below the tolerance.
 
-    Its err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
+    The loop's err is that tail plus a rounding bound ``eps sum_n (64 + 4 n L)|t_n|``,
     ``L = |log a| + |log b|``.  ``_powers`` forms ``z^n`` as ``exp(n log z)``
     from n = 100 on, the formula and the bytes of numpy's own complex power,
     with relative error about ``(7 n |log z| + 4) u`` (``u = eps/2``), and by
@@ -386,9 +491,19 @@ def kernel_pairing(space: SpaceSpec, a: KernelTerm, b: KernelTerm,
     rho = abs(a.point) * abs(b.point)
     if rho > 1.0 + BOUNDARY_TOL:
         raise DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
-    if not (rho < _POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL and space.decay_exponent is None)):
-        return _pair_polylog(space, a, b)
     tol = policy.target_tolerance
+    alpha = space.decay_exponent
+    if alpha is not None and alpha <= 1 and alpha == int(alpha):
+        try:
+            value, err = _pair_polylog(space, a, b)
+            if rho >= _POLYLOG_SWITCH or err <= tol or err <= 64 * _EPS * _pair_polylog(
+                    space, KernelTerm(abs(a.point), p), KernelTerm(abs(b.point), q))[0].real:
+                return value, err
+        except ToleranceUnreachable:  # an overflow or underflow: below the switch, the loop
+            if rho >= _POLYLOG_SWITCH:
+                raise
+    elif rho >= _POLYLOG_SWITCH and (rho >= 1 - BOUNDARY_TOL or alpha is not None):
+        return _pair_polylog(space, a, b)
     logs = abs(cmath.log(a.point)) + abs(cmath.log(b.point))
     total, size = 0j, 0.0
     for ns in _blocks(max(p, q), policy.max_terms, 256, 1 << 16):

@@ -18,6 +18,11 @@ from kernelblaschke import cli
 
 H2, A2, D1 = kb.hardy_space(), kb.bergman_space(), kb.dirichlet_space()
 D2, D4 = kb.DirichletType(2.0), kb.DirichletType(4.0)
+# Callable-rule twins of H2 and A2: the same weights on the generic diagonal
+# path, so their interior pairings take the geometric loop, which D_alpha at
+# an integer alpha <= 1 leaves to its closed form.
+H2_W = kb.WeightedHardy(lambda k: 1.0)
+A2_W = kb.WeightedHardy(lambda k: 1.0 / (k + 1))
 
 
 def falling_poly(orders):
@@ -52,6 +57,28 @@ def lerch_form(alpha, u, v, p, q, on_circle=False):
             s = mpmath.mpf(alpha) - j
             total += c * (mpmath.zeta(s) if x == 1 else mpmath.lerchphi(x, s, 1))
     return total * x / (u * v) / (u ** p * v ** q)
+
+
+def eulerian_polylog(s, x):
+    """``Li_s(x)`` for an integer ``s <= 1``: ``-log(1 - x)``, and ``x A_m(x) /
+    (1 - x)^(m+1)`` for s = -m, A_m the Eulerian polynomial (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, 2nd ed., section 6.2)."""
+    if s == 1:
+        return -mpmath.log(1 - x)
+    row = [1]  # A_0
+    for n in range(1, 1 - s):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (n - k) * (row[k - 1] if k else 0)
+               for k in range(n)]
+    return x * mpmath.polyval(row[::-1], x) / (1 - x) ** (1 - s)
+
+
+def elementary_form(alpha, u, v, p, q):
+    """``lerch_form``'s pairing for an integer ``alpha <= 1``, each ``Li_s`` by
+    ``eulerian_polylog``."""
+    x = u * v
+    total = mpmath.fsum(c * eulerian_polylog(alpha - j, x)
+                        for j, c in enumerate(falling_poly((p, q))))
+    return total / x / (u ** p * v ** q)
 
 
 def functional(t, order, n):

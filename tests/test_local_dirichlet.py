@@ -29,7 +29,7 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(st.floats(0.0, 2 * math.pi), st.integers(0, 80), st.integers(0, 12),
        st.integers(0, 2 ** 32 - 1))
 def test_form_matches_the_dense_gram(theta, N, k, seed):

@@ -1,10 +1,16 @@
 """The pairing layer keeps its bytes: ``_pair_terms`` against ``np.power``, and
 ``kernel_pairing``, ``pairing_gram`` and ``combo_derivative_at`` against a
-per-pair reference, errors included."""
+per-pair reference, errors included.  The reference takes the library's path
+for each pair: a pair that takes the geometric loop or the origin's term is
+compared byte for byte with a copy of that code, and one that takes the
+elementary closed form of H2 or A2 is the library's closed form, held within
+its err of mpmath's ``closed_form``."""
 
 import cmath
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +20,10 @@ from kernelblaschke import kernels
 from kernelblaschke.construct import pairing_gram
 from kernelblaschke.spaces import BOUNDARY_TOL
 
-from mpref import A2, D4, H2, K
+from mpref import A2, D4, H2, K, closed_form
 
 D3 = kb.DirichletType(3.0)
+D_M25 = kb.DirichletType(-2.5)
 RULE = kb.WeightedHardy(lambda k: 1.0 / (k + 1.0) ** 0.5)
 SHORT = kb.WeightedHardy((1.0,) * 300)
 
@@ -68,6 +75,32 @@ def _admissible_ref(space, term):
             f"point has reproducible order {ro.to_json()!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _closed_form_ref(power, a, p, b, q):
+    with mpmath.workdps(40):
+        return closed_form(power, mpmath.conj(mpmath.mpc(a)), mpmath.mpc(b), p, q)
+
+
+def _elementary_ref(space, a, b, policy):
+    """H2's and A2's closed form, held within its err of mpmath, or None where
+    the pair falls through to the loop: below the switch, when its err is past
+    the tolerance and 64 eps of the all-positive series, or it overflows."""
+    rho = abs(a.point) * abs(b.point)
+    try:
+        value, err = kernels._pair_polylog(space, a, b)
+        if not (rho >= kernels._POLYLOG_SWITCH or err <= policy.target_tolerance
+                or err <= 64 * kernels._EPS * kernels._pair_polylog(
+                    space, K(abs(a.point), a.order), K(abs(b.point), b.order))[0].real):
+            return None
+    except kb.ToleranceUnreachable:
+        if rho >= kernels._POLYLOG_SWITCH:
+            raise
+        return None
+    ref = _closed_form_ref({H2: 1, A2: 2}[space], a.point, a.order, b.point, b.order)
+    assert abs(mpmath.mpc(value) - ref) <= err, (space, a, b, value, err)
+    return value, err
+
+
 def _pairing_ref(space, a, b, policy=kb.DEFAULT_POLICY):
     kernels._require_diagonal(space, "kernel_pairing")
     _admissible_ref(space, a)
@@ -81,10 +114,14 @@ def _pairing_ref(space, a, b, policy=kb.DEFAULT_POLICY):
     rho = abs(a.point) * abs(b.point)
     if rho > 1.0 + BOUNDARY_TOL:
         raise kb.DivergentSeries(f"pairing series diverges: |a * b| = {rho} > 1")
-    if rho < kernels._POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL
-                                         and space.decay_exponent is None):
-        return _geometric_ref(space, a, b, policy)
-    return kernels._pair_polylog(space, a, b)
+    if space in (H2, A2):
+        closed = _elementary_ref(space, a, b, policy)
+        if closed is not None:
+            return closed
+    elif not (rho < kernels._POLYLOG_SWITCH or (rho < 1 - BOUNDARY_TOL
+                                                and space.decay_exponent is None)):
+        return kernels._pair_polylog(space, a, b)
+    return _geometric_ref(space, a, b, policy)
 
 
 def _gram_ref(space, terms, policy=kb.DEFAULT_POLICY):
@@ -215,7 +252,7 @@ def _d4_terms():
 @pytest.mark.parametrize("space", [D4, A2, H2, RULE], ids=["D4", "A2", "H2", "rule"])
 def test_pairing_row_matches_the_per_pair_loop(space):
     terms = _d4_terms()
-    if space is not D4:  # no boundary kernels, no polylogarithm regime
+    if space is not D4:  # no boundary kernels
         terms = [t for t in terms if abs(t.point) < 0.9]
     for target in terms:
         for a in terms:
@@ -251,13 +288,13 @@ def test_row_and_gram_errors_are_the_per_pair_loop_errors():
         (D4, [K(0.5), K(0.2j)], K(1.0, 3), kb.DEFAULT_POLICY),
         (H2, [K(0.5), K(1.0)], K(0.4), kb.DEFAULT_POLICY),
         # A term budget too small for every geometric pair but the origin's.
-        (A2, [K(0), K(0.9), K(0.8j, 1), K(0.7, 2)], K(0.9), tight),
+        (D_M25, [K(0), K(0.9), K(0.8j, 1), K(0.7, 2)], K(0.9), tight),
         (D4, [K(0.9), K(0.5, 1)], K(0.9j), tight),
         # Several failing pairs in a Gram: (1, 1) fails on its term budget
         # before (0, 2) diverges in column order, and (0, 2) comes first in
         # row-major order.
         (D4, [K(edge), K(0.9j), K(over)], K(0.5), tight),
-        (A2, [K(0.1), K(0.95), K(0.2, 1), K(3.0)], K(0.99), tight),
+        (D_M25, [K(0.1), K(0.95), K(0.2, 1), K(3.0)], K(0.99), tight),
         # A weight table too short for pairs of two start indices: each
         # block schedule fails at its own index, and the first pair's decides.
         (SHORT, [K(0.97), K(0.97j, 2), K(0.1)], K(0.97), kb.DEFAULT_POLICY),
@@ -301,7 +338,7 @@ _TERM = st.builds(K, st.builds(_fuzz_point,
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(st.sampled_from([A2, H2, D4, kb.DirichletType(-2.5), RULE]),
+@given(st.sampled_from([A2, H2, D4, D_M25, RULE]),
        st.lists(_TERM, min_size=1, max_size=6, unique_by=lambda t: (t.point, t.order)),
        _TERM, st.sampled_from([kb.DEFAULT_POLICY, kb.TruncationPolicy(max_terms=64)]))
 def test_rows_grams_and_combos_match_the_reference(space, terms, target, policy):
