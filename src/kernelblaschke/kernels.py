@@ -320,7 +320,7 @@ def _polylog(s: float, mu: complex) -> tuple[complex, float]:
 @functools.lru_cache(maxsize=64)
 def _falling_poly(p: int, q: int) -> tuple:
     """Ascending coefficients of ``P(u) = prod_(m = p, q) (u-1)...(u-m)``, exact
-    integers (a float product rounds them from orders (14, 14) on)."""
+    integers (a float product rounds some once ``p + q >= 20``)."""
     poly = [1]
     for r in (*range(1, p + 1), *range(1, q + 1)):
         poly = [low - r * high for low, high in zip([0] + poly, poly + [0])]
