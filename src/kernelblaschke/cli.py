@@ -85,7 +85,7 @@ def _build(space, Z, cfg, policy):
         _construct.check_projection(Z.polynomial(), M)
         return lambda: _construct.oracle_result(space, Z, M=M)
     N = cfg.get("taylor_degree", 256).number(int, "non-negative")
-    _construct.check_shapiro_shields(space, Z, route)
+    _construct.check_shapiro_shields(space, Z, route, N)
     return lambda: _construct.shapiro_shields(space, Z, route=route, policy=policy,
                                               taylor_degree=N)
 

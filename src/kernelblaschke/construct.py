@@ -168,12 +168,18 @@ def _cholesky_or_singular(G: np.ndarray) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 def check_shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
-                          route: str) -> None:
-    """Raise what ``shapiro_shields(space, Z, route)`` would refuse before it
-    builds anything: an unknown route, a multiset the space does not admit,
-    clustered points, or a space without kernel pairings."""
+                          route: str, taylor_degree: int) -> None:
+    """Raise what ``shapiro_shields(space, Z, route, taylor_degree=...)`` would
+    refuse before it builds anything: an unknown route, a truncation that stops
+    below the gauge coefficient (degree ``Z.origin_multiplicity``), a multiset
+    the space does not admit, clustered points, or a space without kernel
+    pairings."""
     if route not in ("determinant", "solve"):
         raise ValueError(f"unknown route {route!r}")
+    if taylor_degree < Z.origin_multiplicity:
+        raise ValueError(
+            f"taylor_degree {taylor_degree} is below the origin multiplicity "
+            f"{Z.origin_multiplicity}, the degree of the gauge coefficient")
     Z.validate_for(space)
     _reject_clusters(Z)
     if not space.diagonal:
@@ -194,7 +200,7 @@ def shapiro_shields(space: SpaceSpec, Z: ReproducibleMultiset,
     numerically preferred one anyway).  ``route="solve"`` solves the Hermitian
     positive-definite normal equations.  Both agree after normalization.
     """
-    check_shapiro_shields(space, Z, route)
+    check_shapiro_shields(space, Z, route, taylor_degree)
     u, vs = multiset_kernel_terms(Z)
     n = len(vs)
     # The bordered Gram: row 0 holds <u, v_j>, row i + 1 holds <v_i, v_j>.

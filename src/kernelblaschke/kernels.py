@@ -547,7 +547,9 @@ def _powers(t: complex, ns: np.ndarray, out: np.ndarray) -> np.ndarray:
     numpy's complex power squares repeatedly below n = 100 and is C ``cpow``,
     ``exp(n log t)``, from there on; this forms the latter in place with
     ``log t`` taken once, where ``np.power`` takes a ``clog`` per element.  A real
-    ``t`` keeps ``np.power`` throughout.
+    ``t`` keeps ``np.power`` throughout.  Each value depends on its own n alone,
+    so ``combo_taylor`` reads a table of ``t^k`` and the scalar ``t^s`` that
+    scales it from this one rule.
     """
     cut = len(ns)
     if isinstance(t, complex) and cut and ns[-1] >= 100:
@@ -652,35 +654,61 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     """Taylor expansion of a kernel combination (linear in the terms).
 
     Coefficient n is ``sum_i coef_i conj(v_n) / w_n`` over the terms, v each
-    term's ``derivative_functional`` at ``conj(point)``.  One pass over
-    ``TAYLOR_BLOCK``-sized index blocks adds every term's coefficients into the
-    output in place (a kernel at the origin has one, n = its order), so the
-    output and the space's weights are the only arrays of length N + 1.  Each
-    coefficient takes the same floating-point operations, in the same order, as
-    whole-array products ``array * coef`` would.
+    term's ``derivative_functional`` at ``conj(point)``.  Each term walks
+    ``TAYLOR_BLOCK``-sized index blocks and adds its coefficients into the
+    output in place, so every coefficient receives its terms in term order, and
+    the output and the space's weights are the only arrays of length N + 1.  A
+    kernel at the origin has one coefficient, n = its order.
+
+    Every other term forms one power table ``t^k = _powers(t, k)``, ``t =
+    conj(point)``, for k below the block length.  A block whose first power is
+    ``t^s`` takes ``table[k] * t^s``, the scalar by ``_powers``' rule too, one
+    complex product per coefficient in place of an ``exp``.  Block 0 (s = 0)
+    takes the table itself, so every coefficient below ``TAYLOR_BLOCK`` is the
+    one that ``_powers`` over its block gives, with the same floating-point
+    operations, term by term, as whole-array products ``array * coef`` take.
+    Past it the relative error of ``t^n`` is that of the two powers, whose
+    exponents sum to n, plus one complex product: about ``(7 n |log t| + 11)
+    u``, u = eps / 2.
     """
     _require_diagonal(space, "combo_taylor")
     if B.space != space:
         raise ValueError("combo was built for a different space")
+    if N < 0:
+        raise ValueError(f"Taylor degree N must be nonnegative; got N = {N}")
     for term, _ in B.terms:
         _require_admissible(space, term)
     space.weight(N)  # a weight table shorter than N + 1 raises here, naming N + 1
     tail = sum(abs(coef) * _taylor_tail(space, term, N, policy) for term, coef in B.terms)
     w = space.weights(N)  # taken after the tail grows the table, so one table is held
     coeffs = np.zeros(N + 1, dtype=complex)
-    buf = np.empty(min(N + 1, TAYLOR_BLOCK), dtype=complex)
-    for lo in range(0, N + 1, TAYLOR_BLOCK):
-        ns = np.arange(lo, min(lo + TAYLOR_BLOCK, N + 1))
-        part = buf[: len(ns)]
-        for term, coef in B.terms:
-            m = term.order
-            if term.point != 0:
-                _functional_at(np.conjugate(term.point), m, ns, part)
-                part /= w[lo: lo + len(ns)]
-                part *= coef
-                coeffs[lo: lo + len(ns)] += part
-            elif lo <= m < lo + len(ns):  # the block pass's operations at n = m
+    size = min(N + 1, TAYLOR_BLOCK)
+    buf = np.empty(size, dtype=complex)
+    table = np.empty(size, dtype=complex)
+    for term, coef in B.terms:
+        m = term.order
+        if term.point == 0:
+            if m <= N:  # the block pass's operations at n = m
                 coeffs[m] += math.prod(range(m, 0, -1), start=1.0) * (1.0 / float(w[m])) * coef
+            continue
+        t = np.conjugate(term.point)
+        _powers(t, np.arange(size), table)
+        for lo in range(0, N + 1, size):
+            hi = min(lo + size, N + 1)
+            part = buf[: hi - lo]
+            j = min(max(m - lo, 0), hi - lo)  # below n = m the term has no coefficient
+            part[:j] = 0.0
+            s = lo + j - m
+            if s > 0:  # then j = 0
+                ts = _powers(t, np.array([s]), np.empty(1, dtype=complex))[0]
+                np.multiply(table[: hi - lo], ts, out=part)
+            else:
+                part[j:] = table[: hi - lo - j]
+            if m:
+                part[j:] *= _falling(np.arange(lo + j, hi), m)
+            part /= w[lo:hi]
+            part *= coef
+            coeffs[lo:hi] += part
     return TaylorSeries(coeffs, tail)
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,6 +133,24 @@ def test_criterion_3_innerness(route_constructions, boundary_construction):
           f"boundary: {repb.max_relative_residual:.3e}")
     announce(3, "innerness K=20 at 1e-8 interior, 1e-6 boundary D4", ok,
              time.perf_counter() - start)
+
+
+def test_boundary_construction_matches_zeta_at_full_scale(boundary_construction):
+    # Z = {1} in D_4 is B = 1 - sum_{n >= 1} z^n / ((zeta(4) - 1)(n + 1)^4).
+    # zeta(4) - 1 cancels kappa = zeta(4) / (zeta(4) - 1) ~ 13 fold, so the
+    # constant carries a few roundings of zeta(4) times kappa (12-13 ulps
+    # here); the shape (n + 1)^-4 across the block edges holds to a few ulps.
+    _, boundary = boundary_construction
+    coeffs = boundary.taylor.coefficients
+    eps = np.finfo(float).eps
+    assert coeffs[0] == 1 and np.all(coeffs.imag == 0)
+    with mpmath.workdps(40):
+        zeta4 = mpmath.zeta(4)
+        kappa = float(zeta4 / (zeta4 - 1))
+        rel = {n: float(mpmath.mpf(coeffs[n].real) * (zeta4 - 1) * mpmath.mpf(n + 1) ** 4 + 1)
+               for n in (1, 65_535, 65_536, 65_537, 1_500_000)}
+    assert abs(rel[1]) <= 2 * kappa * eps, rel
+    assert all(abs(r - rel[1]) <= 4 * eps for r in rel.values()), rel
 
 
 def test_criterion_4_classical_match(tmp_path):

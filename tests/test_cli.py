@@ -337,6 +337,25 @@ def test_kernel_route_on_a_non_diagonal_space_exits_two(tmp_path, capsys):
             assert "error [UnsupportedRoute]" in err and 'route: "oracle"' in err
 
 
+def test_a_taylor_degree_below_the_origin_multiplicity_exits_two(tmp_path, capsys, builds):
+    # The determinant route exited 1 with a bare IndexError from the gauge
+    # lookup, and the solve route exited 2 with a false ZeroFunction.
+    cfg = dict(BASE_CONSTRUCT, taylor_degree=1, multiset={
+        "origin": 3, "points": [{"point": [0.5, 0.0], "mult": 1}]})
+    for route in ("determinant", "solve"):
+        assert run_cli(tmp_path, "construct", dict(cfg, route=route)) == 2, route
+        assert capsys.readouterr().err == (
+            "config error: construct: taylor_degree 1 is below the origin "
+            "multiplicity 3, the degree of the gauge coefficient\n")
+    Z = kb.ReproducibleMultiset(3, ((0.5 + 0j, 1),))
+    with pytest.raises(ValueError, match="^taylor_degree 1 is below the origin multiplicity 3"):
+        kb.shapiro_shields(kb.hardy_space(), Z, taylor_degree=1)
+    assert builds == []
+    assert run_cli(tmp_path, "construct", dict(cfg, taylor_degree=3)) == 0
+    report = json.loads((tmp_path / "r" / "construct-h2-half.json").read_text())
+    assert report["report"]["construction"]["taylor"]["coeffs"][3] == [1.0, 0.0]
+
+
 def test_construct_zeros_subspace_oracle_tasks(tmp_path):
     assert run_cli(tmp_path, "construct", {
         "name": "c",
@@ -423,6 +442,17 @@ def test_a_batch_runs_the_construction_checks_before_the_first_entry(tmp_path, c
     assert run_cli(tmp_path, "batch", {"experiments": [construct, local]}) == 2
     assert capsys.readouterr().err.startswith("error [UnsupportedRoute]: route "
                                               "'determinant' needs kernel pairings")
+    assert builds == [] and not (tmp_path / "r").exists()
+
+
+def test_a_batch_refuses_a_short_taylor_degree_before_the_first_entry(tmp_path, capsys,
+                                                                      builds):
+    construct = dict(BASE_CONSTRUCT, task="construct", name="first")
+    second = dict(BASE_VERIFY, task="verify", taylor_degree=0, multiset={
+        "origin": 1, "points": [{"point": [0.5, 0.0], "mult": 1}]})
+    assert run_cli(tmp_path, "batch", {"experiments": [construct, second]}) == 2
+    assert capsys.readouterr().err.startswith("config error: verify: taylor_degree 0 is "
+                                              "below the origin multiplicity 1")
     assert builds == [] and not (tmp_path / "r").exists()
 
 

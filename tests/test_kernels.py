@@ -185,6 +185,15 @@ def test_combo_validation():
         kb.combo_taylor(A2, combo, 4)
 
 
+def test_a_negative_degree_is_refused_naming_n():
+    # Both raised a bare IndexError from the weight table.
+    combo = kb.KernelCombo(H2, ((K(0.5), 1.0), (K(0, 1), 2.0)))
+    for call in (lambda: kb.kernel_taylor(H2, K(0.5), -1),
+                 lambda: kb.combo_taylor(H2, combo, -3)):
+        with pytest.raises(ValueError, match=r"^Taylor degree N must be nonnegative; got N = -"):
+            call()
+
+
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _POWER_POINTS = (0j, 1 + 0j, complex(np.exp(0.4j)), 0.5 + 0.2j, 0.99 + 0.1j)
@@ -270,6 +279,40 @@ def test_combo_taylor_blocks_match_unblocked_and_mpmath(block, monkeypatch):
                     / mpmath.mpf(w[n]) for t, coef in combo.terms)
                 bound = (8 * n + 64) * _EPS * size[n] + _TINY
                 assert abs(mpmath.mpc(series.coefficients[n]) - exact) <= bound, (space, n)
+
+
+@pytest.mark.parametrize("point", [complex(np.exp(0.4j)), 0.99995 * complex(np.exp(3.1j))],
+                         ids=["on-circle", "near-circle"])
+def test_combo_taylor_later_blocks_near_the_circle(point):
+    # Past block 0 a power t^n is a power table's entry times t^s, s the
+    # block's first power: held against mpmath at each side of every block
+    # edge to combo_taylor's stated (7 n |log t| + 11) u, plus the eight u of
+    # the falling factor, the weight and the coefficient, and everywhere to the
+    # unblocked bound.  Block 0 is the table itself: _functional_at's bytes.
+    block = kb.kernels.TAYLOR_BLOCK
+    N = 3 * block + 17
+    t, coef = point.conjugate(), 0.3 - 0.2j
+    w, ns = D4.weights(N), np.arange(N + 1)
+    edges = sorted({e * block + d for e in range(1, 4) for d in (-1, 0, 1)} | {N})
+    for order in (0, 1):
+        series = kb.combo_taylor(D4, kb.KernelCombo(D4, ((K(point, order), coef),)), N)
+        got = series.coefficients
+        part = kb.kernels._functional_at(t, order, ns[:block], np.empty(block, dtype=complex))
+        part /= w[:block]
+        part *= coef
+        first = np.zeros(block, dtype=complex)
+        first += part
+        assert got[:block].tobytes() == first.tobytes(), order
+        v = kb.kernels.derivative_functional(point, order, N)
+        size = abs(coef) * np.abs(v) / w
+        unblocked = coef * np.conjugate(v) / w
+        assert np.all(np.abs(got - unblocked) <= (16 * ns + 64) * _EPS * size + _TINY), order
+        with mpmath.workdps(40):
+            for n in edges:
+                exact = (mpmath.mpc(coef) * functional(mpmath.conj(mpmath.mpc(point)), order, n)
+                         / mpmath.mpf(w[n]))
+                bound = ((7 * n * abs(np.log(t)) + 11) / 2 + 8) * _EPS * size[n]
+                assert abs(mpmath.mpc(got[n]) - exact) <= bound, (order, n)
 
 
 @pytest.mark.parametrize("block", [8, None])
