@@ -138,8 +138,8 @@ def test_criterion_3_innerness(route_constructions, boundary_construction):
 def test_boundary_construction_matches_zeta_at_full_scale(boundary_construction):
     # Z = {1} in D_4 is B = 1 - sum_{n >= 1} z^n / ((zeta(4) - 1)(n + 1)^4).
     # zeta(4) - 1 cancels kappa = zeta(4) / (zeta(4) - 1) ~ 13 fold, so the
-    # constant carries a few roundings of zeta(4) times kappa (12-13 ulps
-    # here); the shape (n + 1)^-4 across the block edges holds to a few ulps.
+    # constant carries a few roundings of zeta(4) times kappa (12-13 ulps);
+    # the shape (n + 1)^-4 across the block edges holds to a few ulps.
     _, boundary = boundary_construction
     coeffs = boundary.taylor.coefficients
     eps = np.finfo(float).eps

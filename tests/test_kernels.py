@@ -286,8 +286,8 @@ def test_combo_taylor_blocks_match_unblocked_and_mpmath(block, monkeypatch):
 def test_combo_taylor_later_blocks_near_the_circle(point):
     # Past block 0 a power t^n is a power table's entry times t^s, s the
     # block's first power: held against mpmath at each side of every block
-    # edge to combo_taylor's stated (7 n |log t| + 11) u, plus the eight u of
-    # the falling factor, the weight and the coefficient, and everywhere to the
+    # edge to combo_taylor's stated (7 n |log t| + 11) u, plus 8 eps for the
+    # falling factor, the weight and the coefficient, and everywhere to the
     # unblocked bound.  Block 0 is the table itself: _functional_at's bytes.
     block = kb.kernels.TAYLOR_BLOCK
     N = 3 * block + 17
@@ -295,8 +295,7 @@ def test_combo_taylor_later_blocks_near_the_circle(point):
     w, ns = D4.weights(N), np.arange(N + 1)
     edges = sorted({e * block + d for e in range(1, 4) for d in (-1, 0, 1)} | {N})
     for order in (0, 1):
-        series = kb.combo_taylor(D4, kb.KernelCombo(D4, ((K(point, order), coef),)), N)
-        got = series.coefficients
+        got = kb.combo_taylor(D4, kb.KernelCombo(D4, ((K(point, order), coef),)), N).coefficients
         part = kb.kernels._functional_at(t, order, ns[:block], np.empty(block, dtype=complex))
         part /= w[:block]
         part *= coef
