@@ -219,14 +219,16 @@ def _preset_h2_blaschke(out_dir):
                                     taylor_degree=300)
     rational, taylor, evaluator = _construct.classical_blaschke(zeros, 300)
     cmp = _verify.scalar_multiple_check(ss.taylor, taylor, tol=1e-8)
-    csv_path = os.path.join(out_dir, "h2-blaschke-circle.csv")
-    moduli = emit_circle_profile(evaluator, 512, csv_path)
+    # Named relative to the report's directory, so the report's bytes do not
+    # depend on where it is written.
+    csv_name = "h2-blaschke-circle.csv"
+    moduli = emit_circle_profile(evaluator, 512, os.path.join(out_dir, csv_name))
     max_dev = float(np.max(np.abs(moduli - 1.0)))
     ok = cmp.is_scalar_multiple and max_dev <= 1e-12
     return ok, {
         "zeros": [complex_pair(z) for z in zeros],
         "scalar_check": cmp.to_json(),
-        "circle_profile": {"path": csv_path, "samples": 512,
+        "circle_profile": {"path": csv_name, "samples": 512,
                            "max_deviation_from_1": max_dev},
         "rational": rational.to_json(),
     }

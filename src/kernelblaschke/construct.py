@@ -36,9 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (DegenerateResidueSystem, IllConditioned, SingularGram,
                      UnsupportedRoute, ZeroFunction)
 from .jsonio import complex_pair
-from .kernels import (DEFAULT_POLICY, KernelCombo, KernelTerm, TaylorSeries,
-                      TruncationPolicy, _taylor_shift, combo_taylor,
-                      derivative_functional, pairing_gram)
+from .kernels import (DEFAULT_POLICY, TAYLOR_BLOCK, KernelCombo, KernelTerm,
+                      TaylorSeries, TruncationPolicy, _each_core, _taylor_shift,
+                      combo_taylor, derivative_functional, pairing_gram)
 from .spaces import FactoredPoly, ReproducibleMultiset, SpaceSpec, rounding_gamma
 
 CLUSTER_TOL = 1e-6
@@ -133,9 +133,22 @@ def _reject_clusters(Z: ReproducibleMultiset) -> None:
 def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
                   gauge_index: int | None = None):
     """Scale so the gauge coefficient is 1, in place on the series' own array
-    (the caller's, held nowhere else); returns (taylor, combo, scale)."""
+    (the caller's, held nowhere else); returns (taylor, combo, scale).
+
+    ``max|c_n|`` and the scaling walk ``TAYLOR_BLOCK``-sized blocks through
+    ``_each_core``: a max of block maxima is the max, and each coefficient is
+    scaled on its own, so the bytes do not depend on the number of groups.
+    """
     coeffs = taylor.coefficients
-    top = float(np.max(np.abs(coeffs)))
+    blocks = [slice(lo, lo + TAYLOR_BLOCK) for lo in range(0, len(coeffs), TAYLOR_BLOCK)]
+    tops = np.empty(len(blocks))
+
+    def block_max(group):
+        for i in group:
+            tops[i] = np.max(np.abs(coeffs[blocks[i]]))
+
+    _each_core(len(blocks), block_max)
+    top = float(np.max(tops))
     if top == 0.0:
         raise ZeroFunction("construction produced the zero function")
     if gauge_index is None:
@@ -149,7 +162,12 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
         )
     scale = 1.0 / pivot
     coeffs.setflags(write=True)
-    coeffs *= scale
+
+    def rescale(group):
+        for i in group:
+            coeffs[blocks[i]] *= scale
+
+    _each_core(len(blocks), rescale)
     return (TaylorSeries(coeffs, abs(scale) * taylor.tail_bound),
             None if combo is None else combo.scaled(scale),
             scale)

@@ -31,6 +31,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +252,41 @@ def _blocks(start: int, max_terms: int, width: int, cap: int):
         yield np.arange(n, hi)
         n = hi
         width = min(width * 2, cap)
+
+
+# Blocks per group at the least: a call with fewer than two groups of this many
+# runs in the calling thread, where starting a thread would cost more than it
+# saves.
+_GROUP_BLOCKS = 3
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_core(count: int, run) -> None:
+    """``run(group)`` over contiguous ranges of the block indices ``0..count-1``,
+    one range per core of the process, each range in a thread of its own.
+
+    With fewer than two groups of ``_GROUP_BLOCKS`` blocks the calling thread
+    runs ``range(count)`` and no thread starts.  The threads are per call, so
+    none outlives it, and the first error raised in a group is raised here.
+    Groups must write disjoint outputs: block partials go into rows of their
+    own, which the caller sums in block order, so every result is the same
+    whatever the number of groups.
+    """
+    groups = min(_cores(), count // _GROUP_BLOCKS)
+    if groups < 2:
+        run(range(count))
+        return
+    edges = [count * g // groups for g in range(groups + 1)]
+    with ThreadPoolExecutor(groups) as pool:
+        for _ in pool.map(run, map(range, edges[:-1], edges[1:])):
+            pass
 
 
 def _alpha_of(space: SpaceSpec) -> float:
@@ -683,17 +720,11 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     w = space.weights(N)  # taken after the tail grows the table, so one table is held
     coeffs = np.zeros(N + 1, dtype=complex)
     size = min(N + 1, TAYLOR_BLOCK)
-    buf = np.empty(size, dtype=complex)
     table = np.empty(size, dtype=complex)
-    for term, coef in B.terms:
-        m = term.order
-        if term.point == 0:
-            if m <= N:  # the block pass's operations at n = m
-                coeffs[m] += math.prod(range(m, 0, -1), start=1.0) * (1.0 / float(w[m])) * coef
-            continue
-        t = np.conjugate(term.point)
-        _powers(t, np.arange(size), table)
-        for lo in range(0, N + 1, size):
+
+    def fill(t, m, coef, group):
+        buf = np.empty(size, dtype=complex)
+        for lo in range(group.start * size, min(group.stop * size, N + 1), size):
             hi = min(lo + size, N + 1)
             part = buf[: hi - lo]
             j = min(max(m - lo, 0), hi - lo)  # below n = m the term has no coefficient
@@ -709,6 +740,16 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
             part /= w[lo:hi]
             part *= coef
             coeffs[lo:hi] += part
+
+    for term, coef in B.terms:
+        m = term.order
+        if term.point == 0:
+            if m <= N:  # the block pass's operations at n = m
+                coeffs[m] += math.prod(range(m, 0, -1), start=1.0) * (1.0 / float(w[m])) * coef
+            continue
+        t = np.conjugate(term.point)
+        _powers(t, np.arange(size), table)
+        _each_core(-(-(N + 1) // size), functools.partial(fill, t, m, coef))
     return TaylorSeries(coeffs, tail)
 
 
@@ -731,6 +772,8 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
 # 8192, so OpenBLAS runs each dot on one thread (its threshold is 10000) and
 # sums in one order, fixed for a given host and BLAS build.
 SHIFT_BLOCK = 1 << 13
+# Lags past those asked for that a block's one correlate may compute.
+_SPARE_LAGS = 4
 
 
 def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
@@ -775,16 +818,34 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     blocks = range(0, N + 1, SHIFT_BLOCK)
     cross = np.zeros((len(blocks), len(shifts)), dtype=complex)
     square = np.zeros((len(blocks), len(norms)))
-    for i, lo in enumerate(blocks):
-        hi = min(lo + SHIFT_BLOCK, N + 1)
-        abs_sq = np.abs(b[lo:hi]) ** 2
-        c = w[lo:hi] * b[lo:hi].conj() if top > 0 else None
-        for j, k in enumerate(norms):
-            square[i, j] = np.dot(w[lo + k: hi + k], abs_sq)
-        for j, k in enumerate(shifts):
-            start = max(lo, k)
-            if 0 < k and start < hi:
-                cross[i, j] = np.dot(b[start - k: hi - k], c[start - lo:])
+    # One correlate per block computes every lag 0..top: taken only where that
+    # is at most a few lags beyond those asked for.
+    sweep = top + 1 - len(set(shifts)) <= _SPARE_LAGS
+    lags = top - np.array(shifts)
+
+    def run(group):
+        for i in group:
+            lo = blocks[i]
+            hi = min(lo + SHIFT_BLOCK, N + 1)
+            abs_sq = np.abs(b[lo:hi]) ** 2
+            if norms and sweep:
+                square[i] = np.correlate(w[lo: hi + norms[-1]], abs_sq)[norms]
+            else:
+                for j, k in enumerate(norms):
+                    square[i, j] = np.dot(w[lo + k: hi + k], abs_sq)
+            if top == 0:
+                continue
+            c = w[lo:hi] * b[lo:hi].conj()
+            if sweep and lo >= top:
+                # correlate conjugates its second argument, back to c here.
+                cross[i] = np.correlate(b[lo - top: hi], np.conjugate(c, out=c))[lags]
+                continue
+            for j, k in enumerate(shifts):
+                start = max(lo, k)
+                if 0 < k and start < hi:
+                    cross[i, j] = np.dot(b[start - k: hi - k], c[start - lo:])
+
+    _each_core(len(blocks), run)
     cross, square = cross.sum(axis=0), dict(zip(norms, square.sum(axis=0)))
     out = []
     for k, value in zip(shifts, cross):

@@ -520,6 +520,19 @@ def test_preset_blaschke_match_writes_csv(tmp_path):
     assert len(modulus.replace(".", "").replace("-", "").lstrip("0")) <= 17
 
 
+@pytest.mark.parametrize("name", cli.PRESET_NAMES)
+def test_preset_report_bytes_do_not_depend_on_the_output_directory(name, tmp_path):
+    # A file a report names (the circle CSV) is named relative to the report.
+    for out in ("a", "nested/b"):
+        assert cli.main(["preset", name, "--out", str(tmp_path / out), "--quiet"]) == 0
+    report = f"preset-{name}.json"
+    a = (tmp_path / "a" / report).read_bytes()
+    assert a == (tmp_path / "nested" / "b" / report).read_bytes()
+    profile = json.loads(a)["report"].get("circle_profile")
+    if profile is not None:
+        assert (tmp_path / "a" / profile["path"]).is_file()
+
+
 def test_preset_residue_match(tmp_path):
     out = str(tmp_path / "r")
     assert cli.main(["preset", "a2-residue-match", "--out", out, "--quiet"]) == 0
