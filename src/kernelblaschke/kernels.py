@@ -279,7 +279,7 @@ def _each_core(count: int, run) -> None:
     own, which the caller sums in block order, so every result is the same
     whatever the number of groups.
     """
-    groups = min(_cores(), count // _GROUP_BLOCKS)
+    groups = min(_cores(), count // _GROUP_BLOCKS) if count >= 2 * _GROUP_BLOCKS else 1
     if groups < 2:
         run(range(count))
         return
@@ -695,7 +695,11 @@ def combo_taylor(space: SpaceSpec, B: KernelCombo, N: int,
     ``TAYLOR_BLOCK``-sized index blocks and adds its coefficients into the
     output in place, so every coefficient receives its terms in term order, and
     the output and the space's weights are the only arrays of length N + 1.  A
-    kernel at the origin has one coefficient, n = its order.
+    kernel at the origin has one coefficient, n = its order.  A term's blocks
+    run in contiguous groups, one per core (``_each_core``), each group with a
+    block buffer of its own; blocks write disjoint slices of the output with
+    the same operations in any group, so the bytes do not depend on the
+    number of workers.
 
     Every other term forms one power table ``t^k = _powers(t, k)``, ``t =
     conj(point)``, for k below the block length.  A block whose first power is
@@ -769,8 +773,9 @@ def combo_derivative_at(space: SpaceSpec, B: KernelCombo, beta: complex, ell: in
 
 # Coefficients per block of ``shift_inner_products``: the block's slices of b,
 # w and the products stay in a core's L2 cache across the shifts.  At most
-# 8192, so OpenBLAS runs each dot on one thread (its threshold is 10000) and
-# sums in one order, fixed for a given host and BLAS build.
+# 8192, so OpenBLAS runs each dot, alone or inside a correlate, on one thread
+# (its threshold is 10000) and sums in one order, fixed for a given host and
+# BLAS build.  Blocks run in groups, one per core, in threads of their own.
 SHIFT_BLOCK = 1 << 13
 # Lags past those asked for that a block's one correlate may compute.
 _SPARE_LAGS = 4
@@ -786,10 +791,19 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
 
     In a diagonal space one pass over ``SHIFT_BLOCK``-sized blocks of b reads
     one weight vector.  Each block forms ``|b_n|^2`` once, and
-    ``c_n = w_n conj(b_n)`` once when a shift is positive; every shift's partial
-    sums of ``b_(n-k) c_n`` and (for the err) of ``w_(n+k) |b_n|^2`` are then
-    one BLAS dot each over contiguous slices, and the block partials are added
-    in block order.
+    ``c_n = w_n conj(b_n)`` once when a shift is positive.  When the shifts
+    are dense (lags ``0..max`` at most ``_SPARE_LAGS`` more than asked for), a
+    block takes the sums of ``w_(n+k) |b_n|^2`` (for the err) by one
+    ``np.correlate(w[lo:hi+K], |b|^2)``, and, if it starts at or past the
+    largest shift K, the sums of ``b_(n-k) c_n`` by one
+    ``np.correlate(b[lo-K:hi], conj(c))`` read backwards; numpy conjugates
+    the second argument back and calls, per lag, the BLAS dot that ``np.dot``
+    calls over the same slices, so each partial has the bytes of that dot.
+    Other blocks and sparse shifts take one dot per shift.  The blocks run in
+    contiguous groups, one per core of the process (``_each_core``); each
+    partial goes into a row of its own and the rows are added in block
+    order, so the bytes do not depend on the number of workers.  The partial
+    arrays have one column per shift, however large the largest.
     """
     shifts = [int(k) for k in shifts]
     if not shifts:

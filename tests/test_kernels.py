@@ -3,6 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -344,6 +350,127 @@ def test_shift_inner_products_blocks_match_unblocked_and_longdouble(block, tau,
             assert abs(value - complex(exact)) <= bound, (space, k)
             assert abs(err - ref_err) <= 4 * _gamma(N + k + 1) * ref_err, (space, k)
             assert (err == 0.0) == (tau == 0.0)
+
+
+def _shift_products_by_dots(space, B, shifts):
+    """``shift_inner_products`` by one ``np.dot`` per shift and block, the block
+    partials in rows summed in block order: the loop whose bytes the block
+    correlates keep."""
+    b, tau = B.coefficients, B.tail_bound
+    N, top, block = len(b) - 1, max(shifts), kb.kernels.SHIFT_BLOCK
+    w = space.weights(N + top)
+    norms = sorted({0, *shifts})
+    blocks = range(0, N + 1, block)
+    cross = np.zeros((len(blocks), len(shifts)), dtype=complex)
+    square = np.zeros((len(blocks), len(norms)))
+    for i, lo in enumerate(blocks):
+        hi = min(lo + block, N + 1)
+        abs_sq = np.abs(b[lo:hi]) ** 2
+        c = w[lo:hi] * b[lo:hi].conj()
+        for j, k in enumerate(norms):
+            square[i, j] = np.dot(w[lo + k: hi + k], abs_sq)
+        for j, k in enumerate(shifts):
+            start = max(lo, k)
+            if 0 < k and start < hi:
+                cross[i, j] = np.dot(b[start - k: hi - k], c[start - lo:])
+    cross, square = cross.sum(axis=0), dict(zip(norms, square.sum(axis=0)))
+    bnorm = math.sqrt(float(square[0]))
+    return [(complex(square[0]) if k == 0 else complex(value),
+             math.sqrt(float(square[k])) * tau
+             + space.shift_norm_bound(k) * tau * (bnorm + tau) if tau else 0.0)
+            for k, value in zip(shifts, cross)]
+
+
+def _bytes(products):
+    return np.array([(v, e) for v, e in products], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_long_passes_keep_their_bytes_for_any_worker_count(tau, monkeypatch):
+    # Four blocks split into up to three groups; the shift products equal the
+    # per-lag dot loop bit for bit, dense shifts (one correlate per block past
+    # block 0) and sparse ones alike, and combo_taylor and a construction give
+    # the same bytes for 1, 2 and 3 workers.
+    monkeypatch.setattr(kb.kernels, "_GROUP_BLOCKS", 1)
+    D2 = kb.DirichletType(2.0)
+    block = kb.kernels.SHIFT_BLOCK
+    N = 3 * block + 17
+    rng = np.random.default_rng(7)
+    b = (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)) / np.arange(1.0, N + 2)
+    B = kb.TaylorSeries(b, tau)
+    shift_lists = (list(range(21)), [5, 0, block + 3, N + 4, 1, 2 * block + 1, 3])
+    refs = [_bytes(_shift_products_by_dots(D2, B, shifts)) for shifts in shift_lists]
+    NT = 3 * kb.kernels.TAYLOR_BLOCK + 17
+    combo = kb.KernelCombo(D2, ((K(0.3 + 0.4j, 1), 0.7 - 0.2j), (K(-0.999 + 0.01j), 1.1 + 0.3j)))
+    Z = kb.ReproducibleMultiset(0, ((0.6 - 0.5j, 1),))
+    long_outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kb.kernels, "_cores", lambda: workers)
+        for shifts, ref in zip(shift_lists, refs):
+            assert _bytes(kb.shift_inner_products(D2, B, shifts)) == ref, (workers, shifts)
+        long_outputs.append((kb.combo_taylor(D2, combo, NT),
+                             kb.shapiro_shields(D2, Z, taylor_degree=NT).taylor))
+    assert long_outputs[0] == long_outputs[1] == long_outputs[2]
+
+
+def test_short_arrays_start_no_thread_and_long_ones_leave_none(monkeypatch):
+    # One block, as in every scan and crosscheck construction, runs in the
+    # calling thread however many cores there are.
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(kb.kernels, "_cores", lambda: 8)
+    monkeypatch.setattr(kb.kernels, "ThreadPoolExecutor", Refused)
+    Z = kb.ReproducibleMultiset(0, ((0.5 + 0.2j, 1),))
+    short = kb.shapiro_shields(A2, Z, taylor_degree=600)
+    kb.inner_report(A2, short.taylor, K=20, tol=1e-6)
+    kb.shift_inner_products(A2, short.taylor, range(21))
+    # Many blocks on two cores: threads start, and all have ended on return.
+    started = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kb.kernels, "_cores", lambda: 2)
+    monkeypatch.setattr(kb.kernels, "ThreadPoolExecutor", Counted)
+    before = threading.active_count()
+    long = kb.shapiro_shields(A2, Z, taylor_degree=6 * kb.kernels.TAYLOR_BLOCK)
+    kb.shift_inner_products(A2, long.taylor, range(21))
+    assert started
+    assert threading.active_count() == before
+
+
+def test_import_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(kb.__file__))
+    code = "import threading, kernelblaschke; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_sparse_shifts_hold_memory_by_their_count(monkeypatch):
+    # Shifts {0, 2 SHIFT_BLOCK + 1} over nine blocks on two workers: a cross
+    # array as wide as the largest shift would take 2.4 MB; the pass holds a
+    # few block buffers per worker.
+    monkeypatch.setattr(kb.kernels, "_cores", lambda: 2)
+    block = kb.kernels.SHIFT_BLOCK
+    N, shifts = 9 * block - 1, [0, 2 * block + 1]
+    space = kb.DirichletType(2.0)
+    w = space.weights(N + max(shifts))  # held, so the trace sees the pass alone
+    rng = np.random.default_rng(3)
+    B = kb.TaylorSeries(rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1), 0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kb.shift_inner_products(space, B, shifts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 6 * block * 16, peak
+    assert len(w) == N + max(shifts) + 1
 
 
 # ---------------------------------------------------------------------------
