@@ -140,15 +140,15 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
     scaled on its own, so the bytes do not depend on the number of groups.
     """
     coeffs = taylor.coefficients
-    blocks = [slice(lo, lo + TAYLOR_BLOCK) for lo in range(0, len(coeffs), TAYLOR_BLOCK)]
-    tops = np.empty(len(blocks))
+    size = TAYLOR_BLOCK
+    tops = np.empty(-(-len(coeffs) // size))
 
     def block_max(group):
         for i in group:
-            tops[i] = np.max(np.abs(coeffs[blocks[i]]))
+            tops[i] = np.abs(coeffs[i * size: (i + 1) * size]).max()
 
-    _each_core(len(blocks), block_max)
-    top = float(np.max(tops))
+    _each_core(len(tops), block_max)
+    top = float(tops.max())
     if top == 0.0:
         raise ZeroFunction("construction produced the zero function")
     if gauge_index is None:
@@ -164,10 +164,9 @@ def _canonicalize(taylor: TaylorSeries, combo: KernelCombo | None,
     coeffs.setflags(write=True)
 
     def rescale(group):
-        for i in group:
-            coeffs[blocks[i]] *= scale
+        coeffs[group.start * size: group.stop * size] *= scale
 
-    _each_core(len(blocks), rescale)
+    _each_core(len(tops), rescale)
     return (TaylorSeries(coeffs, abs(scale) * taylor.tail_bound),
             None if combo is None else combo.scaled(scale),
             scale)

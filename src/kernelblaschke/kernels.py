@@ -793,9 +793,9 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     one weight vector.  Each block forms ``|b_n|^2`` once, and
     ``c_n = w_n conj(b_n)`` once when a shift is positive.  When the shifts
     are dense (lags ``0..max`` at most ``_SPARE_LAGS`` more than asked for), a
-    block takes the sums of ``w_(n+k) |b_n|^2`` (for the err) by one
-    ``np.correlate(w[lo:hi+K], |b|^2)``, and, if it starts at or past the
-    largest shift K, the sums of ``b_(n-k) c_n`` by one
+    block takes the sums of ``w_(n+k) |b_n|^2`` (for the err), when more
+    than one is read, by one ``np.correlate(w[lo:hi+K], |b|^2)``, and, if it
+    starts at or past the largest shift K, the sums of ``b_(n-k) c_n`` by one
     ``np.correlate(b[lo-K:hi], conj(c))`` read backwards; numpy conjugates
     the second argument back and calls, per lag, the BLAS dot that ``np.dot``
     calls over the same slices, so each partial has the bytes of that dot.
@@ -835,14 +835,14 @@ def shift_inner_products(space: SpaceSpec, B: TaylorSeries,
     # One correlate per block computes every lag 0..top: taken only where that
     # is at most a few lags beyond those asked for.
     sweep = top + 1 - len(set(shifts)) <= _SPARE_LAGS
-    lags = top - np.array(shifts)
+    lags = top - np.array(shifts) if sweep and top else None
 
     def run(group):
         for i in group:
             lo = blocks[i]
             hi = min(lo + SHIFT_BLOCK, N + 1)
             abs_sq = np.abs(b[lo:hi]) ** 2
-            if norms and sweep:
+            if len(norms) > 1 and sweep:
                 square[i] = np.correlate(w[lo: hi + norms[-1]], abs_sq)[norms]
             else:
                 for j, k in enumerate(norms):
